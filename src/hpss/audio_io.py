@@ -77,18 +77,18 @@ def read_wav(path) -> Signal:
     payload = None
     for cid, off, size in _iter_chunks(data):
         if cid == b"fmt ":
-            fmt = struct.unpack_from("<HHIIHH", data, off)
+            fmt = data[off : off + size]  # never read past the chunk itself
+            if len(fmt) < 16:
+                raise ValueError(f"{path}: fmt chunk shorter than 16 bytes")
         elif cid == b"data":
             payload = data[off : off + size]
     if fmt is None or payload is None:
         raise ValueError(f"{path}: missing fmt or data chunk")
 
-    codec, n_channels, sample_rate, _, block_align, bits = fmt
-    if codec == _FMT_EXTENSIBLE:
+    codec, n_channels, sample_rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if codec == _FMT_EXTENSIBLE and len(fmt) >= 40:
         # subformat GUID starts with the ordinary codec tag
-        for cid, off, size in _iter_chunks(data):
-            if cid == b"fmt " and size >= 40:
-                codec = struct.unpack_from("<H", data, off + 24)[0]
+        codec = struct.unpack_from("<H", fmt, 24)[0]
     if n_channels < 1:
         raise ValueError(f"{path}: invalid channel count")
 

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import as_samples
-from .stft import Spectrogram, StftConfig, adjoint, forward, _DUMP_MAGIC_REAL, _read_dump, _write_dump
+from .stft import (
+    DUMP_MAGIC_REAL,
+    Spectrogram,
+    StftConfig,
+    adjoint,
+    forward,
+    read_dump,
+    write_dump,
+)
 
 
 @dataclass(frozen=True)
@@ -109,32 +117,40 @@ def ipc_adjoint(spec: Spectrogram, correction: PhaseCorrection, config: StftConf
     return adjoint(spec.with_data(np.conj(correction.e) * spec.data), config)
 
 
-def time_diff(data: np.ndarray) -> np.ndarray:
+def time_diff(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward difference along time with a zero first column."""
     data = np.asarray(data)
-    out = np.zeros_like(data)
-    if data.shape[1] > 1:
-        out[:, 1:] = data[:, 1:] - data[:, :-1]
+    if out is None:
+        out = np.empty_like(data)
+    out[:, 0] = 0.0
+    np.subtract(data[:, 1:], data[:, :-1], out=out[:, 1:])
     return out
 
 
-def time_diff_adj(data: np.ndarray) -> np.ndarray:
-    """Adjoint of ``time_diff``: negated backward difference, matching boundary."""
+def time_diff_adj(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of ``time_diff``: negated backward difference, matching boundary.
+
+    ``out`` may be ``data`` itself: every column is written before it is
+    read for the last time.
+    """
     data = np.asarray(data)
-    out = np.zeros_like(data)
+    if out is None:
+        out = np.empty_like(data)
     n_frames = data.shape[1]
-    if n_frames > 1:
-        out[:, 0] = -data[:, 1]
-        out[:, 1 : n_frames - 1] = data[:, 1 : n_frames - 1] - data[:, 2:n_frames]
-        out[:, n_frames - 1] = data[:, n_frames - 1]
+    if n_frames == 1:
+        out[...] = 0.0
+        return out
+    np.negative(data[:, 1], out=out[:, 0])
+    np.subtract(data[:, 1:-1], data[:, 2:], out=out[:, 1:-1])
+    out[:, -1] = data[:, -1]
     return out
 
 
 def write_if_dump(path, if_map: IfMap) -> None:
     """IfMap dump; shares the spectrogram format with a real-only payload."""
-    _write_dump(path, _DUMP_MAGIC_REAL, if_map.v, if_map.config)
+    write_dump(path, DUMP_MAGIC_REAL, if_map.v, if_map.config)
 
 
 def read_if_dump(path):
     """Read a dump written by ``write_if_dump``; returns (v, (K, T, L, a))."""
-    return _read_dump(path, _DUMP_MAGIC_REAL)
+    return read_dump(path, DUMP_MAGIC_REAL)

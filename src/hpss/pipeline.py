@@ -49,6 +49,15 @@ class HpssConfig:
         return make_config(self.win_len, self.hop)
 
 
+def _rms(samples: np.ndarray) -> float:
+    """Root mean square, scaled by the peak so no square overflows or underflows."""
+    peak = float(np.max(np.abs(samples)))
+    if peak == 0.0:
+        return 0.0
+    scaled = samples / peak
+    return peak * float(np.sqrt(np.mean(scaled * scaled)))
+
+
 def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     """Separate a mixture into harmonic and percussive components.
 
@@ -70,20 +79,19 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     else:
         oracle = None
 
-    rms = float(np.sqrt(np.mean(samples**2)))
+    rms = _rms(samples)
     gain = REFERENCE_RMS / rms if rms > 0.0 else 1.0
     xs = samples * gain
 
     config = cfg.stft()
-    spec = forward(xs, config)
-
     if_src = xs if oracle is None else oracle * gain
-    if_map = estimate_if(if_src, config, eps=cfg.if_eps)
-    correction = build_correction(if_map, config)
+    correction = build_correction(estimate_if(if_src, config, eps=cfg.if_eps), config)
 
+    spec = forward(xs, config)
     _, _, mask = median_filter_hpss(spec, cfg.median)
     x_h0 = adjoint(spec.with_data(mask * spec.data))
     weight = compute_weight(mask * np.abs(spec.data), cfg.kappa)
+    del spec, mask  # the solver's working set need not stack on these
 
     problem = HpssProblem(
         mixture=xs,

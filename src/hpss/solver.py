@@ -1,10 +1,18 @@
 """Primal-dual splitting iteration for the phase-aware separation problem.
 
 Minimizes  (1/2) || W o D_t(F_ipc(x_h)) ||_Fro^2  +  lambda || F(x_p) ||_{2,1}
-subject to x_h + x_p = x, by alternating a projection of the primal pair
-onto the exact-sum constraint with proximal updates of two dual
-spectrogram variables. Only applications of the linear operators and
-their adjoints are required, never inverses.
+subject to x_h + x_p = x by the primal-dual splitting of Condat (2013) and
+Vu (2013): projection onto the exact-sum constraint, Moreau-form proximal
+updates of two dual spectrograms y_h and y_p, and a relaxation. Only the
+linear operators and their adjoints are applied, never inverses.
+
+Every iterate has x_p = x - x_h, so one primal variable carries the pair.
+With u = x_h - mu1 F^*(conj(E) D_t^*(W y_h) - y_p), an iteration sets
+y_p from the frames of y_p + F(x) - F(u) projected onto the l2 ball of
+radius lambda, y_h from (y_h + W D_t(E F(u))) / (1 + mu2), and x_h from
+(u + x_h) / 2, each relaxed by alpha. That is one adjoint and one forward
+STFT per iteration, with F(x) computed once. The objective trace follows
+F(x_p) and W D_t(E F(x_h)) by the same relaxation, at no transform cost.
 """
 
 from __future__ import annotations
@@ -17,12 +25,12 @@ import numpy as np
 
 from .audio_io import Signal, as_samples
 from .phase import PhaseCorrection, ipc_adjoint, ipc_forward, time_diff, time_diff_adj
-from .prox import SignalPair, l21_norm, prox_l21, prox_sq_fro, split_sum_arrays
-from .stft import Spectrogram, StftConfig, adjoint, forward
+from .prox import SignalPair, l21_norm, split_sum_arrays
+from .stft import Spectrogram, StftConfig, StftPlan, adjoint, forward
 
 
 class SolverDivergenceError(RuntimeError):
-    """Raised when an iterate stops being finite (wrong step sizes fail loudly)."""
+    """Raised when an iterate's energy overflows (wrong step sizes fail loudly)."""
 
     def __init__(self, iteration: int):
         super().__init__(f"solver diverged: non-finite value at iteration {iteration}")
@@ -62,21 +70,14 @@ class SolverTrace:
         return self.total.size
 
     def write_csv(self, path) -> None:
+        columns = (self.total, self.smooth, self.sparse, self.primal_increment)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["iteration", "total", "smooth_term", "sparse_term", "primal_increment"]
             )
-            for i in range(len(self)):
-                writer.writerow(
-                    [
-                        i + 1,
-                        repr(float(self.total[i])),
-                        repr(float(self.smooth[i])),
-                        repr(float(self.sparse[i])),
-                        repr(float(self.primal_increment[i])),
-                    ]
-                )
+            for i, row in enumerate(zip(*columns), 1):
+                writer.writerow([i, *(repr(float(v)) for v in row)])
 
 
 @dataclass(frozen=True)
@@ -114,16 +115,6 @@ def apply_Lh_adj(spec: Spectrogram, problem: HpssProblem) -> np.ndarray:
     """Adjoint of ``apply_Lh``: F_ipc^* ( D_t^* (W o Y) )."""
     data = time_diff_adj(problem.weight * spec.data)
     return ipc_adjoint(spec.with_data(data), problem.correction, problem.config)
-
-
-def _zero_spec(problem: HpssProblem, n: int) -> Spectrogram:
-    shape = (problem.config.n_bins, problem.config.n_frames(n))
-    return Spectrogram(
-        data=np.zeros(shape, dtype=np.complex128),
-        config=problem.config,
-        n_samples=n,
-        sample_rate=problem.sample_rate,
-    )
 
 
 def estimate_opnorm(
@@ -192,82 +183,90 @@ def objective(pair, problem: HpssProblem):
     return smooth + sparse, smooth, sparse
 
 
+def _frame_norms(data: np.ndarray) -> np.ndarray:
+    """Per-frame l2 norms of a frame-major complex array."""
+    return np.sqrt(np.einsum("ij,ij->i", data.view(np.float64), data.view(np.float64)))
+
+
 def run(problem: HpssProblem, init):
     """Run the primal-dual iteration from an initial pair.
 
-    The initial pair is projected onto the exact-sum constraint; both
-    dual spectrograms start at zero. Each iteration performs the primal
-    constraint-projection step, the two dual ascent steps with their
-    Moreau-form proximal updates, and a joint alpha-relaxation. Returns
-    the final pair (summing to the mixture bit-exactly) and the trace.
+    The initial pair is projected onto the exact-sum constraint and both duals
+    start at zero. Returns the final pair (summing to the mixture bit-exactly)
+    and the trace.
     """
-    params = problem.params
+    p = problem.params
     x = problem.mixture
-    n = x.size
     rate = problem.sample_rate
-
     if isinstance(init, SignalPair):
         x_h0, x_p0 = init.harmonic.samples, init.percussive.samples
         rate = rate or init.harmonic.sample_rate
     else:
-        x_h0, x_p0 = (as_samples(p) for p in init)
-    x_h, x_p = split_sum_arrays(x, x_h0.copy(), x_p0.copy())
+        x_h0, x_p0 = (as_samples(v) for v in init)
+    x_h, _ = split_sum_arrays(x, x_h0, x_p0)
+    rows = np.empty((p.n_iters if p.record_trace else 0, 4))
+    if p.n_iters > 0:
+        _check_step_sizes(problem)
+        x_h = _iterate(problem, x_h, rows if p.record_trace else None)
+    pair = SignalPair(Signal(x_h, rate or 1), Signal(x - x_h, rate or 1))
+    return pair, SolverTrace(*np.ascontiguousarray(rows.T))
 
-    _check_step_sizes(problem)
 
-    y_h = _zero_spec(problem, n)
-    y_p = _zero_spec(problem, n)
-    mu1, mu2, lam, alpha = params.mu1, params.mu2, params.lam, params.alpha
-    lam_mu2 = lam * mu2
+def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
+    """The loop on frame-major (T x K) arrays; fills the trace rows, returns x_h."""
+    p = problem.params
+    plan = StftPlan(problem.config, x_h.size)
+    # the relaxed smooth-dual step is y_h <- (1 - alpha + c) y_h + c W D_t(E F u),
+    # so the loop keeps c W and conj(E) / c
+    c = p.alpha / (1.0 + p.mu2)
+    w_c = np.ascontiguousarray(problem.weight.T) * c
+    e = np.ascontiguousarray(problem.correction.e.T)
+    e_conj = np.conj(e) / c
+    fx = plan.forward(problem.mixture)
+    y_h, y_p, fu, a = (np.zeros_like(fx) for _ in range(4))
+    beta = 0.5 * p.alpha  # x_h <- x_h + beta (u - x_h), and so every image of it
+    if rows is not None:
+        plan.forward(x_h, out=fu)
+        f_p = fx - fu  # F(x_p)
+        l_h = time_diff(np.multiply(e, fu, out=a).T, out=fu.T).T * w_c  # c L_h(x_h)
 
-    record = params.record_trace
-    tr_total = np.empty(params.n_iters)
-    tr_smooth = np.empty(params.n_iters)
-    tr_sparse = np.empty(params.n_iters)
-    tr_inc = np.empty(params.n_iters)
+    for it in range(p.n_iters):
+        # primal: u = x_h - mu1 F^*(conj(E) D_t^*(W y_h) - y_p)
+        np.multiply(y_h, w_c, out=a)
+        time_diff_adj(a.T, out=a.T)
+        a *= e_conj
+        a -= y_p
+        u = x_h - p.mu1 * plan.adjoint(a)
+        plan.forward(u, out=fu)
 
-    for it in range(params.n_iters):
-        # primal: projection of the gradient-like step onto the sum constraint
-        g_h = x_h - mu1 * apply_Lh_adj(y_h, problem)
-        g_p = x_p - mu1 * adjoint(y_p)
-        t_h, t_p = split_sum_arrays(x, g_h, g_p)
-        if not (np.all(np.isfinite(t_h)) and np.all(np.isfinite(t_p))):
+        # percussive dual: frames of y_p + F(x) - F(u) projected onto the lam-ball
+        np.subtract(fx, fu, out=a)
+        if rows is not None:  # f_p <- (1 - beta) f_p + beta F(x - u)
+            f_p -= a
+            f_p *= 1.0 - beta
+            f_p += a
+        a += y_p
+        a *= (p.alpha * p.lam / np.maximum(_frame_norms(a), p.lam))[:, None]
+        y_p *= 1.0 - p.alpha
+        y_p += a
+
+        # smooth dual: z_h = y_h + W D_t(E F u), Moreau step z_h / (1 + mu2)
+        lu = time_diff(np.multiply(e, fu, out=a).T, out=fu.T).T
+        lu *= w_c
+        if rows is not None:
+            l_h -= lu
+            l_h *= 1.0 - beta
+            l_h += lu
+        y_h *= 1.0 - p.alpha + c
+        y_h += lu
+
+        new_h = p.alpha * (0.5 * (u + x_h)) + (1.0 - p.alpha) * x_h
+        if not np.isfinite(new_h @ new_h):  # also catches non-finite samples
             raise SolverDivergenceError(it + 1)
-
-        # dual ascent on both branches
-        z_h = y_h.data + apply_Lh(2.0 * t_h - x_h, problem).data
-        z_p = y_p.data + forward(2.0 * t_p - x_p, problem.config).data
-
-        # Moreau-form proximal updates
-        yt_h = z_h - mu2 * prox_sq_fro(z_h / mu2, 1.0 / mu2)
-        yt_p = z_p - lam_mu2 * prox_l21(z_p / lam_mu2, 1.0 / mu2)
-
-        # joint relaxation of primal and dual
-        new_h = alpha * t_h + (1.0 - alpha) * x_h
-        new_p = alpha * t_p + (1.0 - alpha) * x_p
-        inc = np.sqrt(
-            np.linalg.norm(new_h - x_h) ** 2 + np.linalg.norm(new_p - x_p) ** 2
-        )
-        x_h, x_p = new_h, new_p
-        y_h = y_h.with_data(alpha * yt_h + (1.0 - alpha) * y_h.data)
-        y_p = y_p.with_data(alpha * yt_p + (1.0 - alpha) * y_p.data)
-
-        if not (np.all(np.isfinite(x_h)) and np.all(np.isfinite(x_p))):
-            raise SolverDivergenceError(it + 1)
-
-        if record:
-            smooth = 0.5 * float(np.sum(np.abs(apply_Lh(x_h, problem).data) ** 2))
-            sparse = lam * l21_norm(forward(x_p, problem.config).data)
-            tr_total[it] = smooth + sparse
-            tr_smooth[it] = smooth
-            tr_sparse[it] = sparse
-            tr_inc[it] = inc
-
-    x_p = x - x_h  # make the reconstruction constraint bit-exact
-    if rate is None:
-        rate = 1
-    pair = SignalPair(Signal(x_h, rate), Signal(x_p, rate))
-    trace = (
-        SolverTrace(tr_total, tr_smooth, tr_sparse, tr_inc) if record else SolverTrace()
-    )
-    return pair, trace
+        if rows is not None:
+            smooth = 0.5 * float(np.vdot(l_h, l_h).real) / c / c
+            sparse = p.lam * float(np.sum(_frame_norms(f_p)))
+            step = np.sqrt(2.0) * np.linalg.norm(new_h - x_h)  # x_p moves by -step
+            rows[it] = smooth + sparse, smooth, sparse, step
+        x_h = new_h
+    return x_h

@@ -16,8 +16,8 @@ import numpy as np
 
 from .audio_io import as_samples
 
-_DUMP_MAGIC_COMPLEX = b"HPSSSPC1"
-_DUMP_MAGIC_REAL = b"HPSSIFM1"
+DUMP_MAGIC_COMPLEX = b"HPSSSPC1"
+DUMP_MAGIC_REAL = b"HPSSIFM1"
 
 
 def make_hann(win_len: int) -> np.ndarray:
@@ -141,32 +141,91 @@ class Spectrogram:
         return replace(self, data=data)
 
 
-def _frame(x: np.ndarray, config: StftConfig) -> np.ndarray:
-    """Frames of the hop-aligned, circularly extended signal, shape (T, L)."""
-    win_len, hop = config.win_len, config.hop
-    n = x.size
-    n_frames = config.n_frames(n)
-    n_pad = hop * n_frames
-    y = np.zeros(n_pad)
-    y[:n] = x
-    z = np.roll(y, win_len // 2)  # frame tau starts at hop*tau, centered at hop*tau
-    if n_pad >= win_len:
-        tail = max(0, win_len - hop)
-        z_ext = np.concatenate([z, z[:tail]]) if tail else z
-        frames = np.lib.stride_tricks.sliding_window_view(z_ext, win_len)[::hop]
-        return np.ascontiguousarray(frames[:n_frames])
-    idx = (hop * np.arange(n_frames)[:, None] + np.arange(win_len)[None, :]) % n_pad
-    return z[idx]
+class StftPlan:
+    """Frame-major (T x K) forward/adjoint pair for signals of one length.
+
+    Framing reads a strided view of a persistent, circularly extended
+    buffer; the adjoint overlap-adds the L/hop frame blocks with one
+    reshape-add each. Repeated transforms of same-length signals reuse
+    the buffers, so they allocate nothing but the outputs they are not
+    given. ``forward`` and ``adjoint`` below wrap this pair.
+    """
+
+    def __init__(self, config: StftConfig, n_samples: int):
+        win_len, hop = config.win_len, config.hop
+        self.config = config
+        self.n_samples = n_samples
+        self.n_frames = config.n_frames(n_samples)
+        self.n_pad = hop * self.n_frames
+        # x[k] sits at (k + L/2) mod n_pad of the padded frame-0-at-zero signal
+        self._shift = (win_len // 2) % self.n_pad
+        self._head = min(n_samples, self.n_pad - self._shift)
+        self._pad = np.zeros(self.n_pad + win_len - hop)
+        self._frames = np.lib.stride_tricks.sliding_window_view(self._pad, win_len)[::hop]
+        self._real = np.empty((self.n_frames, win_len))
+        if self.n_pad >= win_len:
+            self._wrap = None
+            self._ola = np.empty(self._pad.size)
+        else:
+            # frames overlap themselves: scatter-add through explicit indices
+            tau = hop * np.arange(self.n_frames)[:, None]
+            self._wrap = (tau + np.arange(win_len)[None, :]) % self.n_pad
+
+    def _extend(self) -> None:
+        """Repeat pad[:n_pad] periodically over the frame tail."""
+        pad, start = self._pad, self.n_pad
+        while start < pad.size:
+            stop = min(pad.size, start + self.n_pad)
+            pad[start:stop] = pad[: stop - start]
+            start = stop
+
+    def forward(self, x: np.ndarray, window=None, out=None) -> np.ndarray:
+        """T x K one-sided coefficients of the length-n signal ``x``."""
+        g = self.config.window if window is None else window
+        s, m, n = self._shift, self._head, self.n_samples
+        self._pad[s : s + m] = x[:m]
+        self._pad[: n - m] = x[m:]
+        self._extend()
+        np.multiply(self._frames, g, out=self._real)
+        return np.fft.rfft(self._real, n=self.config.win_len, axis=1, out=out)
+
+    def adjoint(self, data: np.ndarray, out=None) -> np.ndarray:
+        """Length-n signal from T x K coefficients (any strides)."""
+        win_len, hop = self.config.win_len, self.config.hop
+        u = np.fft.irfft(data, n=win_len, axis=1, out=self._real)
+        u *= self.config.window
+        n_frames, n_pad = self.n_frames, self.n_pad
+        if self._wrap is None:
+            buf = self._ola
+            buf[:n_pad].reshape(n_frames, hop)[...] = u[:, :hop]
+            buf[n_pad:] = 0.0
+            for j in range(1, win_len // hop):
+                buf[j * hop : j * hop + n_pad].reshape(n_frames, hop)[...] += u[
+                    :, j * hop : (j + 1) * hop
+                ]
+            buf[: buf.size - n_pad] += buf[n_pad:]
+        else:
+            buf = np.zeros(n_pad)
+            np.add.at(buf, self._wrap, u)
+        s, m, n = self._shift, self._head, self.n_samples
+        if out is None:
+            out = np.empty(n)
+        out[:m] = buf[s : s + m]
+        out[m:] = buf[: n - m]
+        return out
 
 
 def forward(x, config: StftConfig, window: np.ndarray | None = None) -> Spectrogram:
     """One-sided STFT: X[w, tau] = sum_l x[l + a*tau - L/2] g[l] e^{-2pi j w l / L}."""
     samples = as_samples(x)
     rate = x.sample_rate if hasattr(x, "sample_rate") else None
-    g = config.window if window is None else window
-    frames = _frame(samples, config) * g[None, :]
-    data = np.fft.rfft(frames, n=config.win_len, axis=1).T.copy()
-    return Spectrogram(data=data, config=config, n_samples=samples.size, sample_rate=rate)
+    data = StftPlan(config, samples.size).forward(samples, window)
+    return Spectrogram(
+        data=np.ascontiguousarray(data.T),
+        config=config,
+        n_samples=samples.size,
+        sample_rate=rate,
+    )
 
 
 def adjoint(spec: Spectrogram, config: StftConfig | None = None) -> np.ndarray:
@@ -174,23 +233,7 @@ def adjoint(spec: Spectrogram, config: StftConfig | None = None) -> np.ndarray:
     config = spec.config if config is None else config
     if spec.data.shape != (config.n_bins, config.n_frames(spec.n_samples)):
         raise ValueError("spectrogram shape does not match the configuration")
-    win_len, hop = config.win_len, config.hop
-    n_frames = spec.data.shape[1]
-    n_pad = hop * n_frames
-    u = np.fft.irfft(spec.data.T, n=win_len, axis=1) * config.window[None, :]
-    if n_pad >= win_len:
-        buf = np.zeros(n_pad + win_len)
-        for j in range(win_len // hop):
-            buf[j * hop : j * hop + n_pad].reshape(n_frames, hop)[...] += u[
-                :, j * hop : (j + 1) * hop
-            ]
-        out = buf[:n_pad].copy()
-        out[:win_len] += buf[n_pad:]
-    else:
-        out = np.zeros(n_pad)
-        idx = (hop * np.arange(n_frames)[:, None] + np.arange(win_len)[None, :]) % n_pad
-        np.add.at(out, idx, u)
-    return np.roll(out, -(win_len // 2))[: spec.n_samples]
+    return StftPlan(config, spec.n_samples).adjoint(spec.data.T)
 
 
 def spec_inner(a, b, config: StftConfig) -> float:
@@ -207,18 +250,19 @@ def spec_norm(a, config: StftConfig) -> float:
 
 def write_spec_dump(path, spec: Spectrogram) -> None:
     """Binary spectrogram dump: magic, K, T, L, a header + row-major re/im float64."""
-    _write_dump(path, _DUMP_MAGIC_COMPLEX, spec.data, spec.config)
+    write_dump(path, DUMP_MAGIC_COMPLEX, spec.data, spec.config)
 
 
 def read_spec_dump(path):
     """Read a dump written by ``write_spec_dump``; returns (data, (K, T, L, a))."""
-    return _read_dump(path, _DUMP_MAGIC_COMPLEX)
+    return read_dump(path, DUMP_MAGIC_COMPLEX)
 
 
-def _write_dump(path, magic: bytes, data: np.ndarray, config: StftConfig) -> None:
+def write_dump(path, magic: bytes, data: np.ndarray, config: StftConfig) -> None:
+    """Dump a K x T array: ``DUMP_MAGIC_COMPLEX`` interleaves re/im, else real."""
     k, t = data.shape
     header = magic + struct.pack("<QQQQ", k, t, config.win_len, config.hop)
-    if magic == _DUMP_MAGIC_COMPLEX:
+    if magic == DUMP_MAGIC_COMPLEX:
         inter = np.empty((k, t, 2))
         inter[:, :, 0] = data.real
         inter[:, :, 1] = data.imag
@@ -229,14 +273,15 @@ def _write_dump(path, magic: bytes, data: np.ndarray, config: StftConfig) -> Non
         fh.write(header + payload)
 
 
-def _read_dump(path, magic: bytes):
+def read_dump(path, magic: bytes):
+    """Read a dump with the given magic; returns (data, (K, T, L, a))."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 40 or raw[:8] != magic:
         raise ValueError(f"{path}: not a valid dump file")
     k, t, win_len, hop = struct.unpack_from("<QQQQ", raw, 8)
     body = np.frombuffer(raw, dtype="<f8", offset=40)
-    if magic == _DUMP_MAGIC_COMPLEX:
+    if magic == DUMP_MAGIC_COMPLEX:
         if body.size != k * t * 2:
             raise ValueError(f"{path}: truncated dump payload")
         inter = body.reshape(k, t, 2)

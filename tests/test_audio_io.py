@@ -125,6 +125,30 @@ def test_zero_length_errors(tmp_path):
         read_wav(path)
 
 
+def _riff(*chunks):
+    body = b"".join(struct.pack("<4sI", cid, len(data)) + data for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+SAMPLES_16 = np.array([0, 16384], dtype="<i2").tobytes()
+
+
+@pytest.mark.parametrize(
+    "chunks",
+    [
+        # trailing short fmt chunk: nothing follows it to read from
+        ((b"data", SAMPLES_16), (b"fmt ", struct.pack("<HHI", 1, 1, 8000))),
+        # short fmt chunk followed by data: its header must not be read as fmt fields
+        ((b"fmt ", struct.pack("<HHIHH", 1, 1, 8000, 2, 16)), (b"data", SAMPLES_16)),
+    ],
+)
+def test_short_fmt_chunk_errors(tmp_path, chunks):
+    path = tmp_path / "short.wav"
+    path.write_bytes(_riff(*chunks))
+    with pytest.raises(ValueError, match="short.wav: fmt chunk shorter than 16 bytes"):
+        read_wav(path)
+
+
 def test_not_riff_errors(tmp_path):
     path = tmp_path / "junk.wav"
     path.write_bytes(b"NOTAWAVEFILE")

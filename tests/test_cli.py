@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ class TestSeparate:
              "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav")]
         )
         assert code == EXIT_IO
+
+    def test_short_fmt_chunk_gives_args_exit(self, tmp_path):
+        # RIFF/WAVE with a data chunk and a trailing 8-byte fmt chunk
+        chunks = struct.pack("<4sI", b"data", 4) + b"\x00" * 4
+        chunks += struct.pack("<4sIHHI", b"fmt ", 8, 1, 1, 8000)
+        path = tmp_path / "short_fmt.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+        code, _ = run_cli(
+            ["separate", str(path),
+             "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav")]
+        )
+        assert code == EXIT_BAD_ARGS
 
     def test_bad_if_source_gives_args_exit(self, wav_dir, tmp_path):
         code, _ = run_cli(

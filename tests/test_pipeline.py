@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpss import HpssConfig, Signal, SolverParams, separate
 from hpss.pipeline import IF_SOURCE_ORACLE, parse_config_text
@@ -111,6 +113,30 @@ class TestSeparate:
         cfg = HpssConfig(win_len=256, hop=64, if_source=IF_SOURCE_ORACLE)
         with pytest.raises(ValueError, match="length"):
             separate(mixture, cfg, oracle_h=Signal(np.ones(10), 8000))
+
+
+TINY = HpssConfig(win_len=64, hop=16, solver=SolverParams(n_iters=10))
+
+
+@pytest.fixture(scope="module")
+def tiny_reference():
+    mixture, _, _ = small_mixture(n=700)
+    pair, _ = separate(mixture, TINY)
+    return mixture, pair.harmonic.samples
+
+
+@settings(max_examples=30, deadline=None)
+@given(exponent=st.floats(min_value=-300.0, max_value=300.0))
+def test_gain_equivariance_extreme_gains(tiny_reference, exponent):
+    mixture, ref_h = tiny_reference
+    gain = 10.0**exponent
+    scaled = Signal(gain * mixture.samples, mixture.sample_rate)
+    pair, _ = separate(scaled, TINY)
+    h, p = pair.harmonic.samples, pair.percussive.samples
+    assert np.max(np.abs(scaled.samples - h - p)) == 0.0
+    np.testing.assert_allclose(
+        h, gain * ref_h, rtol=1e-6, atol=1e-9 * gain * np.max(np.abs(mixture.samples))
+    )
 
 
 class TestConfigParsing:

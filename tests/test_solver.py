@@ -6,18 +6,23 @@ from hpss import (
     IfMap,
     SolverDivergenceError,
     SolverParams,
+    adjoint,
     apply_Lh,
     apply_Lh_adj,
     build_correction,
     estimate_if,
     estimate_opnorm,
     forward,
+    l21_norm,
     make_config,
     objective,
+    prox_l21,
+    prox_sq_fro,
     run,
     spec_inner,
     spec_norm,
 )
+from hpss.prox import split_sum_arrays
 
 from conftest import sine_signal
 
@@ -359,3 +364,84 @@ class TestTrace:
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == pytest.approx(trace.total[0])
+
+
+def two_variable_reference(problem, init):
+    """The paper's iteration over the pair (x_h, x_p), step by step.
+
+    Each iteration projects the primal gradient step onto the exact-sum
+    constraint, takes both dual ascent steps with Moreau-form proximal
+    updates, and relaxes primal and dual; the trace evaluates the
+    objective of every iterate directly.
+    """
+    p = problem.params
+    x = problem.mixture
+    x_h, x_p = split_sum_arrays(x, *init)
+    y_h = apply_Lh(np.zeros(x.size), problem)
+    y_p = forward(np.zeros(x.size), problem.config)
+    lam_mu2 = p.lam * p.mu2
+    rows = []
+    for _ in range(p.n_iters):
+        g_h = x_h - p.mu1 * apply_Lh_adj(y_h, problem)
+        g_p = x_p - p.mu1 * adjoint(y_p)
+        t_h, t_p = split_sum_arrays(x, g_h, g_p)
+        z_h = y_h.data + apply_Lh(2.0 * t_h - x_h, problem).data
+        z_p = y_p.data + forward(2.0 * t_p - x_p, problem.config).data
+        yt_h = z_h - p.mu2 * prox_sq_fro(z_h / p.mu2, 1.0 / p.mu2)
+        yt_p = z_p - lam_mu2 * prox_l21(z_p / lam_mu2, 1.0 / p.mu2)
+        new_h = p.alpha * t_h + (1.0 - p.alpha) * x_h
+        new_p = p.alpha * t_p + (1.0 - p.alpha) * x_p
+        inc = np.sqrt(np.sum((new_h - x_h) ** 2) + np.sum((new_p - x_p) ** 2))
+        x_h, x_p = new_h, new_p
+        y_h = y_h.with_data(p.alpha * yt_h + (1.0 - p.alpha) * y_h.data)
+        y_p = y_p.with_data(p.alpha * yt_p + (1.0 - p.alpha) * y_p.data)
+        smooth = 0.5 * np.sum(np.abs(apply_Lh(x_h, problem).data) ** 2)
+        sparse = p.lam * l21_norm(forward(x_p, problem.config).data)
+        rows.append((smooth + sparse, smooth, sparse, inc))
+    return x_h, np.array(rows)
+
+
+class TestEquivalence:
+    def test_matches_two_variable_iteration(self, small_config, rng):
+        x = desk_mixture()
+        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=50))
+        init = (rng.normal(size=x.size), rng.normal(size=x.size))  # infeasible
+        ref_h, ref_rows = two_variable_reference(prob, init)
+        pair, trace = run(prob, init)
+        got_h = pair.harmonic.samples
+        assert np.max(np.abs(got_h - ref_h)) <= 1e-12 * np.max(np.abs(ref_h))
+        columns = (trace.total, trace.smooth, trace.sparse, trace.primal_increment)
+        for col, ref in zip(columns, ref_rows.T):
+            np.testing.assert_allclose(col, ref, rtol=1e-10, atol=0)
+        total, _, _ = objective(pair, prob)
+        assert trace.total[-1] == pytest.approx(total, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("n_iters", [0, 7])
+    def test_two_transforms_per_iteration(
+        self, small_config, rng, monkeypatch, n_iters
+    ):
+        import hpss.stft
+
+        x = desk_mixture()
+        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=n_iters))
+        calls = {"forward": 0, "adjoint": 0, "spectrogram": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        plan = hpss.stft.StftPlan
+        monkeypatch.setattr(plan, "forward", counted("forward", plan.forward))
+        monkeypatch.setattr(plan, "adjoint", counted("adjoint", plan.adjoint))
+        post_init = hpss.stft.Spectrogram.__post_init__
+        monkeypatch.setattr(
+            hpss.stft.Spectrogram, "__post_init__", counted("spectrogram", post_init)
+        )
+        run(prob, (np.zeros(x.size), x.copy()))
+        # with the trace on, F(x) and F(x_h0) are the only transforms outside the loop
+        extra = 2 if n_iters else 0
+        expected = {"forward": n_iters + extra, "adjoint": n_iters, "spectrogram": 0}
+        assert calls == expected

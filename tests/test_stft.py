@@ -12,7 +12,7 @@ from hpss import (
     spec_inner,
     spec_norm,
 )
-from hpss.stft import StftConfig, read_spec_dump, write_spec_dump
+from hpss.stft import StftConfig, StftPlan, read_spec_dump, write_spec_dump
 
 from conftest import sine_signal
 
@@ -38,6 +38,39 @@ def naive_stft(x, config):
                 )
             out[omega, tau] = acc
     return out
+
+
+def reference_forward(x, config, window):
+    """Roll, pad and frame the signal, then one rfft per frame (K x T)."""
+    win_len, hop = config.win_len, config.hop
+    n_frames = config.n_frames(x.size)
+    n_pad = hop * n_frames
+    y = np.zeros(n_pad)
+    y[: x.size] = x
+    z = np.roll(y, win_len // 2)
+    idx = (hop * np.arange(n_frames)[:, None] + np.arange(win_len)[None, :]) % n_pad
+    return np.fft.rfft(z[idx] * window[None, :], n=win_len, axis=1).T.copy()
+
+
+def reference_adjoint(data, config, n):
+    """irfft per frame, overlap-add (a scatter-add when frames self-overlap), unroll."""
+    win_len, hop = config.win_len, config.hop
+    n_frames = data.shape[1]
+    n_pad = hop * n_frames
+    u = np.fft.irfft(data.T, n=win_len, axis=1) * config.window[None, :]
+    if n_pad >= win_len:
+        buf = np.zeros(n_pad + win_len)
+        for j in range(win_len // hop):
+            buf[j * hop : j * hop + n_pad].reshape(n_frames, hop)[...] += u[
+                :, j * hop : (j + 1) * hop
+            ]
+        out = buf[:n_pad].copy()
+        out[:win_len] += buf[n_pad:]
+    else:
+        out = np.zeros(n_pad)
+        idx = (hop * np.arange(n_frames)[:, None] + np.arange(win_len)[None, :]) % n_pad
+        np.add.at(out, idx, u)
+    return np.roll(out, -(win_len // 2))[:n]
 
 
 class TestWindows:
@@ -166,6 +199,37 @@ class TestAdjoint:
         spec = forward(rng.normal(size=100), small_config)
         with pytest.raises(ValueError):
             Spectrogram(spec.data[:, :-1], small_config, 100)
+
+
+class TestFrameMajorKernel:
+    LENGTHS = (1, 5, 15, 16, 17, 40, 63, 64, 65, 100, 777)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_bit_identical_to_reference(self, small_config, rng, n):
+        x = rng.normal(size=n)
+        for window in (small_config.window, small_config.deriv_window):
+            np.testing.assert_array_equal(
+                forward(x, small_config, window=window).data,
+                reference_forward(x, small_config, window),
+            )
+        y = forward(x, small_config)
+        data = rng.normal(size=y.shape) + 1j * rng.normal(size=y.shape)
+        np.testing.assert_array_equal(
+            adjoint(y.with_data(data)), reference_adjoint(data, small_config, n)
+        )
+
+    @pytest.mark.parametrize("n", (5, 40, 777))
+    def test_plan_reuse_is_stateless(self, small_config, rng, n):
+        plan = StftPlan(small_config, n)
+        for _ in range(3):
+            x = rng.normal(size=n)
+            np.testing.assert_array_equal(
+                plan.forward(x).T, reference_forward(x, small_config, small_config.window)
+            )
+            data = rng.normal(size=(plan.n_frames, small_config.n_bins)) * (1 + 1j)
+            np.testing.assert_array_equal(
+                plan.adjoint(data), reference_adjoint(data.T, small_config, n)
+            )
 
 
 class TestDump:
