@@ -16,6 +16,8 @@ import numpy as np
 _FMT_PCM = 0x0001
 _FMT_IEEE_FLOAT = 0x0003
 _FMT_EXTENSIBLE = 0xFFFE
+# bytes per sample of each supported (codec, bits)
+_SAMPLE_BYTES = {(_FMT_PCM, 16): 2, (_FMT_PCM, 24): 3, (_FMT_IEEE_FLOAT, 32): 4}
 
 
 @dataclass(frozen=True)
@@ -92,11 +94,18 @@ def read_wav(path) -> Signal:
     if n_channels < 1:
         raise ValueError(f"{path}: invalid channel count")
 
-    if codec == _FMT_PCM and bits == 16:
+    width = _SAMPLE_BYTES.get((codec, bits))
+    if width is None:
+        raise ValueError(f"{path}: unsupported codec (tag={codec}, bits={bits})")
+    n_frames = len(payload) // (width * n_channels)  # a partial frame is dropped
+    if n_frames == 0:
+        raise ValueError(f"{path}: zero-length audio")
+    payload = payload[: n_frames * width * n_channels]
+
+    if width == 2:
         raw = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    elif codec == _FMT_PCM and bits == 24:
-        b = np.frombuffer(payload, dtype=np.uint8)
-        b = b[: (b.size // 3) * 3].reshape(-1, 3)
+    elif width == 3:
+        b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
         vals = (
             b[:, 0].astype(np.int32)
             | (b[:, 1].astype(np.int32) << 8)
@@ -104,16 +113,14 @@ def read_wav(path) -> Signal:
         )
         vals = (vals ^ 0x800000) - 0x800000  # sign-extend 24 -> 32 bits
         raw = vals.astype(np.float64) / 8388608.0
-    elif codec == _FMT_IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     else:
-        raise ValueError(f"{path}: unsupported codec (tag={codec}, bits={bits})")
+        raw = np.frombuffer(payload, dtype="<f4").astype(np.float64)
 
-    if raw.size == 0:
-        raise ValueError(f"{path}: zero-length audio")
-    frames = raw[: (raw.size // n_channels) * n_channels].reshape(-1, n_channels)
-    mono = frames.mean(axis=1)
-    return Signal(mono, sample_rate)
+    mono = raw.reshape(n_frames, n_channels).mean(axis=1)
+    try:
+        return Signal(mono, sample_rate)
+    except ValueError as exc:  # non-finite float samples or a zero sample rate
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_wav(path, s: Signal, bit_depth=16) -> None:

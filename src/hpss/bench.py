@@ -7,38 +7,22 @@ import os
 from dataclasses import replace
 
 from .baseline import mf_separate
-from .metrics import bss_eval
+from .metrics import EvalResult, bss_eval
 from .pipeline import IF_SOURCE_ORACLE, HpssConfig, separate
 from .synth import bench_corpus
 
 METHODS = ("mf", "prop-mix", "prop-ora")
 
-_HEADER = [
-    "track", "method",
-    "sdr_h", "sir_h", "sar_h",
-    "sdr_p", "sir_p", "sar_p",
-    "sdr_avg", "sir_avg", "sar_avg",
-]
-
-
-def _row(track: str, method: str, res) -> list:
-    return [
-        track, method,
-        f"{res.sdr_h:.4f}", f"{res.sir_h:.4f}", f"{res.sar_h:.4f}",
-        f"{res.sdr_p:.4f}", f"{res.sir_p:.4f}", f"{res.sar_p:.4f}",
-        f"{res.sdr_avg:.4f}", f"{res.sir_avg:.4f}", f"{res.sar_avg:.4f}",
-    ]
-
 
 def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
               sample_rate: int = 16000, duration: float = 2.5,
-              cfg: HpssConfig | None = None, filter_len: int = 512,
-              write_traces: bool = True):
+              cfg: HpssConfig | None = None, filter_len: int = 512):
     """Run mf / prop-mix / prop-ora over the corpus.
 
-    Returns (rows, means) where rows are per-track CSV rows and means
-    maps method name to its mean EvalResult fields. When out_dir is
-    given, writes bench_results.csv plus per-run solver trace CSVs.
+    Returns (rows, means) where rows are the per-track CSV rows followed
+    by one mean row per method, and means maps method name to its mean
+    EvalResult. When out_dir is given, writes bench_results.csv plus
+    per-run solver trace CSVs.
     """
     if cfg is None:
         cfg = HpssConfig(win_len=1024, hop=256)
@@ -48,47 +32,29 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
         os.makedirs(out_dir, exist_ok=True)
 
     rows = []
-    sums = {m: None for m in METHODS}
+    results = {m: [] for m in METHODS}
     for track in tracks:
-        results = {}
-        stft_cfg = cfg.stft()
-        results["mf"] = (mf_separate(track.mixture, stft_cfg, cfg.median), None)
-        results["prop-mix"] = separate(track.mixture, cfg)
-        ora_cfg = replace(cfg, if_source=IF_SOURCE_ORACLE)
-        results["prop-ora"] = separate(track.mixture, ora_cfg, oracle_h=track.harmonic)
-        for method in METHODS:
-            pair, trace = results[method]
+        outputs = {
+            "mf": (mf_separate(track.mixture, cfg.stft(), cfg.median), None),
+            "prop-mix": separate(track.mixture, cfg),
+            "prop-ora": separate(track.mixture, replace(cfg, if_source=IF_SOURCE_ORACLE),
+                                 oracle_h=track.harmonic),
+        }
+        for method, (pair, trace) in outputs.items():
             res = bss_eval(track.harmonic, track.percussive,
                            pair.harmonic, pair.percussive, filter_len)
-            rows.append(_row(track.name, method, res))
-            vals = [res.sdr_h, res.sir_h, res.sar_h,
-                    res.sdr_p, res.sir_p, res.sar_p]
-            sums[method] = vals if sums[method] is None else [
-                a + b for a, b in zip(sums[method], vals)
-            ]
-            if out_dir and write_traces and trace is not None and len(trace):
+            results[method].append(res)
+            rows.append(res.row(track.name, method))
+            if out_dir and trace is not None and len(trace):
                 trace.write_csv(
                     os.path.join(out_dir, f"trace_{method}_{track.name}.csv")
                 )
 
-    means = {}
-    for method in METHODS:
-        vals = [v / n_tracks for v in sums[method]]
-        means[method] = {
-            "sdr_h": vals[0], "sir_h": vals[1], "sar_h": vals[2],
-            "sdr_p": vals[3], "sir_p": vals[4], "sar_p": vals[5],
-            "sdr_avg": 0.5 * (vals[0] + vals[3]),
-            "sir_avg": 0.5 * (vals[1] + vals[4]),
-            "sar_avg": 0.5 * (vals[2] + vals[5]),
-        }
-        rows.append(
-            ["mean", method]
-            + [f"{means[method][k]:.4f}" for k in _HEADER[2:]]
-        )
-
+    means = {m: EvalResult.mean(results[m]) for m in METHODS}
+    rows += [means[m].row("mean", m) for m in METHODS]
     if out_dir:
         with open(os.path.join(out_dir, "bench_results.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(_HEADER)
+            writer.writerow(EvalResult.HEADER)
             writer.writerows(rows)
     return rows, means

@@ -11,7 +11,7 @@ from . import __version__
 from .audio_io import read_wav, write_wav
 from .baseline import mf_separate
 from .bench import run_bench
-from .metrics import bss_eval
+from .metrics import EvalResult, bss_eval
 from .phase import estimate_if, write_if_dump
 from .pipeline import (
     IF_SOURCE_MIXTURE,
@@ -27,10 +27,6 @@ EXIT_OK = 0
 EXIT_BAD_ARGS = 1
 EXIT_IO = 2
 EXIT_DIVERGED = 3
-
-_EVAL_HEADER = (
-    "track,method,sdr_h,sir_h,sar_h,sdr_p,sir_p,sar_p,sdr_avg,sir_avg,sar_avg"
-)
 
 
 class _ArgumentError(Exception):
@@ -148,37 +144,27 @@ def _cmd_separate(args) -> int:
     return EXIT_OK
 
 
-def _eval_row(track, method, res) -> str:
-    vals = [res.sdr_h, res.sir_h, res.sar_h, res.sdr_p, res.sir_p, res.sar_p,
-            res.sdr_avg, res.sir_avg, res.sar_avg]
-    return ",".join([track, method] + [f"{v:.4f}" for v in vals])
-
-
 def _cmd_eval(args, out) -> int:
-    print(_EVAL_HEADER, file=out)
+    print(*EvalResult.HEADER, sep=",", file=out)
     if args.manifest:
         with open(args.manifest, newline="") as fh:
             entries = [row for row in csv.reader(fh) if row and row[0].strip()]
-        acc = None
+        results = []
         for row in entries:
             if len(row) != 5:
                 raise _ArgumentError("manifest rows must be track,ref_h,ref_p,est_h,est_p")
-            track, ref_h, ref_p, est_h, est_p = (cell.strip() for cell in row)
-            res = _eval_files(ref_h, ref_p, est_h, est_p, args.filter_len)
-            print(_eval_row(track, "file", res), file=out)
-            vals = [res.sdr_h, res.sir_h, res.sar_h, res.sdr_p, res.sir_p, res.sar_p,
-                    res.sdr_avg, res.sir_avg, res.sar_avg]
-            acc = vals if acc is None else [a + b for a, b in zip(acc, vals)]
-        if acc:
-            mean = [v / len(entries) for v in acc]
-            print(",".join(["mean", "file"] + [f"{v:.4f}" for v in mean]), file=out)
+            track, *paths = (cell.strip() for cell in row)
+            results.append(_eval_files(*paths, args.filter_len))
+            print(*results[-1].row(track, "file"), sep=",", file=out)
+        if results:
+            print(*EvalResult.mean(results).row("mean", "file"), sep=",", file=out)
         return EXIT_OK
 
     required = (args.ref_h, args.ref_p, args.est_h, args.est_p)
     if any(path is None for path in required):
         raise _ArgumentError("eval needs --ref-h/--ref-p/--est-h/--est-p or --manifest")
     res = _eval_files(*required, args.filter_len)
-    print(_eval_row("-", "file", res), file=out)
+    print(*res.row("-", "file"), sep=",", file=out)
     return EXIT_OK
 
 
@@ -195,7 +181,7 @@ def _cmd_bench(args, out) -> int:
         hop=args.hop,
         solver=SolverParams(n_iters=args.iters),
     )
-    rows, means = run_bench(
+    rows, _ = run_bench(
         out_dir=args.out_dir,
         seed=args.seed,
         n_tracks=args.tracks,
@@ -204,9 +190,8 @@ def _cmd_bench(args, out) -> int:
         cfg=cfg,
         filter_len=args.filter_len,
     )
-    print(_EVAL_HEADER, file=out)
-    for row in rows:
-        print(",".join(row), file=out)
+    for row in (EvalResult.HEADER, *rows):
+        print(*row, sep=",", file=out)
     return EXIT_OK
 
 

@@ -9,7 +9,8 @@ signals). Follows the classic sources-style evaluation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -30,6 +31,14 @@ class EvalResult:
     sir_p: float
     sar_p: float
 
+    # columns of the score table: track, method, then every score
+    HEADER: ClassVar[tuple] = (
+        "track", "method",
+        "sdr_h", "sir_h", "sar_h",
+        "sdr_p", "sir_p", "sar_p",
+        "sdr_avg", "sir_avg", "sar_avg",
+    )
+
     @property
     def sdr_avg(self) -> float:
         return 0.5 * (self.sdr_h + self.sdr_p)
@@ -42,67 +51,39 @@ class EvalResult:
     def sar_avg(self) -> float:
         return 0.5 * (self.sar_h + self.sar_p)
 
+    def row(self, track: str, method: str) -> list:
+        """One table row: track, method and the nine scores at 4 decimals."""
+        return [track, method] + [f"{getattr(self, k):.4f}" for k in self.HEADER[2:]]
+
+    @classmethod
+    def mean(cls, results) -> EvalResult:
+        """Per-channel means over results; the averages follow from these."""
+        cols = list(zip(*map(astuple, results)))
+        return cls(*(sum(col) / len(col) for col in cols))
+
 
 def _safe_db(num: float, den: float) -> float:
     den = max(den, num * _DB_FLOOR_RATIO, 1e-300)
     return 10.0 * np.log10(num / den)
 
 
-def _correlate_fft(a_fft: np.ndarray, b_fft: np.ndarray, n_fft: int) -> np.ndarray:
-    return np.real(np.fft.irfft(a_fft * np.conj(b_fft), n=n_fft))
+def _xcorr(a_fft: np.ndarray, b_fft: np.ndarray, n_fft: int, flen: int):
+    """Circular cross-correlation of a and b at lags 0, -1, ..., 1 - flen
+    (the Toeplitz column) and at lags 0, 1, ..., flen - 1 (its row)."""
+    cc = np.real(np.fft.irfft(a_fft * np.conj(b_fft), n=n_fft))
+    return np.concatenate(([cc[0]], cc[-1 : -flen : -1])), cc[:flen]
 
 
-def _project(refs: list, est: np.ndarray, flen: int) -> np.ndarray:
-    """Least-squares projection of est onto delayed copies of the references."""
-    n_src = len(refs)
-    n = est.size
-    n_out = n + flen - 1
-    n_fft = int(2 ** np.ceil(np.log2(n_out)))
-    ref_f = [np.fft.rfft(r, n=n_fft) for r in refs]
-    est_f = np.fft.rfft(est, n=n_fft)
-
-    gram = np.zeros((n_src * flen, n_src * flen))
-    for i in range(n_src):
-        for j in range(i + 1):
-            cc = _correlate_fft(ref_f[i], ref_f[j], n_fft)
-            block = toeplitz(
-                np.concatenate(([cc[0]], cc[-1 : -flen : -1])), r=cc[:flen]
-            )
-            gram[i * flen : (i + 1) * flen, j * flen : (j + 1) * flen] = block
-            gram[j * flen : (j + 1) * flen, i * flen : (i + 1) * flen] = block.T
-
-    rhs = np.zeros(n_src * flen)
-    for i in range(n_src):
-        cc = _correlate_fft(ref_f[i], est_f, n_fft)
-        rhs[i * flen : (i + 1) * flen] = np.concatenate(
-            ([cc[0]], cc[-1 : -flen : -1])
-        )
-
+def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
-        coeffs = np.linalg.solve(gram, rhs)
+        return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         ridge = 1e-10 * max(np.trace(gram) / gram.shape[0], 1.0)
         warnings.warn(
             "singular projection system; regularizing with a tiny ridge",
-            stacklevel=2,
+            stacklevel=3,
         )
-        coeffs = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
-
-    proj = np.zeros(n_out)
-    for i in range(n_src):
-        filt_f = np.fft.rfft(coeffs[i * flen : (i + 1) * flen], n=n_fft)
-        proj += np.real(np.fft.irfft(filt_f * ref_f[i], n=n_fft))[:n_out]
-    return proj
-
-
-def _decompose(refs: list, est: np.ndarray, j: int, flen: int):
-    n = est.size
-    s_target = _project([refs[j]], est, flen)
-    p_all = _project(refs, est, flen) if len(refs) > 1 else s_target
-    e_interf = p_all - s_target
-    e_artif = -p_all
-    e_artif[:n] += est
-    return s_target, e_interf, e_artif
+        return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
 
 
 def _scores(s_target, e_interf, e_artif):
@@ -117,7 +98,9 @@ def bss_eval_sources(refs, ests, filter_len: int = 512):
     """Score each estimate against its matching reference.
 
     Returns a list of (SDR, SIR, SAR) triples, one per source, using
-    filter_len-tap projection filters.
+    filter_len-tap projection filters. Each reference is transformed once
+    and the joint Gram matrix of all their delayed copies is built once;
+    the projection onto reference j alone solves its j-th diagonal block.
     """
     refs = [as_samples(r) for r in refs]
     ests = [as_samples(e) for e in ests]
@@ -128,9 +111,38 @@ def bss_eval_sources(refs, ests, filter_len: int = 512):
         raise ValueError("all signals must have equal length")
     if filter_len < 1:
         raise ValueError("filter_len must be >= 1")
-    return [
-        _scores(*_decompose(refs, est, j, filter_len)) for j, est in enumerate(ests)
-    ]
+
+    flen = filter_len
+    blocks = [slice(i * flen, (i + 1) * flen) for i in range(len(refs))]
+    n_out = n + flen - 1
+    n_fft = int(2 ** np.ceil(np.log2(n_out)))
+    ref_f = [np.fft.rfft(r, n=n_fft) for r in refs]
+
+    gram = np.zeros((len(refs) * flen,) * 2)
+    for i, bi in enumerate(blocks):
+        for j, bj in enumerate(blocks[: i + 1]):
+            block = toeplitz(*_xcorr(ref_f[i], ref_f[j], n_fft, flen))
+            gram[bi, bj] = block
+            gram[bj, bi] = block.T
+
+    def filtered(coeffs, i):
+        filt_f = np.fft.rfft(coeffs, n=n_fft)
+        return np.real(np.fft.irfft(filt_f * ref_f[i], n=n_fft))[:n_out]
+
+    scores = []
+    for j, est in enumerate(ests):
+        est_f = np.fft.rfft(est, n=n_fft)
+        rhs = np.concatenate([_xcorr(f, est_f, n_fft, flen)[0] for f in ref_f])
+        bj = blocks[j]
+        s_target = filtered(_solve(gram[bj, bj], rhs[bj]), j)
+        p_all = s_target
+        if len(refs) > 1:
+            coeffs = _solve(gram, rhs)
+            p_all = sum(filtered(coeffs[bi], i) for i, bi in enumerate(blocks))
+        e_artif = -p_all
+        e_artif[:n] += est
+        scores.append(_scores(s_target, p_all - s_target, e_artif))
+    return scores
 
 
 def bss_eval(ref_h, ref_p, est_h, est_p, filter_len: int = 512) -> EvalResult:

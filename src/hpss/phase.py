@@ -64,13 +64,23 @@ class PhaseCorrection:
 def estimate_if(x, config: StftConfig, eps: float = 1e-6) -> IfMap:
     """Estimate per-bin instantaneous frequency from the phase derivative.
 
+    Transforms x with the analysis and the derivative window and applies
+    ``if_from_spectra``.
+    """
+    spec = forward(x, config)
+    spec_d = forward(as_samples(x), config, window=config.deriv_window)
+    return if_from_spectra(spec, spec_d, eps)
+
+
+def if_from_spectra(spec: Spectrogram, spec_d: Spectrogram, eps: float) -> IfMap:
+    """Instantaneous frequency from the plain and derivative-window transforms.
+
     v[w, tau] = w - Im[ F_d(x) / F(x) ] where F_d uses the derivative
     window (already scaled to bin units). Bins whose magnitude falls
     below eps times the global maximum keep v = w, and the result is
     clamped to [0, L/2].
     """
-    spec = forward(x, config)
-    spec_d = forward(as_samples(x), config, window=config.deriv_window)
+    config = spec.config
     mag = np.abs(spec.data)
     peak = mag.max()
     omega = np.arange(config.n_bins, dtype=np.float64)[:, None]

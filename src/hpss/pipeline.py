@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio_io import Signal, as_samples
 from .baseline import MedianConfig, compute_weight, median_filter_hpss
-from .phase import build_correction, estimate_if
+from .phase import build_correction, estimate_if, if_from_spectra
 from .prox import SignalPair
 from .solver import HpssProblem, SolverParams, run
 from .stft import StftConfig, adjoint, forward, make_config
@@ -84,10 +84,16 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     xs = samples * gain
 
     config = cfg.stft()
-    if_src = xs if oracle is None else oracle * gain
-    correction = build_correction(estimate_if(if_src, config, eps=cfg.if_eps), config)
-
     spec = forward(xs, config)
+    if oracle is None:
+        spec_d = forward(xs, config, window=config.deriv_window)
+        if_map = if_from_spectra(spec, spec_d, cfg.if_eps)
+        del spec_d
+    else:
+        if_map = estimate_if(oracle * gain, config, eps=cfg.if_eps)
+    correction = build_correction(if_map, config)
+    del if_map
+
     _, _, mask = median_filter_hpss(spec, cfg.median)
     x_h0 = adjoint(spec.with_data(mask * spec.data))
     weight = compute_weight(mask * np.abs(spec.data), cfg.kappa)

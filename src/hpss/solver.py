@@ -26,7 +26,7 @@ import numpy as np
 from .audio_io import Signal, as_samples
 from .phase import PhaseCorrection, ipc_adjoint, ipc_forward, time_diff, time_diff_adj
 from .prox import SignalPair, l21_norm, split_sum_arrays
-from .stft import Spectrogram, StftConfig, StftPlan, adjoint, forward
+from .stft import Spectrogram, StftConfig, StftPlan, forward
 
 
 class SolverDivergenceError(RuntimeError):
@@ -117,39 +117,25 @@ def apply_Lh_adj(spec: Spectrogram, problem: HpssProblem) -> np.ndarray:
     return ipc_adjoint(spec.with_data(data), problem.correction, problem.config)
 
 
-def estimate_opnorm(
-    problem: HpssProblem,
-    n_power_iters: int = 20,
-    seed: int = 0,
-    branches: tuple = ("smooth", "stft"),
-) -> float:
+def estimate_opnorm(problem: HpssProblem, n_power_iters: int = 20) -> float:
     """Power-iteration estimate of the stacked operator norm.
 
-    The stacked operator maps (x_h, x_p) to (L_h x_h, F x_p); its squared
-    norm is the largest eigenvalue of the block-diagonal normal operator.
-    Deterministic for a fixed seed.
+    The stacked operator maps (x_h, x_p) to (L_h x_h, F x_p). F is a tight
+    frame (F^* F = I), so the stacked norm is max(1, ||L_h||), and only
+    L_h^* L_h is power-iterated. Deterministic: the start vector is fixed.
     """
     if n_power_iters < 1:
         raise ValueError("n_power_iters must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = problem.mixture.size
-    use_h = "smooth" in branches
-    use_p = "stft" in branches
-    z_h = rng.standard_normal(n) if use_h else np.zeros(n)
-    z_p = rng.standard_normal(n) if use_p else np.zeros(n)
-    norm = np.sqrt(z_h @ z_h + z_p @ z_p)
-    if norm == 0.0:
-        return 0.0
-    z_h, z_p = z_h / norm, z_p / norm
+    z = np.random.default_rng(0).standard_normal(problem.mixture.size)
+    z /= np.linalg.norm(z)
     lam_sq = 0.0
     for _ in range(n_power_iters):
-        u_h = apply_Lh_adj(apply_Lh(z_h, problem), problem) if use_h else np.zeros(n)
-        u_p = adjoint(forward(z_p, problem.config)) if use_p else np.zeros(n)
-        lam_sq = np.sqrt(u_h @ u_h + u_p @ u_p)
-        if lam_sq <= 0.0:
-            return 0.0
-        z_h, z_p = u_h / lam_sq, u_p / lam_sq
-    return float(np.sqrt(lam_sq))
+        u = apply_Lh_adj(apply_Lh(z, problem), problem)
+        lam_sq = float(np.linalg.norm(u))
+        if lam_sq == 0.0:
+            break
+        z = u / lam_sq
+    return max(1.0, float(np.sqrt(lam_sq)))
 
 
 def _check_step_sizes(problem: HpssProblem) -> None:

@@ -79,10 +79,6 @@ class StftConfig:
             raise ValueError("window lengths must equal win_len")
 
     @property
-    def fft_len(self) -> int:
-        return self.win_len
-
-    @property
     def n_bins(self) -> int:
         return self.win_len // 2 + 1
 

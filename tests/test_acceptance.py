@@ -295,9 +295,9 @@ def test_criterion_08_synthetic_separation():
 
 def test_criterion_09_method_orderings():
     _, means = run_bench(seed=0, n_tracks=10)
-    mf = means["mf"]["sdr_h"]
-    mix = means["prop-mix"]["sdr_h"]
-    ora = means["prop-ora"]["sdr_h"]
+    mf = means["mf"].sdr_h
+    mix = means["prop-mix"].sdr_h
+    ora = means["prop-ora"].sdr_h
     ok = (ora - mix >= 0.3) and (mix - mf >= 0.3)
     report(
         "criterion 9 (method orderings)",

@@ -178,3 +178,25 @@ def test_round_trip_property(tmp_path_factory, values, rate):
     assert back.sample_rate == rate
     assert len(back) == len(s)
     assert np.max(np.abs(back.samples - s.samples)) <= 2.0**-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    payload=st.binary(max_size=40),
+    codec_bits=st.sampled_from([(1, 16), (1, 24), (3, 32)]),
+    channels=st.integers(min_value=1, max_value=2),
+)
+def test_partial_sample_payload_property(tmp_path_factory, payload, codec_bits, channels):
+    # a data chunk may end mid-sample or mid-frame: whole frames are read,
+    # and a failure (no whole frame, non-finite floats) names the file
+    codec, bits = codec_bits
+    path = tmp_path_factory.mktemp("wav") / "p.wav"
+    _write_raw_wav(path, codec, bits, 8000, channels, payload)
+    frames = (len(payload) // (bits // 8)) // channels
+    try:
+        s = read_wav(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        assert frames == 0 or codec == 3
+    else:
+        assert len(s) == frames

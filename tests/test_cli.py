@@ -154,6 +154,7 @@ class TestEval:
         assert code == EXIT_OK
         lines = out.strip().splitlines()
         assert len(lines) == 5  # header + 3 tracks + mean
+        assert all(len(line.split(",")) == 11 for line in lines)
         assert lines[-1].startswith("mean,")
 
     def test_missing_args(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from hpss import HpssConfig, Signal, SolverParams, separate
 from hpss.pipeline import IF_SOURCE_ORACLE, parse_config_text
+from hpss.stft import StftPlan
 from hpss.synth import bench_track
 
 SMALL = HpssConfig(win_len=256, hop=64, solver=SolverParams(n_iters=25))
@@ -101,6 +104,25 @@ class TestSeparate:
         pair, _ = separate(track.mixture, cfg, oracle_h=track.harmonic)
         gap = track.mixture.samples - pair.harmonic.samples - pair.percussive.samples
         assert np.max(np.abs(gap)) == 0.0
+
+    def test_setup_transforms(self, monkeypatch):
+        # the mixture's plain transform serves both the IF estimate and the
+        # median filter; an oracle adds its own plain transform
+        calls = []
+        original = StftPlan.forward
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(StftPlan, "forward", counting)
+        mixture, harm, _ = small_mixture()
+        cfg = replace(SMALL, solver=SolverParams(n_iters=0))
+        separate(mixture, cfg)
+        assert len(calls) == 2
+        calls.clear()
+        separate(mixture, replace(cfg, if_source=IF_SOURCE_ORACLE), oracle_h=harm)
+        assert len(calls) == 3
 
     def test_oracle_missing_errors(self):
         mixture, _, _ = small_mixture()

@@ -141,24 +141,26 @@ class TestOpnorm:
         est = estimate_opnorm(prob, n_power_iters=30)
         assert abs(est - 1.0) <= 0.01
 
-    def test_weight_homogeneity(self, small_config, rng):
-        x = desk_mixture()
-        shape = (small_config.n_bins, small_config.n_frames(len(x)))
-        w = rng.uniform(0.05, 0.5, size=shape)
-        prob1 = make_problem(x, small_config, weight=w)
-        prob2 = make_problem(x, small_config, weight=2.0 * w)
-        est1 = estimate_opnorm(prob1, n_power_iters=40, branches=("smooth",))
-        est2 = estimate_opnorm(prob2, n_power_iters=40, branches=("smooth",))
-        assert est2 == pytest.approx(2.0 * est1, rel=1e-9)
-
-    def test_zero_operator(self, small_config):
-        prob = make_problem(desk_mixture(), small_config)
-        assert estimate_opnorm(prob, n_power_iters=5, branches=()) == 0.0
+    def test_dense_oracle(self, rng):
+        # stacked norm of (x_h, x_p) -> (L_h x_h, F x_p) from the dense
+        # normal matrices of both branches, on a 16/4 instance
+        config = make_config(16, 4)
+        n = 96
+        shape = (config.n_bins, config.n_frames(n))
+        prob = make_problem(rng.normal(size=n), config,
+                            weight=rng.uniform(0.5, 1.0, size=shape))
+        eye = np.eye(n)
+        normal_h = np.column_stack([apply_Lh_adj(apply_Lh(e, prob), prob) for e in eye])
+        normal_p = np.column_stack([adjoint(forward(e, config)) for e in eye])
+        top = max(np.linalg.eigvalsh(normal_h)[-1], np.linalg.eigvalsh(normal_p)[-1])
+        assert np.sqrt(top) > 1.0  # the smooth branch sets the norm
+        est = estimate_opnorm(prob, n_power_iters=300)
+        assert est == pytest.approx(np.sqrt(top), rel=1e-6)
 
     def test_deterministic(self, small_config, rng):
         prob = make_problem(desk_mixture(), small_config, rng)
-        a = estimate_opnorm(prob, n_power_iters=10, seed=7)
-        b = estimate_opnorm(prob, n_power_iters=10, seed=7)
+        a = estimate_opnorm(prob, n_power_iters=10)
+        b = estimate_opnorm(prob, n_power_iters=10)
         assert a == b
 
 

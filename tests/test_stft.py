@@ -114,7 +114,6 @@ class TestConfig:
             make_config(64, 24)  # hop does not divide
         cfg = make_config(64, 16)
         assert cfg.n_bins == 33
-        assert cfg.fft_len == 64
         assert cfg.n_frames(1000) == 63
 
     def test_bin_weights(self):
