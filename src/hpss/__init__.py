@@ -25,7 +25,7 @@ from .phase import (
     time_diff_adj,
 )
 from .pipeline import HpssConfig, load_config, parse_config_text, separate
-from .prox import SignalPair, l21_norm, project_sum, prox_l21, prox_sq_fro
+from .prox import SignalPair, l21_norm, prox_l21, prox_sq_fro
 from .solver import (
     HpssProblem,
     SolverDivergenceError,
@@ -33,7 +33,6 @@ from .solver import (
     SolverTrace,
     apply_Lh,
     apply_Lh_adj,
-    estimate_opnorm,
     objective,
     run,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "build_correction",
     "compute_weight",
     "estimate_if",
-    "estimate_opnorm",
     "forward",
     "ipc_adjoint",
     "ipc_forward",
@@ -84,7 +82,6 @@ __all__ = [
     "mf_separate",
     "objective",
     "parse_config_text",
-    "project_sum",
     "prox_l21",
     "prox_sq_fro",
     "read_wav",

@@ -47,25 +47,29 @@ def _build_parser() -> _Parser:
     sep.add_argument("input", help="input WAV path")
     sep.add_argument("--out-h", required=True, help="harmonic output WAV path")
     sep.add_argument("--out-p", required=True, help="percussive output WAV path")
-    sep.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                     help="sparsity weight (default 0.5)")
-    sep.add_argument("--kappa", type=float, default=0.001,
-                     help="smoothness weight floor (default 0.001)")
-    sep.add_argument("--iters", type=int, default=100,
-                     help="solver iterations (default 100)")
-    sep.add_argument("--mu1", type=float, default=1.0, help="primal step (default 1)")
-    sep.add_argument("--mu2", type=float, default=0.25, help="dual step (default 0.25)")
-    sep.add_argument("--alpha", type=float, default=0.5,
-                     help="relaxation in (0, 2) (default 0.5)")
-    sep.add_argument("--win", type=int, default=4096,
-                     help="window length (default 4096)")
-    sep.add_argument("--hop", type=int, default=1024, help="hop size (default 1024)")
+    std = HpssConfig()  # flag defaults are the evaluated configuration
+    sep.add_argument("--lambda", dest="lam", type=float, default=std.solver.lam,
+                     help="sparsity weight (default %(default)s)")
+    sep.add_argument("--kappa", type=float, default=std.kappa,
+                     help="smoothness weight floor (default %(default)s)")
+    sep.add_argument("--iters", type=int, default=std.solver.n_iters,
+                     help="solver iterations (default %(default)s)")
+    sep.add_argument("--mu1", type=float, default=std.solver.mu1,
+                     help="primal step (default %(default)s)")
+    sep.add_argument("--mu2", type=float, default=std.solver.mu2,
+                     help="dual step (default %(default)s)")
+    sep.add_argument("--alpha", type=float, default=std.solver.alpha,
+                     help="relaxation in (0, 2) (default %(default)s)")
+    sep.add_argument("--win", type=int, default=std.win_len,
+                     help="window length (default %(default)s)")
+    sep.add_argument("--hop", type=int, default=std.hop,
+                     help="hop size (default %(default)s)")
     sep.add_argument("--if-source", default="mix",
                      help="'mix' or 'oracle:PATH' (default mix)")
     sep.add_argument("--method", choices=("prop", "mf"), default="prop",
                      help="proposed solver or median-filter baseline")
     sep.add_argument("--trace", help="write the solver trace CSV here")
-    sep.add_argument("--config", help="key=value config file (overridden by flags)")
+    sep.add_argument("--config", help="key=value config file (overrides the flags)")
     sep.add_argument("--bit-depth", default="float32",
                      choices=("16", "24", "float32"),
                      help="output sample format (default float32)")
@@ -101,8 +105,7 @@ def _build_parser() -> _Parser:
 
 
 def _separate_config(args) -> HpssConfig:
-    # flags first (their defaults are the standard values); a config file,
-    # when given, overrides flags
+    # flags first; a config file, when given, overrides them
     cfg = HpssConfig(
         win_len=args.win,
         hop=args.hop,
@@ -169,9 +172,8 @@ def _cmd_eval(args, out) -> int:
 
 
 def _eval_files(ref_h, ref_p, est_h, est_p, filter_len):
+    # bss_eval rejects unequal lengths and sample rates
     signals = [read_wav(p) for p in (ref_h, ref_p, est_h, est_p)]
-    if len({len(s) for s in signals}) != 1:
-        raise _ArgumentError("reference and estimate lengths do not match")
     return bss_eval(*signals, filter_len=filter_len)
 
 

@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .audio_io import as_samples
+from .audio_io import Signal, as_samples
 
 _DB_FLOOR_RATIO = 1e-30
 
@@ -101,7 +101,12 @@ def bss_eval_sources(refs, ests, filter_len: int = 512):
     filter_len-tap projection filters. Each reference is transformed once
     and the joint Gram matrix of all their delayed copies is built once;
     the projection onto reference j alone solves its j-th diagonal block.
+    Signal inputs must share one sample rate.
     """
+    refs, ests = list(refs), list(ests)
+    rates = {s.sample_rate for s in refs + ests if isinstance(s, Signal)}
+    if len(rates) > 1:
+        raise ValueError(f"sample rates do not match: {sorted(rates)} Hz")
     refs = [as_samples(r) for r in refs]
     ests = [as_samples(e) for e in ests]
     if len(refs) != len(ests) or not refs:

@@ -76,6 +76,12 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
         oracle = as_samples(oracle_h)
         if oracle.size != samples.size:
             raise ValueError("oracle signal length does not match the mixture")
+        if (isinstance(x, Signal) and isinstance(oracle_h, Signal)
+                and oracle_h.sample_rate != rate):
+            raise ValueError(
+                f"oracle sample rate {oracle_h.sample_rate} Hz does not match "
+                f"the mixture's {rate} Hz"
+            )
     else:
         oracle = None
 

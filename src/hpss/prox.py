@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import Signal, as_samples
+from .audio_io import Signal
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class SignalPair:
 
 
 def split_sum_arrays(x: np.ndarray, x_h: np.ndarray, x_p: np.ndarray):
-    """Project (x_h, x_p) onto {h + p = x}; array form used by the solver.
+    """Euclidean projection of (x_h, x_p) onto the exact-sum constraint h + p = x.
 
     Returns the projected pair with the percussive part recomputed as
     x - h so the constraint holds bit-exactly.
@@ -34,14 +34,6 @@ def split_sum_arrays(x: np.ndarray, x_h: np.ndarray, x_p: np.ndarray):
     r = (x - x_h - x_p) / 2.0
     h = x_h + r
     return h, x - h
-
-
-def project_sum(x, pair: SignalPair) -> SignalPair:
-    """Euclidean projection of a pair onto the exact-sum constraint h + p = x."""
-    xs = as_samples(x)
-    h, p = split_sum_arrays(xs, pair.harmonic.samples, pair.percussive.samples)
-    rate = pair.harmonic.sample_rate
-    return SignalPair(Signal(h, rate), Signal(p, rate))
 
 
 def prox_sq_fro(data: np.ndarray, rho: float) -> np.ndarray:

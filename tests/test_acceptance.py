@@ -162,7 +162,7 @@ def test_criterion_03_prox_oracles():
     report(
         "criterion 3 (prox oracles)",
         ok,
-        f"project_sum {worst_proj:.2e}, prox_sq_fro {worst_fro:.2e}, "
+        f"split_sum_arrays {worst_proj:.2e}, prox_sq_fro {worst_fro:.2e}, "
         f"prox_l21 {worst_l21:.2e} (<=1e-8)",
     )
 

@@ -4,8 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from hpss import Signal, read_wav, write_wav
-from hpss.cli import EXIT_BAD_ARGS, EXIT_IO, EXIT_OK, main
+from hpss import HpssConfig, Signal, read_wav, write_wav
+from hpss.cli import (
+    EXIT_BAD_ARGS, EXIT_IO, EXIT_OK, _build_parser, _separate_config, main,
+)
 from hpss.phase import read_if_dump
 from hpss.stft import read_spec_dump
 from hpss.synth import bench_track
@@ -19,6 +21,14 @@ def wav_dir(tmp_path_factory):
     write_wav(base / "ref_h.wav", track.harmonic, "float32")
     write_wav(base / "ref_p.wav", track.percussive, "float32")
     return base
+
+
+@pytest.fixture(scope="module")
+def wav_16k(wav_dir):
+    # the reference harmonic stem relabelled at twice the rate
+    path = wav_dir / "ref_h_16k.wav"
+    write_wav(path, Signal(read_wav(wav_dir / "ref_h.wav").samples, 16000), "float32")
+    return path
 
 
 def run_cli(args):
@@ -100,6 +110,20 @@ class TestSeparate:
         assert code == EXIT_OK
         assert len(trace.read_text().strip().splitlines()) == 4  # config wins
 
+    def test_bare_flags_are_the_default_config(self):
+        args = _build_parser().parse_args(["separate", "in.wav", "--out-h", "h.wav",
+                                           "--out-p", "p.wav"])
+        assert _separate_config(args) == HpssConfig()
+
+    def test_oracle_rate_mismatch_gives_args_exit(self, wav_dir, wav_16k, tmp_path):
+        code, _ = run_cli(
+            ["separate", str(wav_dir / "mix.wav"),
+             "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav"),
+             "--if-source", f"oracle:{wav_16k}"] + SEP_FLAGS
+        )
+        assert code == EXIT_BAD_ARGS
+        assert not (tmp_path / "h.wav").exists()
+
     def test_missing_input_gives_io_exit(self, tmp_path):
         code, _ = run_cli(
             ["separate", str(tmp_path / "missing.wav"),
@@ -169,6 +193,19 @@ class TestEval:
              "--ref-p", str(wav_dir / "ref_p.wav"),
              "--est-h", str(short), "--est-p", str(short)]
         )
+        assert code == EXIT_BAD_ARGS
+
+    def test_rate_mismatch(self, wav_dir, wav_16k, tmp_path, capsys):
+        refs = [str(wav_dir / "ref_h.wav"), str(wav_dir / "ref_p.wav")]
+        code, _ = run_cli(["eval", "--ref-h", refs[0], "--ref-p", refs[1],
+                           "--est-h", str(wav_16k), "--est-p", refs[1]])
+        assert code == EXIT_BAD_ARGS
+        err = capsys.readouterr().err
+        assert "sample rates" in err and len(err.strip().splitlines()) == 1
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(",".join(["t0", *refs, *refs]) + "\n"
+                            + ",".join(["t1", *refs, str(wav_16k), refs[1]]) + "\n")
+        code, _ = run_cli(["eval", "--manifest", str(manifest), "--filter-len", "4"])
         assert code == EXIT_BAD_ARGS
 
 

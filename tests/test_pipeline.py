@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpss import HpssConfig, Signal, SolverParams, separate
+from hpss import HpssConfig, Signal, SolverParams, mf_separate, separate
 from hpss.pipeline import IF_SOURCE_ORACLE, parse_config_text
 from hpss.stft import StftPlan
 from hpss.synth import bench_track
@@ -136,6 +136,12 @@ class TestSeparate:
         with pytest.raises(ValueError, match="length"):
             separate(mixture, cfg, oracle_h=Signal(np.ones(10), 8000))
 
+    def test_oracle_rate_mismatch_errors(self):
+        mixture, harm, _ = small_mixture()
+        cfg = HpssConfig(win_len=256, hop=64, if_source=IF_SOURCE_ORACLE)
+        with pytest.raises(ValueError, match="sample rate"):
+            separate(mixture, cfg, oracle_h=Signal(harm, 2 * mixture.sample_rate))
+
 
 TINY = HpssConfig(win_len=64, hop=16, solver=SolverParams(n_iters=10))
 
@@ -159,6 +165,27 @@ def test_gain_equivariance_extreme_gains(tiny_reference, exponent):
     np.testing.assert_allclose(
         h, gain * ref_h, rtol=1e-6, atol=1e-9 * gain * np.max(np.abs(mixture.samples))
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3 * 64),
+    kind=st.sampled_from(["noise", "silence", "constant"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_exact_sum_every_length(n, kind, seed):
+    # lengths from 1 sample to three windows at 64/16, shorter than a hop included
+    x = {
+        "noise": np.random.default_rng(seed).normal(size=n),
+        "silence": np.zeros(n),
+        "constant": np.full(n, 0.5),
+    }[kind]
+    mixture = Signal(x, 8000)
+    cfg = HpssConfig(win_len=64, hop=16, solver=SolverParams(n_iters=3))
+    for pair in (separate(mixture, cfg)[0], mf_separate(mixture, cfg.stft())):
+        h, p = pair.harmonic.samples, pair.percussive.samples
+        assert np.all(np.isfinite(h)) and np.all(np.isfinite(p))
+        assert np.max(np.abs(x - h - p)) == 0.0
 
 
 class TestConfigParsing:

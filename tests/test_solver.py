@@ -11,7 +11,6 @@ from hpss import (
     apply_Lh_adj,
     build_correction,
     estimate_if,
-    estimate_opnorm,
     forward,
     l21_norm,
     make_config,
@@ -125,43 +124,62 @@ class TestApplyLh:
 
 
 class TestOpnorm:
-    def test_tight_branch_only(self, small_config):
-        n = 800
-        x = desk_mixture(n=n)
-        shape = (small_config.n_bins, small_config.n_frames(n))
-        prob = HpssProblem(
-            mixture=x,
-            config=small_config,
-            correction=build_correction(
-                IfMap(np.zeros(shape), small_config), small_config
-            ),
-            weight=np.full(shape, 1e-12) + 0,  # weight ~ 0 disables the smooth branch
-        )
-        # weights must lie in (0, 1]; use the smallest positive values
-        est = estimate_opnorm(prob, n_power_iters=30)
-        assert abs(est - 1.0) <= 0.01
+    """The step-size check certifies mu1 mu2 |L|^2 <= 1 by |L|^2 <= max(1, 4 max(W)^2)."""
 
     def test_dense_oracle(self, rng):
-        # stacked norm of (x_h, x_p) -> (L_h x_h, F x_p) from the dense
-        # normal matrices of both branches, on a 16/4 instance
+        # both branch norms from dense normal matrices on a 16/4 instance, for
+        # random weights and corrections: the certificate dominates each
         config = make_config(16, 4)
         n = 96
         shape = (config.n_bins, config.n_frames(n))
-        prob = make_problem(rng.normal(size=n), config,
-                            weight=rng.uniform(0.5, 1.0, size=shape))
         eye = np.eye(n)
-        normal_h = np.column_stack([apply_Lh_adj(apply_Lh(e, prob), prob) for e in eye])
         normal_p = np.column_stack([adjoint(forward(e, config)) for e in eye])
-        top = max(np.linalg.eigvalsh(normal_h)[-1], np.linalg.eigvalsh(normal_p)[-1])
-        assert np.sqrt(top) > 1.0  # the smooth branch sets the norm
-        est = estimate_opnorm(prob, n_power_iters=300)
-        assert est == pytest.approx(np.sqrt(top), rel=1e-6)
+        assert np.linalg.eigvalsh(normal_p)[-1] <= 1.0 + 1e-12  # F is a tight frame
+        for w_max in (1.0, 0.8, 0.3, 0.05):
+            prob = make_problem(rng.normal(size=n), config,
+                                weight=rng.uniform(0.01, w_max, size=shape))
+            normal_h = np.column_stack(
+                [apply_Lh_adj(apply_Lh(e, prob), prob) for e in eye]
+            )
+            top_h = np.linalg.eigvalsh(normal_h)[-1]
+            assert np.sqrt(top_h) <= 2.0 * prob.weight.max()
 
-    def test_deterministic(self, small_config, rng):
-        prob = make_problem(desk_mixture(), small_config, rng)
-        a = estimate_opnorm(prob, n_power_iters=10)
-        b = estimate_opnorm(prob, n_power_iters=10)
-        assert a == b
+    @pytest.mark.parametrize(
+        "weight, product, warns",
+        [
+            pytest.param(1.0, 0.25, False, id="unit-W-at-bound"),
+            pytest.param(1.0, 0.25 * (1 + 1e-9), True, id="unit-W-above"),
+            pytest.param(1e-12, 1.0, False, id="tiny-W-at-bound"),
+            pytest.param(1e-12, 1.0 + 1e-9, True, id="tiny-W-above"),
+        ],
+    )
+    def test_certificate_edges(self, small_config, weight, product, warns):
+        # B = max(1, 4 max(W)^2) is 4 for W = 1 and 1 (the tight branch) for W ~ 0
+        import warnings as warnings_mod
+
+        x = desk_mixture(n=800)
+        shape = (small_config.n_bins, small_config.n_frames(x.size))
+        prob = HpssProblem(
+            mixture=x,
+            config=small_config,
+            correction=build_correction(IfMap(np.zeros(shape), small_config), small_config),
+            weight=np.full(shape, weight),
+            params=SolverParams(mu1=1.0, mu2=product, n_iters=1, record_trace=False),
+        )
+        with warnings_mod.catch_warnings(record=True) as caught:
+            warnings_mod.simplefilter("always")
+            run(prob, (np.zeros(x.size), x.copy()))
+        assert any("step-size product" in str(w.message) for w in caught) == warns
+
+    def test_criterion_mixture_above_bound_warns(self):
+        # mu1 mu2 = 0.3625 on the paper's problem, where |L_h| is about 1.69:
+        # the true product mu1 mu2 |L|^2 is about 1.04, past the convergence bound
+        from hpss import HpssConfig, separate
+        from hpss.synth import criterion_mixture
+
+        cfg = HpssConfig(solver=SolverParams(mu1=1.45, n_iters=1, record_trace=False))
+        with pytest.warns(UserWarning, match="step-size product"):
+            separate(criterion_mixture().mixture, cfg)
 
 
 class TestRun:
@@ -418,14 +436,23 @@ class TestEquivalence:
         total, _, _ = objective(pair, prob)
         assert trace.total[-1] == pytest.approx(total, rel=1e-10, abs=0)
 
-    @pytest.mark.parametrize("n_iters", [0, 7])
+    @pytest.mark.parametrize(
+        "n_iters, mu1",
+        [
+            pytest.param(0, 1.0, id="0"),
+            pytest.param(7, 1.0, id="7"),
+            pytest.param(7, 2.0, id="7-mu1=2"),  # above the certificate: same count
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:step-size product")
     def test_two_transforms_per_iteration(
-        self, small_config, rng, monkeypatch, n_iters
+        self, small_config, rng, monkeypatch, n_iters, mu1
     ):
         import hpss.stft
 
         x = desk_mixture()
-        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=n_iters))
+        params = SolverParams(mu1=mu1, n_iters=n_iters)
+        prob = make_problem(x, small_config, rng, params=params)
         calls = {"forward": 0, "adjoint": 0, "spectrogram": 0}
 
         def counted(name, fn):
