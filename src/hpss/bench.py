@@ -22,10 +22,11 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
     Returns (rows, means) where rows are the per-track CSV rows followed
     by one mean row per method, and means maps method name to its mean
     EvalResult. When out_dir is given, writes bench_results.csv plus
-    per-run solver trace CSVs.
+    per-run solver trace CSVs; traces are recorded only then.
     """
     if cfg is None:
         cfg = HpssConfig(win_len=1024, hop=256)
+    cfg = replace(cfg, solver=replace(cfg.solver, record_trace=bool(out_dir)))
     tracks = bench_corpus(seed=seed, n_tracks=n_tracks,
                           sample_rate=sample_rate, duration=duration)
     if out_dir:

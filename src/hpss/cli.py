@@ -14,11 +14,13 @@ from .bench import run_bench
 from .metrics import EvalResult, bss_eval
 from .phase import estimate_if, write_if_dump
 from .pipeline import (
+    CONFIG_KEYS,
     IF_SOURCE_MIXTURE,
     IF_SOURCE_ORACLE,
     HpssConfig,
     load_config,
     separate,
+    with_values,
 )
 from .solver import SolverDivergenceError, SolverParams
 from .stft import forward, write_spec_dump
@@ -38,6 +40,19 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+# hpss separate model flags: (flag, config key, help)
+_MODEL_FLAGS = (
+    ("--lambda", "lambda", "sparsity weight"),
+    ("--kappa", "kappa", "smoothness weight floor"),
+    ("--iters", "iters", "solver iterations"),
+    ("--mu1", "mu1", "primal step"),
+    ("--mu2", "mu2", "dual step"),
+    ("--alpha", "alpha", "relaxation in (0, 2)"),
+    ("--win", "win_len", "window length"),
+    ("--hop", "hop", "hop size"),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hpss", description="Harmonic/percussive source separation")
     parser.add_argument("--version", action="version", version=f"hpss {__version__}")
@@ -48,27 +63,16 @@ def _build_parser() -> _Parser:
     sep.add_argument("--out-h", required=True, help="harmonic output WAV path")
     sep.add_argument("--out-p", required=True, help="percussive output WAV path")
     std = HpssConfig()  # flag defaults are the evaluated configuration
-    sep.add_argument("--lambda", dest="lam", type=float, default=std.solver.lam,
-                     help="sparsity weight (default %(default)s)")
-    sep.add_argument("--kappa", type=float, default=std.kappa,
-                     help="smoothness weight floor (default %(default)s)")
-    sep.add_argument("--iters", type=int, default=std.solver.n_iters,
-                     help="solver iterations (default %(default)s)")
-    sep.add_argument("--mu1", type=float, default=std.solver.mu1,
-                     help="primal step (default %(default)s)")
-    sep.add_argument("--mu2", type=float, default=std.solver.mu2,
-                     help="dual step (default %(default)s)")
-    sep.add_argument("--alpha", type=float, default=std.solver.alpha,
-                     help="relaxation in (0, 2) (default %(default)s)")
-    sep.add_argument("--win", type=int, default=std.win_len,
-                     help="window length (default %(default)s)")
-    sep.add_argument("--hop", type=int, default=std.hop,
-                     help="hop size (default %(default)s)")
+    for flag, key, text in _MODEL_FLAGS:
+        section, name, parse = CONFIG_KEYS[key]
+        default = getattr(getattr(std, section) if section else std, name)
+        sep.add_argument(flag, dest=key, metavar=flag[2:].upper(), type=parse,
+                         default=default, help=f"{text} (default %(default)s)")
     sep.add_argument("--if-source", default="mix",
                      help="'mix' or 'oracle:PATH' (default mix)")
     sep.add_argument("--method", choices=("prop", "mf"), default="prop",
                      help="proposed solver or median-filter baseline")
-    sep.add_argument("--trace", help="write the solver trace CSV here")
+    sep.add_argument("--trace", help="record the solver trace and write it as CSV here")
     sep.add_argument("--config", help="key=value config file (overrides the flags)")
     sep.add_argument("--bit-depth", default="float32",
                      choices=("16", "24", "float32"),
@@ -98,41 +102,35 @@ def _build_parser() -> _Parser:
     du = sub.add_parser("dump-spec", help="dump a spectrogram or IF map (binary)")
     du.add_argument("input", help="input WAV path")
     du.add_argument("--out", required=True, help="output dump path")
-    du.add_argument("--win", type=int, default=4096)
-    du.add_argument("--hop", type=int, default=1024)
+    du.add_argument("--win", type=int, default=std.win_len)
+    du.add_argument("--hop", type=int, default=std.hop)
     du.add_argument("--kind", choices=("spec", "if"), default="spec")
     return parser
 
 
 def _separate_config(args) -> HpssConfig:
     # flags first; a config file, when given, overrides them
-    cfg = HpssConfig(
-        win_len=args.win,
-        hop=args.hop,
-        kappa=args.kappa,
-        solver=SolverParams(
-            lam=args.lam,
-            mu1=args.mu1,
-            mu2=args.mu2,
-            alpha=args.alpha,
-            n_iters=args.iters,
-        ),
-    )
+    cfg = with_values(HpssConfig(), {key: getattr(args, key) for _, key, _ in _MODEL_FLAGS})
     if args.config:
         cfg = load_config(args.config, cfg)
     return cfg
 
 
 def _cmd_separate(args) -> int:
-    cfg = _separate_config(args)
-    oracle = None
-    if args.if_source == "mix":
-        cfg = replace(cfg, if_source=IF_SOURCE_MIXTURE)
-    elif args.if_source.startswith("oracle:"):
-        cfg = replace(cfg, if_source=IF_SOURCE_ORACLE)
-        oracle = read_wav(args.if_source.split(":", 1)[1])
-    else:
+    oracle_path = None
+    if args.if_source.startswith("oracle:"):
+        if args.method == "mf":
+            raise _ArgumentError("an oracle --if-source needs --method prop; mf uses no IF")
+        oracle_path = args.if_source.split(":", 1)[1]
+    elif args.if_source != "mix":
         raise _ArgumentError(f"bad --if-source value: {args.if_source!r}")
+    cfg = _separate_config(args)
+    cfg = replace(
+        cfg,
+        if_source=IF_SOURCE_MIXTURE if oracle_path is None else IF_SOURCE_ORACLE,
+        solver=replace(cfg.solver, record_trace=bool(args.trace)),
+    )
+    oracle = None if oracle_path is None else read_wav(oracle_path)
 
     mixture = read_wav(args.input)
     trace = None
@@ -157,7 +155,10 @@ def _cmd_eval(args, out) -> int:
             if len(row) != 5:
                 raise _ArgumentError("manifest rows must be track,ref_h,ref_p,est_h,est_p")
             track, *paths = (cell.strip() for cell in row)
-            results.append(_eval_files(*paths, args.filter_len))
+            try:
+                results.append(_eval_files(*paths, args.filter_len))
+            except ValueError as exc:
+                raise ValueError(f"{track}: {exc}") from None
             print(*results[-1].row(track, "file"), sep=",", file=out)
         if results:
             print(*EvalResult.mean(results).row("mean", "file"), sep=",", file=out)
@@ -223,10 +224,7 @@ def main(argv=None, out=None) -> int:
         if args.command == "dump-spec":
             return _cmd_dump(args)
         raise _ArgumentError(f"unknown command {args.command!r}")
-    except _ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except ValueError as exc:
+    except (_ArgumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except SolverDivergenceError as exc:

@@ -120,11 +120,11 @@ def ipc_forward(x, correction: PhaseCorrection, config: StftConfig) -> Spectrogr
     return spec.with_data(correction.e * spec.data)
 
 
-def ipc_adjoint(spec: Spectrogram, correction: PhaseCorrection, config: StftConfig | None = None) -> np.ndarray:
+def ipc_adjoint(spec: Spectrogram, correction: PhaseCorrection) -> np.ndarray:
     """Adjoint of ``ipc_forward``: conjugate correction, then the STFT adjoint."""
     if correction.shape != spec.shape:
         raise ValueError("correction shape does not match the spectrogram")
-    return adjoint(spec.with_data(np.conj(correction.e) * spec.data), config)
+    return adjoint(spec.with_data(np.conj(correction.e) * spec.data))
 
 
 def time_diff(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

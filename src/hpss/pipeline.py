@@ -120,29 +120,39 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     return SignalPair(Signal(x_h, rate), Signal(x_p, rate)), trace
 
 
-_CONFIG_KEYS = {
-    "win_len": int,
-    "hop": int,
-    "lambda": float,
-    "kappa": float,
-    "mu1": float,
-    "mu2": float,
-    "alpha": float,
-    "iters": int,
-    "record_trace": lambda s: s.lower() in ("1", "true", "yes"),
-    "harm_kernel": int,
-    "perc_kernel": int,
-    "mask_power": float,
-    "if_source": str,
-    "if_eps": float,
+# flat config key -> (HpssConfig section or None, field, value parser)
+CONFIG_KEYS = {
+    "win_len": (None, "win_len", int),
+    "hop": (None, "hop", int),
+    "lambda": ("solver", "lam", float),
+    "kappa": (None, "kappa", float),
+    "mu1": ("solver", "mu1", float),
+    "mu2": ("solver", "mu2", float),
+    "alpha": ("solver", "alpha", float),
+    "iters": ("solver", "n_iters", int),
+    "harm_kernel": ("median", "harm_kernel", int),
+    "perc_kernel": ("median", "perc_kernel", int),
+    "mask_power": ("median", "mask_power", float),
+    "if_eps": (None, "if_eps", float),
 }
+
+
+def with_values(base: HpssConfig, values: dict) -> HpssConfig:
+    """``base`` with the fields named by the flat keys of ``values`` replaced."""
+    top, nested = {}, {}
+    for key, value in values.items():
+        section, name, _ = CONFIG_KEYS[key]
+        (nested.setdefault(section, {}) if section else top)[name] = value
+    sections = {s: replace(getattr(base, s), **f) for s, f in nested.items()}
+    return replace(base, **top, **sections)
 
 
 def parse_config_text(text: str, base: HpssConfig = HpssConfig()) -> HpssConfig:
     """Parse the flat key-value configuration format.
 
-    One ``key = value`` pair per line; '#' starts a comment; every key is
-    optional and missing keys keep the defaults of ``base``.
+    One ``key = value`` pair per line, keys from ``CONFIG_KEYS``; '#'
+    starts a comment; every key is optional and missing keys keep the
+    defaults of ``base``.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -152,46 +162,13 @@ def parse_config_text(text: str, base: HpssConfig = HpssConfig()) -> HpssConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](val)
+            values[key] = CONFIG_KEYS[key][2](val)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for {key!r}") from exc
-
-    solver = replace(
-        base.solver,
-        **{
-            field_name: values[key]
-            for key, field_name in (
-                ("lambda", "lam"),
-                ("mu1", "mu1"),
-                ("mu2", "mu2"),
-                ("alpha", "alpha"),
-                ("iters", "n_iters"),
-                ("record_trace", "record_trace"),
-            )
-            if key in values
-        },
-    )
-    median = replace(
-        base.median,
-        **{
-            k: values[k]
-            for k in ("harm_kernel", "perc_kernel", "mask_power")
-            if k in values
-        },
-    )
-    return replace(
-        base,
-        solver=solver,
-        median=median,
-        **{
-            k: values[k]
-            for k in ("win_len", "hop", "kappa", "if_source", "if_eps")
-            if k in values
-        },
-    )
+    return with_values(base, values)
 
 
 def load_config(path, base: HpssConfig = HpssConfig()) -> HpssConfig:

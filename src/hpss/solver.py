@@ -114,7 +114,7 @@ def apply_Lh(x_h, problem: HpssProblem) -> Spectrogram:
 def apply_Lh_adj(spec: Spectrogram, problem: HpssProblem) -> np.ndarray:
     """Adjoint of ``apply_Lh``: F_ipc^* ( D_t^* (W o Y) )."""
     data = time_diff_adj(problem.weight * spec.data)
-    return ipc_adjoint(spec.with_data(data), problem.correction, problem.config)
+    return ipc_adjoint(spec.with_data(data), problem.correction)
 
 
 def _check_step_sizes(problem: HpssProblem) -> None:

@@ -116,7 +116,6 @@ class Spectrogram:
     data: np.ndarray
     config: StftConfig
     n_samples: int
-    sample_rate: int | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -214,22 +213,17 @@ class StftPlan:
 def forward(x, config: StftConfig, window: np.ndarray | None = None) -> Spectrogram:
     """One-sided STFT: X[w, tau] = sum_l x[l + a*tau - L/2] g[l] e^{-2pi j w l / L}."""
     samples = as_samples(x)
-    rate = x.sample_rate if hasattr(x, "sample_rate") else None
     data = StftPlan(config, samples.size).forward(samples, window)
     return Spectrogram(
         data=np.ascontiguousarray(data.T),
         config=config,
         n_samples=samples.size,
-        sample_rate=rate,
     )
 
 
-def adjoint(spec: Spectrogram, config: StftConfig | None = None) -> np.ndarray:
+def adjoint(spec: Spectrogram) -> np.ndarray:
     """Exact adjoint of ``forward`` under ``spec_inner``; inverse for tight windows."""
-    config = spec.config if config is None else config
-    if spec.data.shape != (config.n_bins, config.n_frames(spec.n_samples)):
-        raise ValueError("spectrogram shape does not match the configuration")
-    return StftPlan(config, spec.n_samples).adjoint(spec.data.T)
+    return StftPlan(spec.config, spec.n_samples).adjoint(spec.data.T)
 
 
 def spec_inner(a, b, config: StftConfig) -> float:

@@ -96,7 +96,7 @@ def test_criterion_02_adjoint_identities():
         "stft": rel_gap(lambda x: forward(x, config), adjoint),
         "ipc": rel_gap(
             lambda x: ipc_forward(x, correction, config),
-            lambda y: ipc_adjoint(y, correction, config),
+            lambda y: ipc_adjoint(y, correction),
         ),
         "smooth-op": rel_gap(
             lambda x: apply_Lh(x, problem), lambda y: apply_Lh_adj(y, problem)

@@ -19,7 +19,7 @@ def test_signal_validation():
     assert len(s) == 2 and s.duration == pytest.approx(2 / 8000)
 
 
-def _write_raw_wav(path, codec, bits, rate, channels, payload):
+def _raw_wav(codec, bits, rate, channels, payload):
     block = channels * bits // 8
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
@@ -27,7 +27,11 @@ def _write_raw_wav(path, codec, bits, rate, channels, payload):
         b"fmt ", 16, codec, channels, rate, rate * block, block, bits,
         b"data", len(payload),
     )
-    path.write_bytes(header + payload)
+    return header + payload
+
+
+def _write_raw_wav(path, codec, bits, rate, channels, payload):
+    path.write_bytes(_raw_wav(codec, bits, rate, channels, payload))
 
 
 def test_read_16bit_scaling(tmp_path):
@@ -200,3 +204,62 @@ def test_partial_sample_payload_property(tmp_path_factory, payload, codec_bits, 
         assert frames == 0 or codec == 3
     else:
         assert len(s) == frames
+
+
+# (offset, struct format) of the 44-byte header's size, channel, rate and bits fields
+_HEADER_FIELDS = [(4, "<I"), (16, "<I"), (22, "<H"), (24, "<I"), (34, "<H"), (40, "<I")]
+
+
+def _encode(values, bits):
+    v = np.asarray(values)
+    if bits == 16:
+        return np.round(v * 32767).astype("<i2").tobytes()
+    if bits == 24:
+        return b"".join(int(round(x * 8388607)).to_bytes(3, "little", signed=True)
+                        for x in v)
+    return v.astype("<f4").tobytes()
+
+
+@st.composite
+def mutated_wavs(draw):
+    """A valid 16-bit, 24-bit or float32 file with one kind of damage."""
+    codec, bits = draw(st.sampled_from([(1, 16), (1, 24), (3, 32)]))
+    channels = draw(st.integers(min_value=1, max_value=2))
+    values = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=24))
+    data = bytearray(_raw_wav(codec, bits, 8000, channels, _encode(values, bits)))
+    kind = draw(st.sampled_from(["flip", "field", "truncate", "junk"]))
+    if kind == "flip":
+        for pos in draw(st.lists(st.integers(0, 43), min_size=1, max_size=4)):
+            data[pos] ^= draw(st.integers(1, 255))
+    elif kind == "field":
+        offset, fmt = draw(st.sampled_from(_HEADER_FIELDS))
+        top = 2 ** (8 * struct.calcsize(fmt)) - 1
+        extremes = [0, 1, 2, 3, top // 2, top // 2 + 1, top - 1, top]
+        value = draw(st.sampled_from(extremes) | st.integers(0, top))
+        struct.pack_into(fmt, data, offset, value)
+    elif kind == "truncate":
+        data = data[: draw(st.integers(0, len(data)))]
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            cid = draw(st.sampled_from([b"fmt ", b"data", b"LIST"])
+                       | st.binary(min_size=4, max_size=4))
+            body = draw(st.binary(max_size=24))
+            size = draw(st.just(len(body)) | st.integers(0, 2**32 - 1))
+            data += struct.pack("<4sI", cid, size) + body
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_wavs())
+def test_mutated_header_property(tmp_path_factory, data):
+    # damaged headers and chunks give a finite Signal or a ValueError naming
+    # the file, never another exception
+    path = tmp_path_factory.mktemp("wav") / "m.wav"
+    path.write_bytes(data)
+    try:
+        s = read_wav(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert len(s) > 0 and s.sample_rate > 0
+        assert np.all(np.isfinite(s.samples))

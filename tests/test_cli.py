@@ -4,7 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from hpss import HpssConfig, Signal, read_wav, write_wav
+import hpss.bench
+import hpss.cli
+from hpss import HpssConfig, Signal, SolverParams, read_wav, separate, write_wav
 from hpss.cli import (
     EXIT_BAD_ARGS, EXIT_IO, EXIT_OK, _build_parser, _separate_config, main,
 )
@@ -38,6 +40,18 @@ def run_cli(args):
 
 
 SEP_FLAGS = ["--win", "256", "--hop", "64", "--iters", "10"]
+
+
+def record_trace_calls(monkeypatch, module):
+    """Wrap ``module.separate``; the returned list gets each call's record_trace."""
+    seen = []
+
+    def spy(mixture, cfg, oracle_h=None):
+        seen.append(cfg.solver.record_trace)
+        return separate(mixture, cfg, oracle_h=oracle_h)
+
+    monkeypatch.setattr(module, "separate", spy)
+    return seen
 
 
 class TestSeparate:
@@ -109,6 +123,45 @@ class TestSeparate:
         )
         assert code == EXIT_OK
         assert len(trace.read_text().strip().splitlines()) == 4  # config wins
+
+    @pytest.mark.parametrize("line", ["if_source = oracle-file", "record_trace = false"])
+    def test_run_mode_keys_in_config_give_args_exit(self, wav_dir, tmp_path, capsys, line):
+        cfg = tmp_path / "hpss.cfg"
+        cfg.write_text(line + "\n")
+        code, _ = run_cli(
+            ["separate", str(wav_dir / "mix.wav"),
+             "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav"),
+             "--config", str(cfg), "--trace", str(tmp_path / "t.csv")] + SEP_FLAGS
+        )
+        assert code == EXIT_BAD_ARGS
+        err = capsys.readouterr().err
+        assert "unknown key" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "h.wav").exists() and not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("oracle", ["ref_h.wav", "missing.wav"])
+    def test_mf_with_oracle_gives_args_exit(self, wav_dir, tmp_path, capsys, oracle):
+        # rejected before any file is read, so a missing oracle is not an I/O error
+        code, _ = run_cli(
+            ["separate", str(wav_dir / "mix.wav"),
+             "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav"),
+             "--method", "mf", "--if-source", f"oracle:{wav_dir / oracle}"] + SEP_FLAGS
+        )
+        assert code == EXIT_BAD_ARGS
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "h.wav").exists()
+
+    @pytest.mark.parametrize("with_trace", [False, True])
+    def test_trace_recorded_iff_trace_flag(self, wav_dir, tmp_path, monkeypatch, with_trace):
+        seen = record_trace_calls(monkeypatch, hpss.cli)
+        trace = ["--trace", str(tmp_path / "t.csv")] if with_trace else []
+        code, _ = run_cli(
+            ["separate", str(wav_dir / "mix.wav"),
+             "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav")]
+            + SEP_FLAGS + trace
+        )
+        assert code == EXIT_OK
+        assert seen == [with_trace]
+        assert (tmp_path / "t.csv").exists() == with_trace
 
     def test_bare_flags_are_the_default_config(self):
         args = _build_parser().parse_args(["separate", "in.wav", "--out-h", "h.wav",
@@ -207,6 +260,9 @@ class TestEval:
                             + ",".join(["t1", *refs, str(wav_16k), refs[1]]) + "\n")
         code, _ = run_cli(["eval", "--manifest", str(manifest), "--filter-len", "4"])
         assert code == EXIT_BAD_ARGS
+        # the failing manifest row is named
+        err = capsys.readouterr().err
+        assert err.startswith("error: t1: sample rates") and len(err.strip().splitlines()) == 1
 
 
 class TestBench:
@@ -225,8 +281,21 @@ class TestBench:
         assert lines[0].startswith("track,method")
         assert sum(1 for ln in lines if ln.startswith("mean,")) == 3
 
+    @pytest.mark.parametrize("out_dir", [None, "b"])
+    def test_traces_recorded_iff_out_dir(self, tmp_path, monkeypatch, out_dir):
+        seen = record_trace_calls(monkeypatch, hpss.bench)
+        hpss.bench.run_bench(out_dir=out_dir and str(tmp_path / out_dir), n_tracks=1,
+                             sample_rate=8000, duration=0.5, filter_len=4,
+                             cfg=HpssConfig(win_len=256, hop=64,
+                                            solver=SolverParams(n_iters=2)))
+        assert seen == [out_dir is not None] * 2
+
 
 class TestDumpSpec:
+    def test_defaults_are_the_default_config(self):
+        args = _build_parser().parse_args(["dump-spec", "in.wav", "--out", "s.bin"])
+        assert (args.win, args.hop) == (HpssConfig().win_len, HpssConfig().hop)
+
     def test_spec_dump(self, wav_dir, tmp_path):
         out = tmp_path / "spec.bin"
         code, _ = run_cli(

@@ -97,14 +97,14 @@ class TestIpcOperators:
         )
         y = spec.with_data(rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
         np.testing.assert_allclose(
-            ipc_adjoint(y, ones, small_config), adjoint(y), atol=1e-14
+            ipc_adjoint(y, ones), adjoint(y), atol=1e-14
         )
 
     def test_round_trip_identity(self, small_config, rng):
         x = rng.normal(size=700)
         n_frames = small_config.n_frames(700)
         corr = _random_correction(small_config, n_frames, rng)
-        xr = ipc_adjoint(ipc_forward(x, corr, small_config), corr, small_config)
+        xr = ipc_adjoint(ipc_forward(x, corr, small_config), corr)
         assert np.linalg.norm(xr - x) <= 1e-10 * np.linalg.norm(x)
 
     def test_adjoint_identity(self, small_config, rng):
@@ -118,7 +118,7 @@ class TestIpcOperators:
             spec = ipc_forward(x, corr, cfg)
             y = spec.with_data(rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
             lhs = spec_inner(spec, y, cfg)
-            rhs = float(np.dot(x, ipc_adjoint(y, corr, cfg)))
+            rhs = float(np.dot(x, ipc_adjoint(y, corr)))
             worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(x) * spec_norm(y, cfg)))
         assert worst <= 1e-8
 

@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpss import HpssConfig, Signal, SolverParams, mf_separate, separate
-from hpss.pipeline import IF_SOURCE_ORACLE, parse_config_text
+from hpss.pipeline import CONFIG_KEYS, IF_SOURCE_ORACLE, parse_config_text, with_values
 from hpss.stft import StftPlan
 from hpss.synth import bench_track
 
@@ -205,7 +207,6 @@ class TestConfigParsing:
         lambda = 0.25     # inline comment
         iters = 7
         harm_kernel = 9
-        if_source = oracle-file
         """
         cfg = parse_config_text(text)
         assert cfg.win_len == 512
@@ -213,7 +214,6 @@ class TestConfigParsing:
         assert cfg.solver.lam == 0.25
         assert cfg.solver.n_iters == 7
         assert cfg.median.harm_kernel == 9
-        assert cfg.if_source == "oracle-file"
         # untouched keys keep defaults
         assert cfg.solver.mu2 == 0.25
         assert cfg.kappa == 0.001
@@ -221,6 +221,26 @@ class TestConfigParsing:
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("bogus = 3")
+
+    @pytest.mark.parametrize("line", ["if_source = oracle-file", "record_trace = false"])
+    def test_parse_rejects_run_mode_keys(self, line):
+        # the IF source and trace recording follow the call, not the file
+        with pytest.raises(ValueError, match="config line 1: unknown key"):
+            parse_config_text(line)
+
+    def test_every_key_sets_its_field(self):
+        base = HpssConfig()
+        for key, (section, name, parse) in CONFIG_KEYS.items():
+            value = parse("3") if parse is int else 1.5
+            cfg = parse_config_text(f"{key} = {value}")
+            before, after = ((getattr(c, section) if section else c) for c in (base, cfg))
+            assert getattr(after, name) == value != getattr(before, name), key
+            assert cfg == with_values(base, {key: value})
+
+    def test_readme_lists_the_config_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = re.search(r"keys are\s+`([^`]*)`", readme).group(1)
+        assert [k.strip() for k in listed.split(",")] == list(CONFIG_KEYS)
 
     def test_parse_rejects_bad_value(self):
         with pytest.raises(ValueError, match="bad value"):
