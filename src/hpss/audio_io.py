@@ -133,7 +133,7 @@ def write_wav(path, s: Signal, bit_depth=16) -> None:
     samples = as_samples(s)
     rate = s.sample_rate if isinstance(s, Signal) else 44100
     depth = str(bit_depth).lower()
-    if depth not in ("16", "24", "float32", "f32"):
+    if depth not in ("16", "24", "float32"):
         raise ValueError(f"unsupported bit depth: {bit_depth!r}")
 
     if np.any(np.abs(samples) > 1.0):

@@ -149,12 +149,17 @@ def _cmd_eval(args, out) -> int:
     print(*EvalResult.HEADER, sep=",", file=out)
     if args.manifest:
         with open(args.manifest, newline="") as fh:
-            entries = [row for row in csv.reader(fh) if row and row[0].strip()]
-        results = []
-        for row in entries:
+            reader = csv.reader(fh)
+            entries = [(reader.line_num, [cell.strip() for cell in row])
+                       for row in reader if any(cell.strip() for cell in row)]
+        for line, row in entries:
             if len(row) != 5:
-                raise _ArgumentError("manifest rows must be track,ref_h,ref_p,est_h,est_p")
-            track, *paths = (cell.strip() for cell in row)
+                raise _ArgumentError(f"manifest line {line}: expected 5 cells "
+                                     f"(track,ref_h,ref_p,est_h,est_p), got {len(row)}")
+            if not row[0]:
+                raise _ArgumentError(f"manifest line {line}: empty track name")
+        results = []
+        for _, (track, *paths) in entries:
             try:
                 results.append(_eval_files(*paths, args.filter_len))
             except ValueError as exc:

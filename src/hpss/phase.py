@@ -1,9 +1,9 @@
 """Instantaneous-frequency estimation and instantaneous phase correction.
 
-The correction matrix E cancels the predicted per-frame phase advance of
-sinusoidal content, so the phase-corrected STFT of a steady tone is
-constant along time in each sub-band. For a fixed E the corrected
-transform is a linear operator with an explicit adjoint.
+The correction matrix E, the running product of the predicted per-frame
+phase steps of sinusoidal content, cancels their phase advance, so the
+phase-corrected STFT of a steady tone is constant along time in each
+sub-band. For fixed steps the corrected transform is a linear operator.
 """
 
 from __future__ import annotations
@@ -44,21 +44,27 @@ class IfMap:
 
 @dataclass(frozen=True)
 class PhaseCorrection:
-    """Unit-modulus correction matrix E with E[:, 0] == 1."""
+    """Unit-modulus phase steps s, K x T; the last column is unused."""
 
-    e: np.ndarray
+    step: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.e, dtype=np.complex128)
-        object.__setattr__(self, "e", e)
-        if e.ndim != 2:
+        step = np.asarray(self.step, dtype=np.complex128)
+        object.__setattr__(self, "step", step)
+        if step.ndim != 2:
             raise ValueError("PhaseCorrection must be 2-D")
-        if not np.allclose(np.abs(e), 1.0, atol=1e-9):
+        if not np.allclose(np.abs(step), 1.0, atol=1e-9):
             raise ValueError("PhaseCorrection entries must have unit modulus")
 
     @property
     def shape(self) -> tuple:
-        return self.e.shape
+        return self.step.shape
+
+    @property
+    def e(self) -> np.ndarray:
+        """E[:, 0] = 1, E[:, t] = E[:, t-1] s[:, t-1], renormalized to unit modulus."""
+        e = np.cumprod(np.insert(self.step[:, :-1], 0, 1.0, axis=1), axis=1)
+        return np.divide(e, np.abs(e), out=e)
 
 
 def estimate_if(x, config: StftConfig, eps: float = 1e-6) -> IfMap:
@@ -95,21 +101,8 @@ def if_from_spectra(spec: Spectrogram, spec_d: Spectrogram, eps: float) -> IfMap
 
 
 def build_correction(if_map: IfMap, config: StftConfig) -> PhaseCorrection:
-    """Accumulate E[:, tau] = E[:, tau-1] * exp(-2pi j v[:, tau-1] a / L).
-
-    Built as a running product of unit phasors with per-step
-    renormalization, never via large accumulated angles, so the modulus
-    cannot drift over long signals.
-    """
-    v = if_map.v
-    n_bins, n_frames = v.shape
-    e = np.empty((n_bins, n_frames), dtype=np.complex128)
-    e[:, 0] = 1.0
-    step = np.exp(-2j * np.pi * (config.hop / config.win_len) * v)
-    for tau in range(1, n_frames):
-        nxt = e[:, tau - 1] * step[:, tau - 1]
-        e[:, tau] = nxt / np.abs(nxt)
-    return PhaseCorrection(e)
+    """The per-frame phase steps s = exp(-2pi j v a / L) of the correction."""
+    return PhaseCorrection(np.exp(-2j * np.pi * (config.hop / config.win_len) * if_map.v))
 
 
 def ipc_forward(x, correction: PhaseCorrection, config: StftConfig) -> Spectrogram:
@@ -127,32 +120,20 @@ def ipc_adjoint(spec: Spectrogram, correction: PhaseCorrection) -> np.ndarray:
     return adjoint(spec.with_data(np.conj(correction.e) * spec.data))
 
 
-def time_diff(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def time_diff(data: np.ndarray) -> np.ndarray:
     """Forward difference along time with a zero first column."""
     data = np.asarray(data)
-    if out is None:
-        out = np.empty_like(data)
-    out[:, 0] = 0.0
+    out = np.zeros_like(data)
     np.subtract(data[:, 1:], data[:, :-1], out=out[:, 1:])
     return out
 
 
-def time_diff_adj(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Adjoint of ``time_diff``: negated backward difference, matching boundary.
-
-    ``out`` may be ``data`` itself: every column is written before it is
-    read for the last time.
-    """
+def time_diff_adj(data: np.ndarray) -> np.ndarray:
+    """Adjoint of ``time_diff``: negated backward difference, matching boundary."""
     data = np.asarray(data)
-    if out is None:
-        out = np.empty_like(data)
-    n_frames = data.shape[1]
-    if n_frames == 1:
-        out[...] = 0.0
-        return out
-    np.negative(data[:, 1], out=out[:, 0])
-    np.subtract(data[:, 1:-1], data[:, 2:], out=out[:, 1:-1])
-    out[:, -1] = data[:, -1]
+    out = np.zeros_like(data)
+    out[:, :-1] -= data[:, 1:]
+    out[:, 1:] += data[:, 1:]
     return out
 
 

@@ -63,7 +63,7 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
 
     Pipeline: STFT of the mixture, instantaneous-frequency estimation
     (from the mixture or, when configured, from a supplied clean
-    harmonic reference), phase-correction matrix, median-filter
+    harmonic reference), per-frame phase-correction steps, median-filter
     initialization and pre-estimate, smoothness weight, then the
     primal-dual solver. The returned pair sums to the input bit-exactly.
     """

@@ -161,8 +161,9 @@ def test_not_riff_errors(tmp_path):
 
 
 def test_bad_depth_errors(tmp_path):
-    with pytest.raises(ValueError, match="bit depth"):
-        write_wav(tmp_path / "x.wav", Signal([0.1], 8000), 12)
+    for depth in (12, "f32"):
+        with pytest.raises(ValueError, match="bit depth"):
+            write_wav(tmp_path / "x.wav", Signal([0.1], 8000), depth)
 
 
 @settings(max_examples=25, deadline=None)

@@ -234,6 +234,29 @@ class TestEval:
         assert all(len(line.split(",")) == 11 for line in lines)
         assert lines[-1].startswith("mean,")
 
+    @pytest.mark.parametrize(
+        "track, n_paths, message",
+        [
+            pytest.param("", 4, "empty track name", id="empty-track"),
+            pytest.param(
+                "t2", 3, "expected 5 cells (track,ref_h,ref_p,est_h,est_p), got 4",
+                id="wrong-width",
+            ),
+        ],
+    )
+    def test_bad_manifest_row_names_its_line(
+        self, wav_dir, tmp_path, capsys, track, n_paths, message
+    ):
+        # the blank second line is skipped but counted, so the bad row is line 3
+        refs = [str(wav_dir / "ref_h.wav"), str(wav_dir / "ref_p.wav")] * 2
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            ",".join(["t0", *refs]) + "\n\n" + ",".join([track, *refs[:n_paths]]) + "\n"
+        )
+        code, _ = run_cli(["eval", "--manifest", str(manifest), "--filter-len", "4"])
+        assert code == EXIT_BAD_ARGS
+        assert capsys.readouterr().err == f"error: manifest line 3: {message}\n"
+
     def test_missing_args(self):
         code, _ = run_cli(["eval"])
         assert code == EXIT_BAD_ARGS

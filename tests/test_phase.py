@@ -75,6 +75,21 @@ class TestBuildCorrection:
         assert np.max(np.abs(np.abs(e) - 1.0)) <= 1e-12
         np.testing.assert_allclose(e[:, 0], 1.0)
 
+    def test_e_matches_renormalized_running_product(self, small_config, rng):
+        # reference: E as a running product renormalized frame by frame
+        shape = (small_config.n_bins, 3000)
+        v = rng.uniform(0, small_config.win_len / 2, size=shape)
+        corr = build_correction(IfMap(v, small_config), small_config)
+        ref = np.empty(shape, dtype=np.complex128)
+        ref[:, 0] = 1.0
+        step = np.exp(-2j * np.pi * (small_config.hop / small_config.win_len) * v)
+        for tau in range(1, shape[1]):
+            nxt = ref[:, tau - 1] * step[:, tau - 1]
+            ref[:, tau] = nxt / np.abs(nxt)
+        np.testing.assert_array_equal(corr.step, step)
+        assert np.max(np.abs(corr.e - ref)) <= 1e-12
+        assert np.max(np.abs(np.abs(corr.e) - 1.0)) <= 1e-12
+
     def test_if_map_validation(self, small_config):
         with pytest.raises(ValueError):
             IfMap(np.full((small_config.n_bins, 4), -1.0), small_config)

@@ -4,6 +4,7 @@ import pytest
 from hpss import (
     HpssProblem,
     IfMap,
+    PhaseCorrection,
     SolverDivergenceError,
     SolverParams,
     adjoint,
@@ -20,8 +21,11 @@ from hpss import (
     run,
     spec_inner,
     spec_norm,
+    time_diff,
+    time_diff_adj,
 )
 from hpss.prox import split_sum_arrays
+from hpss.solver import _corrected_diff
 
 from conftest import sine_signal
 
@@ -180,6 +184,32 @@ class TestOpnorm:
         cfg = HpssConfig(solver=SolverParams(mu1=1.45, n_iters=1, record_trace=False))
         with pytest.warns(UserWarning, match="step-size product"):
             separate(criterion_mixture().mixture, cfg)
+
+
+class TestCorrectedDiff:
+    """The loop's step-form difference against the E-form reference operators."""
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 7, 300])
+    def test_matches_e_form(self, rng, n_frames):
+        shape = (9, n_frames)  # K x T
+        corr = PhaseCorrection(np.exp(2j * np.pi * rng.uniform(size=shape)))
+        e = corr.e
+        w = rng.uniform(0.001, 1.0, size=shape)
+        c = 0.4
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # frame-major, g[t] = conj(s[t-1]), as the loop holds them
+        g = np.empty(shape[::-1], dtype=complex)
+        g[1:] = np.conj(corr.step[:, :-1].T)
+        scratch = np.empty_like(g)
+
+        got = _corrected_diff(x.T.copy(), g, c * w.T, np.empty_like(g), scratch)
+        ref = c * w * np.conj(e) * time_diff(e * x)
+        np.testing.assert_allclose(got.T, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+        got = _corrected_diff(y.T.copy(), g, w.T, np.empty_like(g), scratch, adjoint=True)
+        ref = np.conj(e) * time_diff_adj(e * w * y)
+        np.testing.assert_allclose(got.T, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 class TestRun:
@@ -474,3 +504,34 @@ class TestEquivalence:
         extra = 2 if n_iters else 0
         expected = {"forward": n_iters + extra, "adjoint": n_iters, "spectrogram": 0}
         assert calls == expected
+
+    def test_peak_memory_budget(self, monkeypatch):
+        # the loop's working set, counted in K x T complex128 arrays: the traced
+        # peak of run above its entry, trace off, on the criterion-8 problem
+        import tracemalloc
+        from dataclasses import replace
+
+        import hpss.pipeline
+        from hpss import HpssConfig, separate
+        from hpss.synth import criterion_mixture
+
+        captured = []
+
+        def capture(problem, init):
+            captured.append((problem, init))
+            return run(problem, init)
+
+        monkeypatch.setattr(hpss.pipeline, "run", capture)
+        cfg = HpssConfig(solver=SolverParams(n_iters=0))
+        separate(criterion_mixture().mixture, cfg)
+        problem, init = captured[0]
+        problem = replace(problem, params=SolverParams(n_iters=3, record_trace=False))
+        unit = problem.weight.size * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            run(problem, init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / unit <= 9.75  # measured 9.50
