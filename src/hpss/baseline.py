@@ -8,9 +8,9 @@ Time-directional medians of the magnitude spectrogram capture horizontal
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import median_filter
 
 from .audio_io import Signal, as_samples
 from .prox import SignalPair
@@ -33,12 +33,49 @@ class MedianConfig:
             raise ValueError("mask_power must be >= 1")
 
 
+@lru_cache(maxsize=None)
+def _median_network(kernel: int) -> tuple:
+    """Merge exchange (Knuth, TAOCP 5.2.2M) pruned to the middle lane: (i, j,
+    use_min, use_max) with i < j, where a flag marks an output read later."""
+    t = (kernel - 1).bit_length()
+    comps, p = [], 1 << (t - 1)
+    while p:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            comps += [(i, i + d) for i in range(kernel - d) if i & p == r]
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    live, kept = {kernel // 2}, []
+    for i, j in reversed(comps):
+        if i in live or j in live:
+            kept.append((i, j, i in live, j in live))
+            live |= {i, j}
+    return tuple(reversed(kept))
+
+
 def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     """Running median along one axis with shrinking windows at the edges."""
-    size = (1, kernel) if axis == 1 else (kernel, 1)
-    out = median_filter(mag, size=size, mode="nearest")
+    out = np.empty_like(mag)
     half = kernel // 2
     n = mag.shape[axis]
+    m = n - 2 * half  # full windows go through the network, edge windows np.median
+    if m > 0:
+        width, rows = (m, mag.shape[0]) if axis == 1 else (mag.shape[1], m)
+        step = max(1, (1 << 14) // max(width, 1))  # 2 MB of lanes at kernel 17: in cache
+
+        def lane(a, r0, r1, k):  # element k of the full windows in block rows r0:r1
+            return a[r0:r1, k:k + m] if axis == 1 else a[r0 + k:r1 + k]
+
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            x = [lane(mag, r0, r1, k) for k in range(kernel)]
+            for i, j, use_min, use_max in _median_network(kernel):
+                a, b = x[i], x[j]
+                x[i] = np.minimum(a, b) if use_min else None
+                x[j] = np.maximum(a, b) if use_max else None
+            lane(out, r0, r1, half)[...] = x[half]
     for i in range(min(half, n)):
         lo = np.median(mag.take(range(0, min(i + half + 1, n)), axis=axis), axis=axis)
         hi = np.median(mag.take(range(max(n - 1 - i - half, 0), n), axis=axis), axis=axis)

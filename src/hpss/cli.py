@@ -152,6 +152,8 @@ def _cmd_eval(args, out) -> int:
             reader = csv.reader(fh)
             entries = [(reader.line_num, [cell.strip() for cell in row])
                        for row in reader if any(cell.strip() for cell in row)]
+        if not entries:
+            raise _ArgumentError(f"manifest {args.manifest} has no rows")
         for line, row in entries:
             if len(row) != 5:
                 raise _ArgumentError(f"manifest line {line}: expected 5 cells "
@@ -165,8 +167,7 @@ def _cmd_eval(args, out) -> int:
             except ValueError as exc:
                 raise ValueError(f"{track}: {exc}") from None
             print(*results[-1].row(track, "file"), sep=",", file=out)
-        if results:
-            print(*EvalResult.mean(results).row("mean", "file"), sep=",", file=out)
+        print(*EvalResult.mean(results).row("mean", "file"), sep=",", file=out)
         return EXIT_OK
 
     required = (args.ref_h, args.ref_p, args.est_h, args.est_p)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import median_filter
 
 from hpss import (
+    HpssConfig,
     MedianConfig,
     Signal,
     Spectrogram,
@@ -10,7 +14,8 @@ from hpss import (
     median_filter_hpss,
     mf_separate,
 )
-from hpss.baseline import _median_shrink
+from hpss.baseline import _median_network, _median_shrink
+from hpss.synth import bench_corpus, criterion_mixture
 
 from conftest import sine_signal
 
@@ -34,6 +39,39 @@ def shrink_median_oracle(mag, kernel, axis):
     return out
 
 
+def scipy_median_shrink(mag, kernel, axis):
+    """The scipy.ndimage implementation that the selection network replaced."""
+    size = (1, kernel) if axis == 1 else (kernel, 1)
+    out = median_filter(mag, size=size, mode="nearest")
+    half = kernel // 2
+    n = mag.shape[axis]
+    for i in range(min(half, n)):
+        lo = np.median(mag.take(range(0, min(i + half + 1, n)), axis=axis), axis=axis)
+        hi = np.median(mag.take(range(max(n - 1 - i - half, 0), n), axis=axis), axis=axis)
+        if axis == 1:
+            out[:, i] = lo
+            out[:, n - 1 - i] = hi
+        else:
+            out[i, :] = lo
+            out[n - 1 - i, :] = hi
+    return out
+
+
+@st.composite
+def magnitudes(draw):
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    kind = draw(st.sampled_from(["ties", "uniform", "zeros", "wide"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        return rng.integers(0, 3, size=shape).astype(float)
+    if kind == "uniform":
+        return rng.uniform(0.0, 1.0, size=shape)
+    if kind == "zeros":
+        return np.zeros(shape)
+    return 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
+
+
 class TestMedianFilter:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -42,10 +80,39 @@ class TestMedianFilter:
             MedianConfig(mask_power=0.5)
 
     def test_shrink_window_matches_oracle(self, rng):
-        mag = rng.uniform(0, 1, size=(12, 15))
-        for axis in (0, 1):
-            ours = _median_shrink(mag, 5, axis)
-            np.testing.assert_allclose(ours, shrink_median_oracle(mag, 5, axis))
+        for shape, kernel in (((12, 15), 5), ((3, 2), 17)):
+            mag = rng.uniform(0, 1, size=shape)
+            for axis in (0, 1):
+                ours = _median_shrink(mag, kernel, axis)
+                np.testing.assert_array_equal(ours, shrink_median_oracle(mag, kernel, axis))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        mag=magnitudes(),
+        kernel=st.one_of(st.integers(1, 16).map(lambda h: 2 * h + 1), st.just(101)),
+        axis=st.sampled_from([0, 1]),
+    )
+    def test_shrink_equals_scipy_exactly(self, mag, kernel, axis):
+        assert np.array_equal(_median_shrink(mag, kernel, axis),
+                              scipy_median_shrink(mag, kernel, axis))
+
+    @pytest.mark.parametrize("kernel", range(3, 18, 2))
+    def test_network_selects_median_of_every_01_input(self, kernel):
+        # by the 0-1 principle, a comparator network that selects the median
+        # of every 0/1 input selects it for every input
+        bits = (np.arange(1 << kernel)[:, None] >> np.arange(kernel)) & 1
+        lanes = list(bits.T.astype(np.uint8))
+        for i, j, use_min, use_max in _median_network(kernel):
+            a, b = lanes[i], lanes[j]
+            lanes[i] = np.minimum(a, b) if use_min else None
+            lanes[j] = np.maximum(a, b) if use_max else None
+        np.testing.assert_array_equal(lanes[kernel // 2], bits.sum(axis=1) > kernel // 2)
+
+    def test_network_size_at_kernel_17(self):
+        # merge exchange on 17 lanes has 74 comparators; 61 reach the middle
+        net = _median_network(17)
+        assert len(net) == 61
+        assert sum(not (use_min and use_max) for _, _, use_min, use_max in net) == 16
 
     def test_constant_magnitude_gives_half_mask(self, small_config):
         n = 320
@@ -79,9 +146,29 @@ class TestMedianFilter:
     def test_transposition_symmetry(self, rng):
         # time-median of the transpose equals the transposed frequency-median
         mag = rng.uniform(0, 1, size=(10, 14))
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             _median_shrink(mag.T, 7, axis=1), _median_shrink(mag, 7, axis=0).T
         )
+
+    @pytest.mark.parametrize("case", ["criterion-8", "corpus-track-0"])
+    def test_masks_equal_scipy_reference(self, case, bench_config):
+        if case == "criterion-8":
+            x, config = criterion_mixture().mixture, HpssConfig().stft()
+        else:
+            x, config = bench_corpus(0, n_tracks=1)[0].mixture, bench_config
+        spec = forward(x.samples, config)
+        mc = MedianConfig()
+        h_mag, p_mag, mask = median_filter_hpss(spec, mc)
+        mag = np.abs(spec.data)
+        h_ref = scipy_median_shrink(mag, mc.harm_kernel, axis=1)
+        p_ref = scipy_median_shrink(mag, mc.perc_kernel, axis=0)
+        num = h_ref**mc.mask_power
+        den = num + p_ref**mc.mask_power
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mask_ref = np.where(den > 0.0, num / den, 0.5)
+        np.testing.assert_array_equal(h_mag, h_ref)
+        np.testing.assert_array_equal(p_mag, p_ref)
+        np.testing.assert_array_equal(mask, mask_ref)
 
     def test_mask_bounds_and_complement(self, small_config, rng):
         n = 400

@@ -257,6 +257,13 @@ class TestEval:
         assert code == EXIT_BAD_ARGS
         assert capsys.readouterr().err == f"error: manifest line 3: {message}\n"
 
+    def test_empty_manifest_is_an_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("\n \n,,\n")
+        code, _ = run_cli(["eval", "--manifest", str(manifest)])
+        assert code == EXIT_BAD_ARGS
+        assert capsys.readouterr().err == f"error: manifest {manifest} has no rows\n"
+
     def test_missing_args(self):
         code, _ = run_cli(["eval"])
         assert code == EXIT_BAD_ARGS
