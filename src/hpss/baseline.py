@@ -76,15 +76,10 @@ def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
                 x[i] = np.minimum(a, b) if use_min else None
                 x[j] = np.maximum(a, b) if use_max else None
             lane(out, r0, r1, half)[...] = x[half]
+    a, o = (mag, out) if axis == 1 else (mag.T, out.T)
     for i in range(min(half, n)):
-        lo = np.median(mag.take(range(0, min(i + half + 1, n)), axis=axis), axis=axis)
-        hi = np.median(mag.take(range(max(n - 1 - i - half, 0), n), axis=axis), axis=axis)
-        if axis == 1:
-            out[:, i] = lo
-            out[:, n - 1 - i] = hi
-        else:
-            out[i, :] = lo
-            out[n - 1 - i, :] = hi
+        o[:, i] = np.median(a[:, : i + half + 1], axis=1)
+        o[:, n - 1 - i] = np.median(a[:, max(n - 1 - i - half, 0) :], axis=1)
     return out
 
 

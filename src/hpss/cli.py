@@ -12,7 +12,7 @@ from .audio_io import read_wav, write_wav
 from .baseline import mf_separate
 from .bench import run_bench
 from .metrics import EvalResult, bss_eval
-from .phase import estimate_if, write_if_dump
+from .phase import estimate_if
 from .pipeline import (
     CONFIG_KEYS,
     IF_SOURCE_MIXTURE,
@@ -23,7 +23,7 @@ from .pipeline import (
     with_values,
 )
 from .solver import SolverDivergenceError, SolverParams
-from .stft import forward, write_spec_dump
+from .stft import forward, make_config, write_dump
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 1
@@ -146,7 +146,15 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_eval(args, out) -> int:
-    print(*EvalResult.HEADER, sep=",", file=out)
+    # the header goes out with the first scored row, so a failure before it prints nothing
+    for i, row in enumerate(_eval_rows(args)):
+        if i == 0:
+            print(*EvalResult.HEADER, sep=",", file=out)
+        print(*row, sep=",", file=out)
+    return EXIT_OK
+
+
+def _eval_rows(args):
     if args.manifest:
         with open(args.manifest, newline="") as fh:
             reader = csv.reader(fh)
@@ -166,16 +174,14 @@ def _cmd_eval(args, out) -> int:
                 results.append(_eval_files(*paths, args.filter_len))
             except ValueError as exc:
                 raise ValueError(f"{track}: {exc}") from None
-            print(*results[-1].row(track, "file"), sep=",", file=out)
-        print(*EvalResult.mean(results).row("mean", "file"), sep=",", file=out)
-        return EXIT_OK
+            yield results[-1].row(track, "file")
+        yield EvalResult.mean(results).row("mean", "file")
+        return
 
     required = (args.ref_h, args.ref_p, args.est_h, args.est_p)
     if any(path is None for path in required):
         raise _ArgumentError("eval needs --ref-h/--ref-p/--est-h/--est-p or --manifest")
-    res = _eval_files(*required, args.filter_len)
-    print(*res.row("-", "file"), sep=",", file=out)
-    return EXIT_OK
+    yield _eval_files(*required, args.filter_len).row("-", "file")
 
 
 def _eval_files(ref_h, ref_p, est_h, est_p, filter_len):
@@ -205,14 +211,13 @@ def _cmd_bench(args, out) -> int:
 
 
 def _cmd_dump(args) -> int:
-    from .stft import make_config
-
     signal = read_wav(args.input)
     config = make_config(args.win, args.hop)
     if args.kind == "spec":
-        write_spec_dump(args.out, forward(signal, config))
+        data = forward(signal, config).data
     else:
-        write_if_dump(args.out, estimate_if(signal, config))
+        data = estimate_if(signal, config).v
+    write_dump(args.out, data, config)
     return EXIT_OK
 
 

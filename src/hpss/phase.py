@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import as_samples
-from .stft import (
-    DUMP_MAGIC_REAL,
-    Spectrogram,
-    StftConfig,
-    adjoint,
-    forward,
-    read_dump,
-    write_dump,
-)
+from .stft import Spectrogram, StftConfig, adjoint, forward
 
 
 @dataclass(frozen=True)
@@ -136,12 +128,3 @@ def time_diff_adj(data: np.ndarray) -> np.ndarray:
     out[:, 1:] += data[:, 1:]
     return out
 
-
-def write_if_dump(path, if_map: IfMap) -> None:
-    """IfMap dump; shares the spectrogram format with a real-only payload."""
-    write_dump(path, DUMP_MAGIC_REAL, if_map.v, if_map.config)
-
-
-def read_if_dump(path):
-    """Read a dump written by ``write_if_dump``; returns (v, (K, T, L, a))."""
-    return read_dump(path, DUMP_MAGIC_REAL)

@@ -66,6 +66,8 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     harmonic reference), per-frame phase-correction steps, median-filter
     initialization and pre-estimate, smoothness weight, then the
     primal-dual solver. The returned pair sums to the input bit-exactly.
+    ``oracle_h`` is required iff ``cfg.if_source`` is the oracle source;
+    either mismatch raises ``ValueError``.
     """
     samples = as_samples(x)
     rate = x.sample_rate if isinstance(x, Signal) else 1
@@ -82,6 +84,10 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
                 f"oracle sample rate {oracle_h.sample_rate} Hz does not match "
                 f"the mixture's {rate} Hz"
             )
+    elif oracle_h is not None:
+        raise ValueError(
+            f"an oracle signal needs if_source={IF_SOURCE_ORACLE!r}, not {cfg.if_source!r}"
+        )
     else:
         oracle = None
 

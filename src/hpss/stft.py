@@ -10,14 +10,14 @@ to machine precision for any signal length.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .audio_io import as_samples
 
-DUMP_MAGIC_COMPLEX = b"HPSSSPC1"
-DUMP_MAGIC_REAL = b"HPSSIFM1"
+# dump magic by payload kind: complex (re/im interleaved) or real
+_DUMP_MAGIC = {True: b"HPSSSPC1", False: b"HPSSIFM1"}
 
 
 def make_hann(win_len: int) -> np.ndarray:
@@ -53,20 +53,23 @@ def make_tight(window: np.ndarray, hop: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Transform geometry plus the analysis and derivative windows.
+    """Transform geometry; the analysis and derivative windows derive from it.
 
     win_len:      frame length L (even)
     hop:          frame advance a, divides L
-    window:       canonical tight analysis window, length L
+    window:       canonical tight periodic Hann window, length L (derived)
     deriv_window: samples of (L / 2*pi) * d(window)/dl, same normalizer
                   as ``window``; used by the instantaneous-frequency
                   estimator so its correction comes out in bin units
+                  (derived)
+
+    Configs compare and hash by ``(win_len, hop)``.
     """
 
     win_len: int
     hop: int
-    window: np.ndarray
-    deriv_window: np.ndarray
+    window: np.ndarray = field(init=False, repr=False, compare=False)
+    deriv_window: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.win_len < 2 or self.win_len % 2 != 0:
@@ -75,8 +78,14 @@ class StftConfig:
             raise ValueError("hop must lie in [1, win_len]")
         if self.win_len % self.hop != 0:
             raise ValueError("hop must divide win_len")
-        if len(self.window) != self.win_len or len(self.deriv_window) != self.win_len:
-            raise ValueError("window lengths must equal win_len")
+        proto = make_hann(self.win_len)
+        den = tight_normalizer(proto, self.hop)
+        l = np.arange(self.win_len)
+        object.__setattr__(self, "window", proto / den)
+        # analytic Hann derivative (pi/L) sin(2 pi l / L), scaled by L/(2 pi)
+        object.__setattr__(
+            self, "deriv_window", 0.5 * np.sin(2.0 * np.pi * l / self.win_len) / den
+        )
 
     @property
     def n_bins(self) -> int:
@@ -96,13 +105,7 @@ class StftConfig:
 
 def make_config(win_len: int = 4096, hop: int = 1024) -> StftConfig:
     """Standard configuration: canonical tight Hann analysis window."""
-    proto = make_hann(win_len)
-    den = tight_normalizer(proto, hop)
-    window = proto / den
-    l = np.arange(win_len)
-    # analytic Hann derivative (pi/L) sin(2 pi l / L), scaled by L/(2 pi)
-    deriv = 0.5 * np.sin(2.0 * np.pi * l / win_len) / den
-    return StftConfig(win_len=win_len, hop=hop, window=window, deriv_window=deriv)
+    return StftConfig(win_len, hop)
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,7 @@ class StftPlan:
         np.multiply(self._frames, g, out=self._real)
         return np.fft.rfft(self._real, n=self.config.win_len, axis=1, out=out)
 
-    def adjoint(self, data: np.ndarray, out=None) -> np.ndarray:
+    def adjoint(self, data: np.ndarray) -> np.ndarray:
         """Length-n signal from T x K coefficients (any strides)."""
         win_len, hop = self.config.win_len, self.config.hop
         u = np.fft.irfft(data, n=win_len, axis=1, out=self._real)
@@ -203,8 +206,7 @@ class StftPlan:
             buf = np.zeros(n_pad)
             np.add.at(buf, self._wrap, u)
         s, m, n = self._shift, self._head, self.n_samples
-        if out is None:
-            out = np.empty(n)
+        out = np.empty(n)
         out[:m] = buf[s : s + m]
         out[m:] = buf[: n - m]
         return out
@@ -238,46 +240,31 @@ def spec_norm(a, config: StftConfig) -> float:
     return float(np.sqrt(max(spec_inner(a, a, config), 0.0)))
 
 
-def write_spec_dump(path, spec: Spectrogram) -> None:
-    """Binary spectrogram dump: magic, K, T, L, a header + row-major re/im float64."""
-    write_dump(path, DUMP_MAGIC_COMPLEX, spec.data, spec.config)
-
-
-def read_spec_dump(path):
-    """Read a dump written by ``write_spec_dump``; returns (data, (K, T, L, a))."""
-    return read_dump(path, DUMP_MAGIC_COMPLEX)
-
-
-def write_dump(path, magic: bytes, data: np.ndarray, config: StftConfig) -> None:
-    """Dump a K x T array: ``DUMP_MAGIC_COMPLEX`` interleaves re/im, else real."""
+def write_dump(path, data: np.ndarray, config: StftConfig) -> None:
+    """Dump a K x T array: an 8-byte magic, K, T, L, a as little-endian uint64,
+    then row-major float64. Complex data gets magic HPSSSPC1 and interleaves
+    re/im; real data gets HPSSIFM1."""
     k, t = data.shape
-    header = magic + struct.pack("<QQQQ", k, t, config.win_len, config.hop)
-    if magic == DUMP_MAGIC_COMPLEX:
-        inter = np.empty((k, t, 2))
-        inter[:, :, 0] = data.real
-        inter[:, :, 1] = data.imag
-        payload = inter.astype("<f8").tobytes()
-    else:
-        payload = np.ascontiguousarray(data, dtype="<f8").tobytes()
+    is_complex = np.iscomplexobj(data)
+    if is_complex:
+        data = np.stack((data.real, data.imag), axis=-1)
+    header = _DUMP_MAGIC[is_complex] + struct.pack("<QQQQ", k, t, config.win_len, config.hop)
     with open(path, "wb") as fh:
-        fh.write(header + payload)
+        fh.write(header + np.ascontiguousarray(data, dtype="<f8").tobytes())
 
 
-def read_dump(path, magic: bytes):
-    """Read a dump with the given magic; returns (data, (K, T, L, a))."""
+def read_dump(path):
+    """Read a ``write_dump`` file; returns (data, (K, T, L, a)), complex or real
+    according to its magic."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 40 or raw[:8] != magic:
+    is_complex = {magic: c for c, magic in _DUMP_MAGIC.items()}.get(raw[:8])
+    if len(raw) < 40 or is_complex is None:
         raise ValueError(f"{path}: not a valid dump file")
     k, t, win_len, hop = struct.unpack_from("<QQQQ", raw, 8)
     body = np.frombuffer(raw, dtype="<f8", offset=40)
-    if magic == DUMP_MAGIC_COMPLEX:
-        if body.size != k * t * 2:
-            raise ValueError(f"{path}: truncated dump payload")
-        inter = body.reshape(k, t, 2)
-        data = inter[:, :, 0] + 1j * inter[:, :, 1]
-    else:
-        if body.size != k * t:
-            raise ValueError(f"{path}: truncated dump payload")
-        data = body.reshape(k, t).copy()
+    if body.size != k * t * (1 + is_complex):
+        raise ValueError(f"{path}: truncated dump payload")
+    body = body.reshape(k, t, 1 + is_complex)
+    data = body[..., 0] + 1j * body[..., 1] if is_complex else body[..., 0].copy()
     return data, (int(k), int(t), int(win_len), int(hop))

@@ -93,13 +93,6 @@ def percussion_stem(rng, n: int, sample_rate: int, *, onsets=(), onset_gain=3.0,
     return perc
 
 
-def impulse_train(rng, n: int, sample_rate: int, ioi=(0.12, 0.35)) -> np.ndarray:
-    """Sparse clicky impulse train with randomized inter-onset intervals."""
-    return percussion_stem(
-        rng, n, sample_rate, onsets=(), ioi=ioi, click_prob=1.0, decay=0.0015
-    )
-
-
 def mix_at_zero_db(harm: np.ndarray, perc: np.ndarray):
     """Scale the tonal stem so both stems carry equal energy, peak-normalize.
 

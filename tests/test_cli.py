@@ -10,8 +10,7 @@ from hpss import HpssConfig, Signal, SolverParams, read_wav, separate, write_wav
 from hpss.cli import (
     EXIT_BAD_ARGS, EXIT_IO, EXIT_OK, _build_parser, _separate_config, main,
 )
-from hpss.phase import read_if_dump
-from hpss.stft import read_spec_dump
+from hpss.stft import read_dump
 from hpss.synth import bench_track
 
 
@@ -253,20 +252,23 @@ class TestEval:
         manifest.write_text(
             ",".join(["t0", *refs]) + "\n\n" + ",".join([track, *refs[:n_paths]]) + "\n"
         )
-        code, _ = run_cli(["eval", "--manifest", str(manifest), "--filter-len", "4"])
+        code, out = run_cli(["eval", "--manifest", str(manifest), "--filter-len", "4"])
         assert code == EXIT_BAD_ARGS
+        assert out == ""
         assert capsys.readouterr().err == f"error: manifest line 3: {message}\n"
 
     def test_empty_manifest_is_an_error(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"
         manifest.write_text("\n \n,,\n")
-        code, _ = run_cli(["eval", "--manifest", str(manifest)])
+        code, out = run_cli(["eval", "--manifest", str(manifest)])
         assert code == EXIT_BAD_ARGS
+        assert out == ""
         assert capsys.readouterr().err == f"error: manifest {manifest} has no rows\n"
 
     def test_missing_args(self):
-        code, _ = run_cli(["eval"])
+        code, out = run_cli(["eval"])
         assert code == EXIT_BAD_ARGS
+        assert out == ""
 
     def test_length_mismatch(self, wav_dir, tmp_path):
         short = tmp_path / "short.wav"
@@ -333,9 +335,10 @@ class TestDumpSpec:
              "--win", "256", "--hop", "64"]
         )
         assert code == EXIT_OK
-        data, (k, t, win_len, hop) = read_spec_dump(out)
+        data, (k, t, win_len, hop) = read_dump(out)
         assert (k, win_len, hop) == (129, 256, 64)
         assert data.shape == (k, t)
+        assert np.iscomplexobj(data)
 
     def test_if_dump(self, wav_dir, tmp_path):
         out = tmp_path / "if.bin"
@@ -344,8 +347,9 @@ class TestDumpSpec:
              "--win", "256", "--hop", "64", "--kind", "if"]
         )
         assert code == EXIT_OK
-        data, meta = read_if_dump(out)
+        data, meta = read_dump(out)
         assert data.shape[0] == 129
+        assert not np.iscomplexobj(data)
         assert np.all(np.isfinite(data))
 
 

@@ -16,7 +16,7 @@ from hpss import (
     time_diff,
     time_diff_adj,
 )
-from hpss.phase import read_if_dump, write_if_dump
+from hpss.stft import read_dump, write_dump
 
 from conftest import sine_signal
 
@@ -186,7 +186,7 @@ def test_if_dump_round_trip(tmp_path, small_config, rng):
     v = rng.uniform(0, 8, size=(small_config.n_bins, 7))
     if_map = IfMap(v, small_config)
     path = tmp_path / "if.bin"
-    write_if_dump(path, if_map)
-    data, (k, t, win_len, hop) = read_if_dump(path)
+    write_dump(path, if_map.v, if_map.config)
+    data, (k, t, win_len, hop) = read_dump(path)
     assert (k, t, win_len, hop) == (small_config.n_bins, 7, 64, 16)
     np.testing.assert_array_equal(data, v)

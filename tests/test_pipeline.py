@@ -132,6 +132,12 @@ class TestSeparate:
         with pytest.raises(ValueError, match="oracle"):
             separate(mixture, cfg)
 
+    def test_oracle_with_mixture_source_errors(self):
+        mixture, harm, _ = small_mixture()
+        cfg = HpssConfig(win_len=256, hop=64)
+        with pytest.raises(ValueError, match="if_source"):
+            separate(mixture, cfg, oracle_h=harm)
+
     def test_oracle_length_mismatch_errors(self):
         mixture, _, _ = small_mixture()
         cfg = HpssConfig(win_len=256, hop=64, if_source=IF_SOURCE_ORACLE)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from hpss import (
     spec_inner,
     spec_norm,
 )
-from hpss.stft import StftConfig, StftPlan, read_spec_dump, write_spec_dump
+from hpss.stft import StftConfig, StftPlan, read_dump, write_dump
 
 from conftest import sine_signal
 
@@ -120,12 +122,34 @@ class TestConfig:
         cfg = make_config(8, 4)
         np.testing.assert_allclose(cfg.bin_weights * 8, [1, 2, 2, 2, 1])
 
+    @pytest.mark.parametrize(
+        "win_len, hop",
+        [(8, 4), (16, 4), (64, 16), (256, 64), (1024, 256), (4096, 1024), (4096, 512)],
+    )
+    def test_windows_derive_from_geometry(self, win_len, hop):
+        # an in-test copy of the tight Hann and derivative-window formula
+        proto = make_hann(win_len)
+        den = np.empty(win_len)
+        for l0 in range(hop):
+            den[l0::hop] = np.sum(proto[l0::hop] ** 2)
+        den = np.sqrt(den)
+        deriv = 0.5 * np.sin(2.0 * np.pi * np.arange(win_len) / win_len) / den
+        cfg = StftConfig(win_len, hop)
+        np.testing.assert_array_equal(cfg.window, proto / den)
+        np.testing.assert_array_equal(cfg.deriv_window, deriv)
+
+    def test_equal_and_hash_by_geometry(self):
+        a, b = make_config(64, 16), make_config(64, 16)
+        assert a == b and hash(a) == hash(b)
+        assert a != make_config(64, 32)
+        assert len({a, b, make_config(64, 32)}) == 2
+        assert repr(a) == "StftConfig(win_len=64, hop=16)"
+
 
 class TestForward:
     def test_impulse_flat_spectrum(self):
-        # rectangular tight window, impulse at the center of frame 0
-        win = make_tight(np.ones(16), 16)
-        cfg = StftConfig(16, 16, win, np.zeros(16))
+        # impulse at the center of frame 0: flat magnitude for any window
+        cfg = make_config(16, 4)
         x = np.zeros(16)
         x[0] = 1.0
         spec = forward(x, cfg)
@@ -234,14 +258,42 @@ class TestDump:
     def test_round_trip(self, tmp_path, small_config, rng):
         spec = forward(rng.normal(size=500), small_config)
         path = tmp_path / "spec.bin"
-        write_spec_dump(path, spec)
-        data, (k, t, win_len, hop) = read_spec_dump(path)
+        write_dump(path, spec.data, small_config)
+        data, (k, t, win_len, hop) = read_dump(path)
         assert (k, t) == spec.shape
         assert (win_len, hop) == (64, 16)
         np.testing.assert_array_equal(data, spec.data)
 
+    def test_golden_bytes(self, tmp_path):
+        cfg = make_config(8, 2)
+        z = np.array([[1.5 - 2j, 0.25j], [-3.0, 1e-300 + 7j]])
+        v = np.array([[0.0, 1.0, 2.5], [4.0, -0.5, 3.25]])
+        header = struct.pack("<QQQQ", 2, 2, 8, 2)
+        re_im = struct.pack("<8d", 1.5, -2.0, 0.0, 0.25, -3.0, 0.0, 1e-300, 7.0)
+        write_dump(tmp_path / "z.bin", z, cfg)
+        assert (tmp_path / "z.bin").read_bytes() == b"HPSSSPC1" + header + re_im
+        write_dump(tmp_path / "v.bin", v, cfg)
+        assert (tmp_path / "v.bin").read_bytes() == (
+            b"HPSSIFM1" + struct.pack("<QQQQ", 2, 3, 8, 2) + struct.pack("<6d", *v.ravel())
+        )
+        data, meta = read_dump(tmp_path / "z.bin")
+        assert meta == (2, 2, 8, 2) and np.iscomplexobj(data)
+        np.testing.assert_array_equal(data, z)
+        data, meta = read_dump(tmp_path / "v.bin")
+        assert meta == (2, 3, 8, 2) and not np.iscomplexobj(data)
+        np.testing.assert_array_equal(data, v)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 64)
-        with pytest.raises(ValueError):
-            read_spec_dump(path)
+        with pytest.raises(ValueError, match="not a valid dump"):
+            read_dump(path)
+
+    @pytest.mark.parametrize("data", [np.ones((3, 4)) * (1 + 2j), np.ones((3, 4))],
+                             ids=["complex", "real"])
+    def test_truncated_payload(self, tmp_path, small_config, data):
+        path = tmp_path / "cut.bin"
+        write_dump(path, data, small_config)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="truncated"):
+            read_dump(path)
