@@ -43,7 +43,6 @@ from .stft import (
     forward,
     make_config,
     make_hann,
-    make_tight,
     spec_inner,
     spec_norm,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "load_config",
     "make_config",
     "make_hann",
-    "make_tight",
     "median_filter_hpss",
     "mf_separate",
     "objective",

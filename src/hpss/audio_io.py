@@ -114,12 +114,15 @@ def read_wav(path) -> Signal:
         vals = (vals ^ 0x800000) - 0x800000  # sign-extend 24 -> 32 bits
         raw = vals.astype(np.float64) / 8388608.0
     else:
-        raw = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        raw = np.frombuffer(payload, dtype="<f4")
+        if not np.all(np.isfinite(raw)):  # before the cast, which warns on a signaling NaN
+            raise ValueError(f"{path}: float samples must be finite")
+        raw = raw.astype(np.float64)
 
     mono = raw.reshape(n_frames, n_channels).mean(axis=1)
     try:
         return Signal(mono, sample_rate)
-    except ValueError as exc:  # non-finite float samples or a zero sample rate
+    except ValueError as exc:  # a zero sample rate
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -130,8 +133,7 @@ def write_wav(path, s: Signal, bit_depth=16) -> None:
     hard-clipped with a warning; separation residuals can slightly
     exceed full scale.
     """
-    samples = as_samples(s)
-    rate = s.sample_rate if isinstance(s, Signal) else 44100
+    samples, rate = s.samples, s.sample_rate
     depth = str(bit_depth).lower()
     if depth not in ("16", "24", "float32"):
         raise ValueError(f"unsupported bit depth: {bit_depth!r}")

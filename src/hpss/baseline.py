@@ -116,14 +116,14 @@ def mf_separate(x, config: StftConfig, mc: MedianConfig = MedianConfig()) -> Sig
 def compute_weight(pre_h, kappa: float = 0.001) -> np.ndarray:
     """Smoothness weight kappa / max(kappa, normalized harmonic amplitude).
 
-    Magnitudes of the pre-estimated harmonic spectrogram are normalized
+    Magnitudes of the pre-estimated harmonic K x T array are normalized
     by their global maximum, so entries lie in (0, 1] and strong
     harmonic bins receive the smallest smoothing weight. An all-zero
     pre-estimate degenerates to a uniform weight of one.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    mag = np.abs(pre_h.data if isinstance(pre_h, Spectrogram) else np.asarray(pre_h))
+    mag = np.abs(np.asarray(pre_h))
     peak = mag.max() if mag.size else 0.0
     if peak == 0.0:
         return np.ones_like(mag)

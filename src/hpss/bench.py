@@ -24,6 +24,10 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
     EvalResult. When out_dir is given, writes bench_results.csv plus
     per-run solver trace CSVs; traces are recorded only then.
     """
+    if n_tracks < 1:
+        raise ValueError(f"the benchmark needs at least one track, got {n_tracks}")
+    if int(sample_rate * duration) < 1:
+        raise ValueError(f"a duration of {duration} s at {sample_rate} Hz holds no sample")
     if cfg is None:
         cfg = HpssConfig(win_len=1024, hop=256)
     cfg = replace(cfg, solver=replace(cfg.solver, record_trace=bool(out_dir)))

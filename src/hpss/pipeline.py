@@ -117,7 +117,6 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
         correction=correction,
         weight=weight,
         params=cfg.solver,
-        sample_rate=rate,
     )
     pair, trace = run(problem, (x_h0, xs - x_h0))
 

@@ -62,10 +62,10 @@ class SolverParams:
 class SolverTrace:
     """Per-iteration diagnostics: objective split and primal increment norm."""
 
-    total: np.ndarray = field(default_factory=lambda: np.empty(0))
-    smooth: np.ndarray = field(default_factory=lambda: np.empty(0))
-    sparse: np.ndarray = field(default_factory=lambda: np.empty(0))
-    primal_increment: np.ndarray = field(default_factory=lambda: np.empty(0))
+    total: np.ndarray
+    smooth: np.ndarray
+    sparse: np.ndarray
+    primal_increment: np.ndarray
 
     def __len__(self) -> int:
         return self.total.size
@@ -90,7 +90,6 @@ class HpssProblem:
     correction: PhaseCorrection
     weight: np.ndarray
     params: SolverParams = field(default_factory=SolverParams)
-    sample_rate: int | None = None
 
     def __post_init__(self):
         x = as_samples(self.mixture)
@@ -133,11 +132,8 @@ def _check_step_sizes(problem: HpssProblem) -> None:
 
 
 def objective(pair, problem: HpssProblem):
-    """Evaluate (total, smooth_term, sparse_term) of the separation objective."""
-    if isinstance(pair, SignalPair):
-        x_h, x_p = pair.harmonic.samples, pair.percussive.samples
-    else:
-        x_h, x_p = (as_samples(p) for p in pair)
+    """Evaluate (total, smooth_term, sparse_term) at the arrays (x_h, x_p)."""
+    x_h, x_p = (as_samples(p) for p in pair)
     x = problem.mixture
     gap = np.linalg.norm(x - x_h - x_p)
     if gap > 1e-9 * max(np.linalg.norm(x), 1.0):
@@ -153,11 +149,11 @@ def _frame_norms(data: np.ndarray) -> np.ndarray:
 
 
 def run(problem: HpssProblem, init):
-    """Run the primal-dual iteration from an initial pair.
+    """Run the primal-dual iteration from an initial pair of arrays (x_h, x_p).
 
     The initial pair is projected onto the exact-sum constraint and both duals
-    start at zero. Returns the final pair (summing to the mixture bit-exactly)
-    and the trace.
+    start at zero. Returns the final pair, a ``SignalPair`` at rate 1 that sums
+    to the mixture bit-exactly, and the trace.
 
     A mixture handed to ``run`` directly with energy near the float64 limit
     (|x| of about 1e150 or more) is reported as diverged: divergence is a
@@ -165,18 +161,12 @@ def run(problem: HpssProblem, init):
     """
     p = problem.params
     x = problem.mixture
-    rate = problem.sample_rate
-    if isinstance(init, SignalPair):
-        x_h0, x_p0 = init.harmonic.samples, init.percussive.samples
-        rate = rate or init.harmonic.sample_rate
-    else:
-        x_h0, x_p0 = (as_samples(v) for v in init)
-    x_h, _ = split_sum_arrays(x, x_h0, x_p0)
+    x_h, _ = split_sum_arrays(x, *(as_samples(v) for v in init))
     rows = np.empty((p.n_iters if p.record_trace else 0, 4))
     if p.n_iters > 0:
         _check_step_sizes(problem)
         x_h = _iterate(problem, x_h, rows if p.record_trace else None)
-    pair = SignalPair(Signal(x_h, rate or 1), Signal(x - x_h, rate or 1))
+    pair = SignalPair(Signal(x_h, 1), Signal(x - x_h, 1))
     return pair, SolverTrace(*np.ascontiguousarray(rows.T))
 
 

@@ -41,16 +41,6 @@ def tight_normalizer(window: np.ndarray, hop: int) -> np.ndarray:
     return np.sqrt(den)
 
 
-def make_tight(window: np.ndarray, hop: int) -> np.ndarray:
-    """Canonical tight version of a window: g / sqrt(sum of squared hops).
-
-    The result w satisfies sum_k w^2[l + k*hop] == 1 at every l, which
-    makes adjoint-after-forward the identity.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    return window / tight_normalizer(window, hop)
-
-
 @dataclass(frozen=True)
 class StftConfig:
     """Transform geometry; the analysis and derivative windows derive from it.
@@ -103,7 +93,7 @@ class StftConfig:
         return -(-n_samples // self.hop)
 
 
-def make_config(win_len: int = 4096, hop: int = 1024) -> StftConfig:
+def make_config(win_len: int, hop: int) -> StftConfig:
     """Standard configuration: canonical tight Hann analysis window."""
     return StftConfig(win_len, hop)
 

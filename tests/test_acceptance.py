@@ -255,7 +255,7 @@ def _desk_problem():
     weight = compute_weight(mask * np.abs(spec.data))
     correction = build_correction(estimate_if(x, config), config)
     init = mf_separate(x, config)
-    return x, config, correction, weight, init
+    return x, config, correction, weight, (init.harmonic.samples, init.percussive.samples)
 
 
 def test_criterion_07_convergence():

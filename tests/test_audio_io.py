@@ -153,6 +153,16 @@ def test_short_fmt_chunk_errors(tmp_path, chunks):
         read_wav(path)
 
 
+@pytest.mark.filterwarnings("error")
+def test_signaling_nan_float_errors_without_warning(tmp_path):
+    # a float32 NaN whose cast to float64 warns is rejected before the cast
+    path = tmp_path / "snan.wav"
+    _write_raw_wav(path, 3, 32, 8000, 1, struct.pack("<2I", 0x3F000000, 0x7F800001))
+    with pytest.raises(ValueError) as info:
+        read_wav(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_not_riff_errors(tmp_path):
     path = tmp_path / "junk.wav"
     path.write_bytes(b"NOTAWAVEFILE")

@@ -241,12 +241,6 @@ class TestComputeWeight:
         weight = compute_weight(np.zeros((4, 4)))
         np.testing.assert_array_equal(weight, 1.0)
 
-    def test_accepts_spectrogram(self, small_config, rng):
-        spec = forward(rng.normal(size=300), small_config)
-        w = compute_weight(spec)
-        assert w.shape == spec.shape
-        assert w.min() > 0 and w.max() <= 1.0
-
     def test_kappa_validation(self):
         with pytest.raises(ValueError):
             compute_weight(np.ones((2, 2)), kappa=0.0)

@@ -322,6 +322,26 @@ class TestBench:
                                             solver=SolverParams(n_iters=2)))
         assert seen == [out_dir is not None] * 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(["--tracks", "0"], "at least one track, got 0", id="tracks-0"),
+            pytest.param(["--tracks", "-2"], "at least one track, got -2", id="tracks-neg"),
+            pytest.param(["--duration", "0"],
+                         "a duration of 0.0 s at 16000 Hz holds no sample", id="duration-0"),
+            pytest.param(["--duration", "0.0001", "--sample-rate", "8000"],
+                         "holds no sample", id="under-one-sample"),
+        ],
+    )
+    def test_empty_corpus_gives_args_exit(self, monkeypatch, capsys, flags, message):
+        seen = record_trace_calls(monkeypatch, hpss.bench)
+        code, out = run_cli(["bench", *flags])
+        assert code == EXIT_BAD_ARGS
+        assert out == "" and seen == []  # rejected before any separation
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
 
 class TestDumpSpec:
     def test_defaults_are_the_default_config(self):

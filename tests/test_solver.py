@@ -310,7 +310,7 @@ class TestRun:
             params=SolverParams(record_trace=False),
         )
         init = mf_separate(x, config)
-        pair, _ = run(prob, init)
+        pair, _ = run(prob, (init.harmonic.samples, init.percussive.samples))
         assert np.sum(pair.percussive.samples**2) <= 0.01 * np.sum(x**2)
 
     def test_step_size_warning_without_divergence(self, small_config, rng):
@@ -463,7 +463,7 @@ class TestEquivalence:
         columns = (trace.total, trace.smooth, trace.sparse, trace.primal_increment)
         for col, ref in zip(columns, ref_rows.T):
             np.testing.assert_allclose(col, ref, rtol=1e-10, atol=0)
-        total, _, _ = objective(pair, prob)
+        total, _, _ = objective((got_h, pair.percussive.samples), prob)
         assert trace.total[-1] == pytest.approx(total, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize(

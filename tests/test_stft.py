@@ -10,7 +10,6 @@ from hpss import (
     forward,
     make_config,
     make_hann,
-    make_tight,
     spec_inner,
     spec_norm,
 )
@@ -87,25 +86,16 @@ class TestWindows:
             make_hann(1)
 
     def test_tight_cola_sum(self):
-        w = make_tight(make_hann(4096), 1024)
+        w = StftConfig(4096, 1024).window
         sums = np.zeros(1024)
         for l0 in range(1024):
             sums[l0] = np.sum(w[l0::1024] ** 2)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
-    def test_tight_rectangular_identity(self):
-        g = np.ones(32)
-        np.testing.assert_allclose(make_tight(g, 32), g)
-
-    def test_tight_idempotent(self):
-        w = make_tight(make_hann(256), 64)
-        np.testing.assert_allclose(make_tight(w, 64), w, atol=1e-15)
-
     def test_tight_coverage_gap(self):
-        g = np.zeros(16)
-        g[0] = 1.0  # hop 4 leaves three empty residues
-        with pytest.raises(ValueError, match="coverage"):
-            make_tight(g, 4)
+        # hop = L leaves residue 0 with Hann's zero at l = 0 alone
+        with pytest.raises(ValueError, match="coverage gaps"):
+            StftConfig(8, 8)
 
 
 class TestConfig:
