@@ -16,7 +16,6 @@ from .baseline import MedianConfig, compute_weight, median_filter_hpss, mf_separ
 from .metrics import EvalResult, bss_eval, bss_eval_sources
 from .phase import (
     IfMap,
-    PhaseCorrection,
     build_correction,
     estimate_if,
     ipc_adjoint,
@@ -53,7 +52,6 @@ __all__ = [
     "HpssProblem",
     "IfMap",
     "MedianConfig",
-    "PhaseCorrection",
     "Signal",
     "SignalPair",
     "SolverDivergenceError",

@@ -116,6 +116,8 @@ def bss_eval_sources(refs, ests, filter_len: int = 512):
         raise ValueError("all signals must have equal length")
     if filter_len < 1:
         raise ValueError("filter_len must be >= 1")
+    if filter_len > n:
+        raise ValueError(f"filter_len {filter_len} exceeds the signal length {n}")
 
     flen = filter_len
     blocks = [slice(i * flen, (i + 1) * flen) for i in range(len(refs))]

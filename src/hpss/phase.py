@@ -3,7 +3,8 @@
 The correction matrix E, the running product of the predicted per-frame
 phase steps of sinusoidal content, cancels their phase advance, so the
 phase-corrected STFT of a steady tone is constant along time in each
-sub-band. For fixed steps the corrected transform is a linear operator.
+sub-band. The steps follow from the IF map alone, so the map is the
+correction; for a fixed map the corrected transform is a linear operator.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import numpy as np
 
 from .audio_io import as_samples
 from .stft import Spectrogram, StftConfig, adjoint, forward
+
+# bins below this fraction of the peak magnitude keep their own frequency
+_IF_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -34,32 +38,7 @@ class IfMap:
             raise ValueError("IfMap entries must lie in [0, L/2]")
 
 
-@dataclass(frozen=True)
-class PhaseCorrection:
-    """Unit-modulus phase steps s, K x T; the last column is unused."""
-
-    step: np.ndarray
-
-    def __post_init__(self):
-        step = np.asarray(self.step, dtype=np.complex128)
-        object.__setattr__(self, "step", step)
-        if step.ndim != 2:
-            raise ValueError("PhaseCorrection must be 2-D")
-        if not np.allclose(np.abs(step), 1.0, atol=1e-9):
-            raise ValueError("PhaseCorrection entries must have unit modulus")
-
-    @property
-    def shape(self) -> tuple:
-        return self.step.shape
-
-    @property
-    def e(self) -> np.ndarray:
-        """E[:, 0] = 1, E[:, t] = E[:, t-1] s[:, t-1], renormalized to unit modulus."""
-        e = np.cumprod(np.insert(self.step[:, :-1], 0, 1.0, axis=1), axis=1)
-        return np.divide(e, np.abs(e), out=e)
-
-
-def estimate_if(x, config: StftConfig, eps: float = 1e-6) -> IfMap:
+def estimate_if(x, config: StftConfig) -> IfMap:
     """Estimate per-bin instantaneous frequency from the phase derivative.
 
     Transforms x with the analysis and the derivative window and applies
@@ -67,15 +46,15 @@ def estimate_if(x, config: StftConfig, eps: float = 1e-6) -> IfMap:
     """
     spec = forward(x, config)
     spec_d = forward(as_samples(x), config, window=config.deriv_window)
-    return if_from_spectra(spec, spec_d, eps)
+    return if_from_spectra(spec, spec_d)
 
 
-def if_from_spectra(spec: Spectrogram, spec_d: Spectrogram, eps: float) -> IfMap:
+def if_from_spectra(spec: Spectrogram, spec_d: Spectrogram) -> IfMap:
     """Instantaneous frequency from the plain and derivative-window transforms.
 
     v[w, tau] = w - Im[ F_d(x) / F(x) ] where F_d uses the derivative
     window (already scaled to bin units). Bins whose magnitude falls
-    below eps times the global maximum keep v = w, and the result is
+    below ``_IF_EPS`` times the global maximum keep v = w, and the result is
     clamped to [0, L/2].
     """
     config = spec.config
@@ -84,7 +63,7 @@ def if_from_spectra(spec: Spectrogram, spec_d: Spectrogram, eps: float) -> IfMap
     omega = np.arange(config.n_bins, dtype=np.float64)[:, None]
     v = np.broadcast_to(omega, mag.shape).copy()
     if peak > 0.0:
-        weak = mag < eps * peak
+        weak = mag < _IF_EPS * peak
         safe = np.where(weak, 1.0, spec.data)
         with np.errstate(invalid="ignore", divide="ignore"):
             corr = np.imag(spec_d.data / safe)
@@ -92,24 +71,33 @@ def if_from_spectra(spec: Spectrogram, spec_d: Spectrogram, eps: float) -> IfMap
     return IfMap(np.clip(v, 0.0, config.win_len / 2), config)
 
 
-def build_correction(if_map: IfMap, config: StftConfig) -> PhaseCorrection:
-    """The per-frame phase steps s = exp(-2pi j v a / L) of the correction."""
-    return PhaseCorrection(np.exp(-2j * np.pi * (config.hop / config.win_len) * if_map.v))
+def build_correction(if_map: IfMap) -> np.ndarray:
+    """The per-frame phase steps s = exp(-2pi j v a / L), K x T; the last
+    column is unused. Steps of a valid IF map have unit modulus."""
+    config = if_map.config
+    return np.exp(-2j * np.pi * (config.hop / config.win_len) * if_map.v)
 
 
-def ipc_forward(x, correction: PhaseCorrection, config: StftConfig) -> Spectrogram:
+def _correction_matrix(if_map: IfMap) -> np.ndarray:
+    """E[:, 0] = 1, E[:, t] = E[:, t-1] s[:, t-1] for the map's steps s,
+    renormalized to unit modulus."""
+    e = np.cumprod(np.insert(build_correction(if_map)[:, :-1], 0, 1.0, axis=1), axis=1)
+    return np.divide(e, np.abs(e), out=e)
+
+
+def ipc_forward(x, if_map: IfMap) -> Spectrogram:
     """Phase-corrected STFT: E applied elementwise to the plain transform."""
-    spec = forward(x, config)
-    if correction.shape != spec.shape:
-        raise ValueError("correction shape does not match the spectrogram")
-    return spec.with_data(correction.e * spec.data)
+    spec = forward(x, if_map.config)
+    if if_map.v.shape != spec.shape:
+        raise ValueError("IF map shape does not match the spectrogram")
+    return spec.with_data(_correction_matrix(if_map) * spec.data)
 
 
-def ipc_adjoint(spec: Spectrogram, correction: PhaseCorrection) -> np.ndarray:
+def ipc_adjoint(spec: Spectrogram, if_map: IfMap) -> np.ndarray:
     """Adjoint of ``ipc_forward``: conjugate correction, then the STFT adjoint."""
-    if correction.shape != spec.shape:
-        raise ValueError("correction shape does not match the spectrogram")
-    return adjoint(spec.with_data(np.conj(correction.e) * spec.data))
+    if if_map.v.shape != spec.shape:
+        raise ValueError("IF map shape does not match the spectrogram")
+    return adjoint(spec.with_data(np.conj(_correction_matrix(if_map)) * spec.data))
 
 
 def time_diff(data: np.ndarray) -> np.ndarray:

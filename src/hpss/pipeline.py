@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio_io import Signal, as_samples
 from .baseline import MedianConfig, compute_weight, median_filter_hpss
-from .phase import build_correction, estimate_if, if_from_spectra
+from .phase import estimate_if, if_from_spectra
 from .prox import SignalPair
 from .solver import HpssProblem, SolverParams, run
 from .stft import StftConfig, adjoint, forward, make_config
@@ -37,13 +37,12 @@ class HpssConfig:
     solver: SolverParams = field(default_factory=SolverParams)
     median: MedianConfig = field(default_factory=MedianConfig)
     if_source: str = IF_SOURCE_MIXTURE
-    if_eps: float = 1e-6
 
     def __post_init__(self):
         if self.if_source not in (IF_SOURCE_MIXTURE, IF_SOURCE_ORACLE):
             raise ValueError(f"unknown if_source: {self.if_source!r}")
-        if self.kappa <= 0 or self.if_eps <= 0:
-            raise ValueError("kappa and if_eps must be positive")
+        if self.kappa <= 0:
+            raise ValueError("kappa must be positive")
 
     def stft(self) -> StftConfig:
         return make_config(self.win_len, self.hop)
@@ -63,11 +62,12 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
 
     Pipeline: STFT of the mixture, instantaneous-frequency estimation
     (from the mixture or, when configured, from a supplied clean
-    harmonic reference), per-frame phase-correction steps, median-filter
-    initialization and pre-estimate, smoothness weight, then the
-    primal-dual solver. The returned pair sums to the input bit-exactly.
-    ``oracle_h`` is required iff ``cfg.if_source`` is the oracle source;
-    either mismatch raises ``ValueError``.
+    harmonic reference), median-filter initialization and pre-estimate,
+    smoothness weight, then the primal-dual solver, which builds the
+    per-frame phase-correction steps from the IF map. The returned pair
+    sums to the input bit-exactly. ``oracle_h`` is required iff
+    ``cfg.if_source`` is the oracle source; either mismatch raises
+    ``ValueError``.
     """
     samples = as_samples(x)
     rate = x.sample_rate if isinstance(x, Signal) else 1
@@ -99,12 +99,10 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     spec = forward(xs, config)
     if oracle is None:
         spec_d = forward(xs, config, window=config.deriv_window)
-        if_map = if_from_spectra(spec, spec_d, cfg.if_eps)
+        if_map = if_from_spectra(spec, spec_d)
         del spec_d
     else:
-        if_map = estimate_if(oracle * gain, config, eps=cfg.if_eps)
-    correction = build_correction(if_map, config)
-    del if_map
+        if_map = estimate_if(oracle * gain, config)
 
     _, _, mask = median_filter_hpss(spec, cfg.median)
     x_h0 = adjoint(spec.with_data(mask * spec.data))
@@ -113,8 +111,7 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
 
     problem = HpssProblem(
         mixture=xs,
-        config=config,
-        correction=correction,
+        if_map=if_map,
         weight=weight,
         params=cfg.solver,
     )
@@ -138,7 +135,6 @@ CONFIG_KEYS = {
     "harm_kernel": ("median", "harm_kernel", int),
     "perc_kernel": ("median", "perc_kernel", int),
     "mask_power": ("median", "mask_power", float),
-    "if_eps": (None, "if_eps", float),
 }
 
 

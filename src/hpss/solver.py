@@ -25,9 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import Signal, as_samples
-from .phase import PhaseCorrection, ipc_adjoint, ipc_forward, time_diff, time_diff_adj
+from .phase import (
+    IfMap,
+    build_correction,
+    ipc_adjoint,
+    ipc_forward,
+    time_diff,
+    time_diff_adj,
+)
 from .prox import SignalPair, l21_norm, split_sum_arrays
-from .stft import Spectrogram, StftConfig, StftPlan, forward
+from .stft import Spectrogram, StftPlan, forward
 
 
 class SolverDivergenceError(RuntimeError):
@@ -83,20 +90,20 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class HpssProblem:
-    """Mixture, transform geometry, phase correction, smoothness weight, params."""
+    """Mixture, IF map (phase correction and geometry), smoothness weight, params."""
 
     mixture: np.ndarray
-    config: StftConfig
-    correction: PhaseCorrection
+    if_map: IfMap
     weight: np.ndarray
     params: SolverParams = field(default_factory=SolverParams)
 
     def __post_init__(self):
         x = as_samples(self.mixture)
         object.__setattr__(self, "mixture", x)
-        shape = (self.config.n_bins, self.config.n_frames(x.size))
-        if self.correction.shape != shape:
-            raise ValueError("phase correction shape does not match the mixture")
+        config = self.if_map.config
+        shape = (config.n_bins, config.n_frames(x.size))
+        if self.if_map.v.shape != shape:
+            raise ValueError("IF map shape does not match the mixture")
         w = np.asarray(self.weight, dtype=np.float64)
         object.__setattr__(self, "weight", w)
         if w.shape != shape:
@@ -107,14 +114,14 @@ class HpssProblem:
 
 def apply_Lh(x_h, problem: HpssProblem) -> Spectrogram:
     """Smoothness operator: W o D_t(F_ipc(x_h))."""
-    spec = ipc_forward(as_samples(x_h), problem.correction, problem.config)
+    spec = ipc_forward(as_samples(x_h), problem.if_map)
     return spec.with_data(problem.weight * time_diff(spec.data))
 
 
 def apply_Lh_adj(spec: Spectrogram, problem: HpssProblem) -> np.ndarray:
     """Adjoint of ``apply_Lh``: F_ipc^* ( D_t^* (W o Y) )."""
     data = time_diff_adj(problem.weight * spec.data)
-    return ipc_adjoint(spec.with_data(data), problem.correction)
+    return ipc_adjoint(spec.with_data(data), problem.if_map)
 
 
 def _check_step_sizes(problem: HpssProblem) -> None:
@@ -139,7 +146,7 @@ def objective(pair, problem: HpssProblem):
     if gap > 1e-9 * max(np.linalg.norm(x), 1.0):
         raise ValueError("pair violates the exact-sum constraint")
     smooth = 0.5 * float(np.sum(np.abs(apply_Lh(x_h, problem).data) ** 2))
-    sparse = problem.params.lam * l21_norm(forward(x_p, problem.config).data)
+    sparse = problem.params.lam * l21_norm(forward(x_p, problem.if_map.config).data)
     return smooth + sparse, smooth, sparse
 
 
@@ -190,14 +197,14 @@ def _corrected_diff(data, g, w, out, scratch, adjoint=False):
 def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     """The loop on frame-major (T x K) arrays; fills the trace rows, returns x_h."""
     p = problem.params
-    plan = StftPlan(problem.config, x_h.size)
+    plan = StftPlan(problem.if_map.config, x_h.size)
     # the relaxed smooth-dual step is y_h <- (1 - alpha + c) y_h + c W P(F u); the
     # loop holds y_h / sqrt(c) and w = sqrt(c) W, so neither it nor W y_h scales
     c = p.alpha / (1.0 + p.mu2)
     w = np.ascontiguousarray(problem.weight.T) * np.sqrt(c)
     fx = plan.forward(problem.mixture)
     g = np.empty_like(fx)  # g[t] = conj(s[t-1]); g[0] is never read
-    np.conjugate(problem.correction.step[:, :-1].T, out=g[1:])
+    np.conjugate(build_correction(problem.if_map)[:, :-1].T, out=g[1:])
     y_h, y_p, fu, a = (np.zeros_like(fx) for _ in range(4))
     beta = 0.5 * p.alpha  # x_h <- x_h + beta (u - x_h), and so every image of it
     if rows is not None:

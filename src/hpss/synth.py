@@ -32,11 +32,17 @@ def sine_tone(freq_hz: float, n: int, sample_rate: int, phase: float) -> np.ndar
 def melody_stem(rng, n: int, sample_rate: int):
     """Sequence of 2-3 partial notes of 0.12-0.3 s at 220-750 Hz, with 0.8 %
     vibrato and a 1 % upward chirp on a quarter of them; returns (samples,
-    onset indices)."""
+    onset indices). A track too short for two shortest notes raises
+    ``ValueError`` before anything is drawn."""
+    min_note = int(0.12 * sample_rate)
+    if n <= 2 * min_note:
+        raise ValueError(
+            f"a melody needs more than {2 * min_note} samples "
+            f"({2 * min_note / sample_rate:g} s at {sample_rate} Hz), got {n}"
+        )
     harm = np.zeros(n)
     onsets = []
     pos = 0
-    min_note = int(0.12 * sample_rate)
     while pos < n - 2 * min_note:
         dlen = min(int(rng.uniform(0.12, 0.3) * sample_rate), n - pos)
         f0 = rng.uniform(220.0, 750.0)

@@ -18,7 +18,6 @@ from hpss import (
     apply_Lh_adj,
     bss_eval,
     bss_eval_sources,
-    build_correction,
     estimate_if,
     forward,
     ipc_adjoint,
@@ -69,11 +68,10 @@ def test_criterion_02_adjoint_identities():
     shape = (config.n_bins, n_frames)
 
     mix = rng.standard_normal(n)
-    correction = build_correction(estimate_if(mix, config), config)
+    if_map = estimate_if(mix, config)
     problem = HpssProblem(
         mixture=mix,
-        config=config,
-        correction=correction,
+        if_map=if_map,
         weight=rng.uniform(0.001, 1.0, size=shape),
     )
 
@@ -95,8 +93,8 @@ def test_criterion_02_adjoint_identities():
     gaps = {
         "stft": rel_gap(lambda x: forward(x, config), adjoint),
         "ipc": rel_gap(
-            lambda x: ipc_forward(x, correction, config),
-            lambda y: ipc_adjoint(y, correction),
+            lambda x: ipc_forward(x, if_map),
+            lambda y: ipc_adjoint(y, if_map),
         ),
         "smooth-op": rel_gap(
             lambda x: apply_Lh(x, problem), lambda y: apply_Lh_adj(y, problem)
@@ -191,8 +189,7 @@ def test_criterion_05_ipc_smoothness():
     config = make_config(4096, 1024)
     n = 3 * 44100
     s = sine_tone(100.0 * 44100 / 4096, n, 44100, 0.3)
-    correction = build_correction(estimate_if(s, config), config)
-    spec = ipc_forward(s, correction, config)
+    spec = ipc_forward(s, estimate_if(s, config))
     row = spec.data[100, 8:-8]
     resid = float(np.max(np.abs(np.diff(row)) / np.abs(row[:-1])))
     report(
@@ -214,15 +211,14 @@ def test_criterion_06_constraint_invariant():
         )
         x *= RHO0 / np.sqrt(np.mean(x**2))
         shape = (config.n_bins, config.n_frames(n))
-        correction = build_correction(estimate_if(x, config), config)
+        if_map = estimate_if(x, config)
         weight = rng.uniform(0.001, 1.0, size=shape)
         init = (rng.standard_normal(n), rng.standard_normal(n))
         # endpoints of k-iteration runs visit every iterate of the longest run
         for k in range(1, 13):
             problem = HpssProblem(
                 mixture=x,
-                config=config,
-                correction=correction,
+                if_map=if_map,
                 weight=weight,
                 params=SolverParams(n_iters=k, record_trace=False),
             )
@@ -253,17 +249,15 @@ def _desk_problem():
     spec = forward(x, config)
     _, _, mask = median_filter_hpss(spec)
     weight = compute_weight(mask * np.abs(spec.data))
-    correction = build_correction(estimate_if(x, config), config)
     init = mf_separate(x, config)
-    return x, config, correction, weight, (init.harmonic.samples, init.percussive.samples)
+    return x, estimate_if(x, config), weight, (init.harmonic.samples, init.percussive.samples)
 
 
 def test_criterion_07_convergence():
-    x, config, correction, weight, init = _desk_problem()
+    x, if_map, weight, init = _desk_problem()
     problem = HpssProblem(
         mixture=x,
-        config=config,
-        correction=correction,
+        if_map=if_map,
         weight=weight,
         params=SolverParams(n_iters=2000),
     )

@@ -331,6 +331,10 @@ class TestBench:
                          "a duration of 0.0 s at 16000 Hz holds no sample", id="duration-0"),
             pytest.param(["--duration", "0.0001", "--sample-rate", "8000"],
                          "holds no sample", id="under-one-sample"),
+            pytest.param(["--tracks", "1", "--duration", "0.2", "--sample-rate", "8000",
+                          "--iters", "2"],
+                         "more than 1920 samples (0.24 s at 8000 Hz), got 1600",
+                         id="too-short-for-a-note"),
         ],
     )
     def test_empty_corpus_gives_args_exit(self, monkeypatch, capsys, flags, message):

@@ -83,6 +83,14 @@ class TestBssEval:
         with pytest.raises(ValueError):
             bss_eval_sources([], [], 4)
 
+    def test_filter_longer_than_signals_rejected(self, rng):
+        # the Gram matrix grows with the filter alone, so a filter longer
+        # than the signals is refused before anything is allocated
+        refs = [rng.normal(size=100), rng.normal(size=100)]
+        with pytest.raises(ValueError, match="filter_len 101 exceeds the signal length"):
+            bss_eval_sources(refs, refs, 101)
+        assert len(bss_eval_sources(refs, refs, 100)) == 2
+
 
 # The per-subset projection that bss_eval_sources replaced: each call
 # transforms its references again and builds the Gram of just that subset.

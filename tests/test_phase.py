@@ -3,7 +3,6 @@ import pytest
 
 from hpss import (
     IfMap,
-    PhaseCorrection,
     adjoint,
     build_correction,
     estimate_if,
@@ -16,6 +15,7 @@ from hpss import (
     time_diff,
     time_diff_adj,
 )
+from hpss.phase import _correction_matrix
 from hpss.stft import read_dump, write_dump
 
 from conftest import sine_signal
@@ -57,21 +57,23 @@ class TestEstimateIf:
 class TestBuildCorrection:
     def test_zero_frequency(self, small_config):
         shape = (small_config.n_bins, 10)
-        e = build_correction(IfMap(np.zeros(shape), small_config), small_config).e
+        e = _correction_matrix(IfMap(np.zeros(shape), small_config))
         np.testing.assert_allclose(e, 1.0)
 
     def test_half_turn_per_frame(self, small_config):
         # v = L / (2a) rotates by pi per frame: E = (-1)^tau
         shape = (small_config.n_bins, 8)
         v = np.full(shape, small_config.win_len / (2 * small_config.hop))
-        e = build_correction(IfMap(v, small_config), small_config).e
+        e = _correction_matrix(IfMap(v, small_config))
         expected = np.tile(np.power(-1.0, np.arange(8.0)), (shape[0], 1))
         np.testing.assert_allclose(e, expected, atol=1e-12)
 
     def test_unit_modulus_random(self, small_config, rng):
         shape = (small_config.n_bins, 300)
         v = rng.uniform(0, small_config.win_len / 2, size=shape)
-        e = build_correction(IfMap(v, small_config), small_config).e
+        if_map = IfMap(v, small_config)
+        assert np.max(np.abs(np.abs(build_correction(if_map)) - 1.0)) <= 1e-12
+        e = _correction_matrix(if_map)
         assert np.max(np.abs(np.abs(e) - 1.0)) <= 1e-12
         np.testing.assert_allclose(e[:, 0], 1.0)
 
@@ -79,68 +81,65 @@ class TestBuildCorrection:
         # reference: E as a running product renormalized frame by frame
         shape = (small_config.n_bins, 3000)
         v = rng.uniform(0, small_config.win_len / 2, size=shape)
-        corr = build_correction(IfMap(v, small_config), small_config)
+        if_map = IfMap(v, small_config)
+        steps, e = build_correction(if_map), _correction_matrix(if_map)
         ref = np.empty(shape, dtype=np.complex128)
         ref[:, 0] = 1.0
         step = np.exp(-2j * np.pi * (small_config.hop / small_config.win_len) * v)
         for tau in range(1, shape[1]):
             nxt = ref[:, tau - 1] * step[:, tau - 1]
             ref[:, tau] = nxt / np.abs(nxt)
-        np.testing.assert_array_equal(corr.step, step)
-        assert np.max(np.abs(corr.e - ref)) <= 1e-12
-        assert np.max(np.abs(np.abs(corr.e) - 1.0)) <= 1e-12
+        np.testing.assert_array_equal(steps, step)
+        assert np.max(np.abs(e - ref)) <= 1e-12
+        assert np.max(np.abs(np.abs(e) - 1.0)) <= 1e-12
 
     def test_if_map_validation(self, small_config):
         with pytest.raises(ValueError):
             IfMap(np.full((small_config.n_bins, 4), -1.0), small_config)
-        with pytest.raises(ValueError):
-            PhaseCorrection(np.full((3, 3), 2.0 + 0j))
+        with pytest.raises(ValueError, match="n_bins"):
+            IfMap(np.zeros((small_config.n_bins + 1, 4)), small_config)
 
 
-def _random_correction(config, n_frames, rng):
+def _random_if_map(config, n_frames, rng):
     v = rng.uniform(0, config.win_len / 2, size=(config.n_bins, n_frames))
-    return build_correction(IfMap(v, config), config)
+    return IfMap(v, config)
 
 
 class TestIpcOperators:
     def test_identity_correction(self, small_config, rng):
         x = rng.normal(size=400)
         spec = forward(x, small_config)
-        ones = PhaseCorrection(np.ones(spec.shape, dtype=complex))
-        np.testing.assert_array_equal(
-            ipc_forward(x, ones, small_config).data, spec.data
-        )
+        still = IfMap(np.zeros(spec.shape), small_config)  # every step is 1
+        np.testing.assert_array_equal(ipc_forward(x, still).data, spec.data)
         y = spec.with_data(rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
-        np.testing.assert_allclose(
-            ipc_adjoint(y, ones), adjoint(y), atol=1e-14
-        )
+        np.testing.assert_allclose(ipc_adjoint(y, still), adjoint(y), atol=1e-14)
 
     def test_round_trip_identity(self, small_config, rng):
         x = rng.normal(size=700)
         n_frames = small_config.n_frames(700)
-        corr = _random_correction(small_config, n_frames, rng)
-        xr = ipc_adjoint(ipc_forward(x, corr, small_config), corr)
+        if_map = _random_if_map(small_config, n_frames, rng)
+        xr = ipc_adjoint(ipc_forward(x, if_map), if_map)
         assert np.linalg.norm(xr - x) <= 1e-10 * np.linalg.norm(x)
 
     def test_adjoint_identity(self, small_config, rng):
         cfg = small_config
         n = 350
         n_frames = cfg.n_frames(n)
-        corr = _random_correction(cfg, n_frames, rng)
+        if_map = _random_if_map(cfg, n_frames, rng)
         worst = 0.0
         for _ in range(50):
             x = rng.normal(size=n)
-            spec = ipc_forward(x, corr, cfg)
+            spec = ipc_forward(x, if_map)
             y = spec.with_data(rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
             lhs = spec_inner(spec, y, cfg)
-            rhs = float(np.dot(x, ipc_adjoint(y, corr)))
+            rhs = float(np.dot(x, ipc_adjoint(y, if_map)))
             worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(x) * spec_norm(y, cfg)))
         assert worst <= 1e-8
 
     def test_zero_input(self, small_config, rng):
         n_frames = small_config.n_frames(100)
-        corr = _random_correction(small_config, n_frames, rng)
-        out = ipc_forward(np.zeros(100), corr, small_config)
+        if_map = _random_if_map(small_config, n_frames, rng)
+        out = ipc_forward(np.zeros(100), if_map)
         np.testing.assert_array_equal(out.data, 0)
 
     def test_smoothness_on_sinusoid(self):
@@ -148,8 +147,7 @@ class TestIpcOperators:
         # of a steady tone is time-constant at the peak bin
         cfg = make_config(4096, 1024)
         s = sine_signal(100.0, 3 * 44100, 4096, rate=44100)
-        corr = build_correction(estimate_if(s, cfg), cfg)
-        spec = ipc_forward(s, corr, cfg)
+        spec = ipc_forward(s, estimate_if(s, cfg))
         row = spec.data[100, 8:-8]
         resid = np.abs(np.diff(row)) / np.abs(row[:-1])
         assert resid.max() <= 1e-3

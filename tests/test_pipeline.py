@@ -225,8 +225,9 @@ class TestConfigParsing:
         assert cfg.kappa == 0.001
 
     def test_parse_rejects_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_config_text("bogus = 3")
+        for text in ("bogus = 3", "if_eps = 1e-6"):  # the IF floor is a constant
+            with pytest.raises(ValueError, match="unknown key"):
+                parse_config_text(text)
 
     @pytest.mark.parametrize("line", ["if_source = oracle-file", "record_trace = false"])
     def test_parse_rejects_run_mode_keys(self, line):

@@ -4,7 +4,6 @@ import pytest
 from hpss import (
     HpssProblem,
     IfMap,
-    PhaseCorrection,
     SolverDivergenceError,
     SolverParams,
     adjoint,
@@ -24,6 +23,7 @@ from hpss import (
     time_diff,
     time_diff_adj,
 )
+from hpss.phase import _correction_matrix
 from hpss.prox import split_sum_arrays
 from hpss.solver import _corrected_diff
 
@@ -35,7 +35,7 @@ RHO0 = 2.0**-0.5
 def make_problem(x, config, rng=None, weight=None, params=None, if_source=None):
     n_frames = config.n_frames(len(x))
     shape = (config.n_bins, n_frames)
-    corr = build_correction(estimate_if(x if if_source is None else if_source, config), config)
+    if_map = estimate_if(x if if_source is None else if_source, config)
     if weight is None:
         if rng is None:
             weight = np.ones(shape)
@@ -43,8 +43,7 @@ def make_problem(x, config, rng=None, weight=None, params=None, if_source=None):
             weight = rng.uniform(0.001, 1.0, size=shape)
     return HpssProblem(
         mixture=np.asarray(x, dtype=float),
-        config=config,
-        correction=corr,
+        if_map=if_map,
         weight=weight,
         params=params or SolverParams(),
     )
@@ -75,6 +74,15 @@ class TestParams:
             SolverParams(n_iters=-1)
 
 
+class TestProblem:
+    def test_rejects_if_map_of_other_frame_count(self, small_config):
+        x = desk_mixture()
+        shape = (small_config.n_bins, small_config.n_frames(x.size))
+        short = IfMap(np.zeros((shape[0], shape[1] - 1)), small_config)
+        with pytest.raises(ValueError, match="IF map shape"):
+            HpssProblem(mixture=x, if_map=short, weight=np.ones(shape))
+
+
 class TestApplyLh:
     def test_zero_input(self, small_config, rng):
         prob = make_problem(desk_mixture(), small_config, rng)
@@ -82,17 +90,14 @@ class TestApplyLh:
         np.testing.assert_array_equal(out.data, 0)
 
     def test_dc_annihilated_interior(self, small_config):
-        # constant signal, unit weight, unit correction: time-difference of a
+        # constant signal, unit weight, zero IF (unit steps): time-difference of a
         # time-constant spectrogram vanishes away from the edge frames
         n = 1000
         x = np.ones(n)
         shape = (small_config.n_bins, small_config.n_frames(n))
         prob = HpssProblem(
             mixture=x,
-            config=small_config,
-            correction=build_correction(
-                IfMap(np.zeros(shape), small_config), small_config
-            ),
+            if_map=IfMap(np.zeros(shape), small_config),
             weight=np.ones(shape),
         )
         out = np.abs(apply_Lh(x, prob).data)
@@ -103,8 +108,7 @@ class TestApplyLh:
         prob = make_problem(desk_mixture(), small_config, rng)
         tiny = HpssProblem(
             mixture=prob.mixture,
-            config=prob.config,
-            correction=prob.correction,
+            if_map=prob.if_map,
             weight=np.full_like(prob.weight, 1e-300),
         )
         y = forward(rng.normal(size=1000), small_config)
@@ -165,8 +169,7 @@ class TestOpnorm:
         shape = (small_config.n_bins, small_config.n_frames(x.size))
         prob = HpssProblem(
             mixture=x,
-            config=small_config,
-            correction=build_correction(IfMap(np.zeros(shape), small_config), small_config),
+            if_map=IfMap(np.zeros(shape), small_config),
             weight=np.full(shape, weight),
             params=SolverParams(mu1=1.0, mu2=product, n_iters=1, record_trace=False),
         )
@@ -191,16 +194,17 @@ class TestCorrectedDiff:
 
     @pytest.mark.parametrize("n_frames", [1, 2, 7, 300])
     def test_matches_e_form(self, rng, n_frames):
-        shape = (9, n_frames)  # K x T
-        corr = PhaseCorrection(np.exp(2j * np.pi * rng.uniform(size=shape)))
-        e = corr.e
+        config = make_config(16, 4)  # K = 9; v up to L/2 turns a step twice round
+        shape = (config.n_bins, n_frames)
+        if_map = IfMap(rng.uniform(0, 8, size=shape), config)
+        steps, e = build_correction(if_map), _correction_matrix(if_map)
         w = rng.uniform(0.001, 1.0, size=shape)
         c = 0.4
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         # frame-major, g[t] = conj(s[t-1]), as the loop holds them
         g = np.empty(shape[::-1], dtype=complex)
-        g[1:] = np.conj(corr.step[:, :-1].T)
+        g[1:] = np.conj(steps[:, :-1].T)
         scratch = np.empty_like(g)
 
         got = _corrected_diff(x.T.copy(), g, c * w.T, np.empty_like(g), scratch)
@@ -218,10 +222,7 @@ class TestRun:
         shape = (small_config.n_bins, small_config.n_frames(n))
         prob = HpssProblem(
             mixture=np.zeros(n),
-            config=small_config,
-            correction=build_correction(
-                IfMap(np.zeros(shape), small_config), small_config
-            ),
+            if_map=IfMap(np.zeros(shape), small_config),
             weight=np.ones(shape),
             params=SolverParams(n_iters=20),
         )
@@ -239,8 +240,7 @@ class TestRun:
             for k in range(1, 26, 4):
                 prob = HpssProblem(
                     mixture=prob_base.mixture,
-                    config=prob_base.config,
-                    correction=prob_base.correction,
+                    if_map=prob_base.if_map,
                     weight=prob_base.weight,
                     params=SolverParams(n_iters=k, record_trace=False),
                 )
@@ -269,6 +269,24 @@ class TestRun:
         np.testing.assert_allclose(pair.harmonic.samples, x_h0, atol=1e-12)
         assert len(trace) == 0
 
+    @pytest.mark.parametrize("n_iters, builds", [(0, 0), (2, 1)])
+    def test_steps_built_once_per_iterating_run(
+        self, small_config, rng, monkeypatch, n_iters, builds
+    ):
+        import hpss.solver
+
+        calls = []
+
+        def counted(if_map):
+            calls.append(if_map)
+            return build_correction(if_map)
+
+        monkeypatch.setattr(hpss.solver, "build_correction", counted)
+        x = desk_mixture()
+        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=n_iters))
+        run(prob, (np.zeros(x.size), x.copy()))
+        assert len(calls) == builds and all(m is prob.if_map for m in calls)
+
     def test_extreme_sparsity_collapses_percussive(self):
         # the percussive branch vanishes as the sparsity weight grows
         config = make_config(64, 16)
@@ -280,8 +298,7 @@ class TestRun:
         weight = 0.001 / np.maximum(0.001, mag / mag.max())
         prob = HpssProblem(
             mixture=x,
-            config=config,
-            correction=build_correction(estimate_if(x, config), config),
+            if_map=estimate_if(x, config),
             weight=weight,
             params=SolverParams(lam=1e6, n_iters=300, record_trace=False),
         )
@@ -304,8 +321,7 @@ class TestRun:
         weight = 0.001 / np.maximum(0.001, mag / mag.max())
         prob = HpssProblem(
             mixture=x,
-            config=config,
-            correction=build_correction(estimate_if(x, config), config),
+            if_map=estimate_if(x, config),
             weight=weight,
             params=SolverParams(record_trace=False),
         )
@@ -319,8 +335,7 @@ class TestRun:
         shape = (small_config.n_bins, small_config.n_frames(n))
         prob = HpssProblem(
             mixture=x,
-            config=small_config,
-            correction=build_correction(estimate_if(x, small_config), small_config),
+            if_map=estimate_if(x, small_config),
             weight=np.ones(shape),
             params=SolverParams(mu1=40.0, n_iters=3, record_trace=False),
         )
@@ -352,20 +367,18 @@ class TestRun:
         assert err.value.iteration >= 1
 
     def test_fixed_point_invariance(self):
-        # an exact stationary construction: steady on-bin tone, correction
-        # built from a constant frequency map, duals at their closed-form
-        # stationary values; one iteration must not move it
+        # an exact stationary construction: steady on-bin tone, constant
+        # frequency map, duals at their closed-form stationary values; one
+        # iteration must not move it
         config = make_config(64, 16)
         n = 512
         x = sine_signal(8.0, n, 64).samples
         shape = (config.n_bins, config.n_frames(n))
-        corr = build_correction(IfMap(np.full(shape, 8.0), config), config)
         mag = np.abs(forward(x, config).data)
         weight = 0.001 / np.maximum(0.001, mag / mag.max())
         params = SolverParams(n_iters=1, record_trace=False)
-        prob = HpssProblem(
-            mixture=x, config=config, correction=corr, weight=weight, params=params
-        )
+        if_map = IfMap(np.full(shape, 8.0), config)
+        prob = HpssProblem(mixture=x, if_map=if_map, weight=weight, params=params)
         pair, _ = run(prob, (x.copy(), np.zeros(n)))
         inc = np.linalg.norm(pair.harmonic.samples - x)
         assert inc <= 1e-9 * np.linalg.norm(x)
@@ -428,7 +441,7 @@ def two_variable_reference(problem, init):
     x = problem.mixture
     x_h, x_p = split_sum_arrays(x, *init)
     y_h = apply_Lh(np.zeros(x.size), problem)
-    y_p = forward(np.zeros(x.size), problem.config)
+    y_p = forward(np.zeros(x.size), problem.if_map.config)
     lam_mu2 = p.lam * p.mu2
     rows = []
     for _ in range(p.n_iters):
@@ -436,7 +449,7 @@ def two_variable_reference(problem, init):
         g_p = x_p - p.mu1 * adjoint(y_p)
         t_h, t_p = split_sum_arrays(x, g_h, g_p)
         z_h = y_h.data + apply_Lh(2.0 * t_h - x_h, problem).data
-        z_p = y_p.data + forward(2.0 * t_p - x_p, problem.config).data
+        z_p = y_p.data + forward(2.0 * t_p - x_p, problem.if_map.config).data
         yt_h = z_h - p.mu2 * prox_sq_fro(z_h / p.mu2, 1.0 / p.mu2)
         yt_p = z_p - lam_mu2 * prox_l21(z_p / lam_mu2, 1.0 / p.mu2)
         new_h = p.alpha * t_h + (1.0 - p.alpha) * x_h
@@ -446,7 +459,7 @@ def two_variable_reference(problem, init):
         y_h = y_h.with_data(p.alpha * yt_h + (1.0 - p.alpha) * y_h.data)
         y_p = y_p.with_data(p.alpha * yt_p + (1.0 - p.alpha) * y_p.data)
         smooth = 0.5 * np.sum(np.abs(apply_Lh(x_h, problem).data) ** 2)
-        sparse = p.lam * l21_norm(forward(x_p, problem.config).data)
+        sparse = p.lam * l21_norm(forward(x_p, problem.if_map.config).data)
         rows.append((smooth + sparse, smooth, sparse, inc))
     return x_h, np.array(rows)
 

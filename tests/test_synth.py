@@ -8,7 +8,7 @@ difference through, but a changed draw order or constant fails.
 import numpy as np
 import pytest
 
-from hpss.synth import bench_corpus, criterion_mixture
+from hpss.synth import bench_corpus, criterion_mixture, melody_stem
 
 # (length, energy, first 8 samples) per stem
 CORPUS = [
@@ -74,3 +74,13 @@ def test_criterion_mixture_is_pinned():
     track = criterion_mixture(0, sample_rate=8000, duration=0.5, win_len=256)
     assert track.name == "sine-plus-bursts"
     check_stems(track, CRITERION)
+
+
+def test_melody_too_short_for_a_note_draws_nothing():
+    # 2 int(0.12 rate) samples hold no note: refused before the first draw
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="more than 1920 samples"):
+        melody_stem(rng, 1920, 8000)
+    assert rng.uniform() == np.random.default_rng(0).uniform()
+    harm, onsets = melody_stem(rng, 1921, 8000)
+    assert onsets == [0] and np.any(harm)
