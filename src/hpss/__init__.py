@@ -14,37 +14,11 @@ __version__ = "0.1.0"
 from .audio_io import Signal, read_wav, write_wav
 from .baseline import MedianConfig, compute_weight, median_filter_hpss, mf_separate
 from .metrics import EvalResult, bss_eval, bss_eval_sources
-from .phase import (
-    IfMap,
-    build_correction,
-    estimate_if,
-    ipc_adjoint,
-    ipc_forward,
-    time_diff,
-    time_diff_adj,
-)
+from .phase import IfMap, build_correction, estimate_if
 from .pipeline import HpssConfig, load_config, parse_config_text, separate
-from .prox import SignalPair, l21_norm, prox_l21, prox_sq_fro
-from .solver import (
-    HpssProblem,
-    SolverDivergenceError,
-    SolverParams,
-    SolverTrace,
-    apply_Lh,
-    apply_Lh_adj,
-    objective,
-    run,
-)
-from .stft import (
-    Spectrogram,
-    StftConfig,
-    adjoint,
-    forward,
-    make_config,
-    make_hann,
-    spec_inner,
-    spec_norm,
-)
+from .prox import SignalPair
+from .solver import HpssProblem, SolverDivergenceError, SolverParams, SolverTrace, run
+from .stft import Spectrogram, StftConfig, adjoint, forward, make_config
 
 __all__ = [
     "EvalResult",
@@ -60,32 +34,19 @@ __all__ = [
     "Spectrogram",
     "StftConfig",
     "adjoint",
-    "apply_Lh",
-    "apply_Lh_adj",
     "bss_eval",
     "bss_eval_sources",
     "build_correction",
     "compute_weight",
     "estimate_if",
     "forward",
-    "ipc_adjoint",
-    "ipc_forward",
-    "l21_norm",
     "load_config",
     "make_config",
-    "make_hann",
     "median_filter_hpss",
     "mf_separate",
-    "objective",
     "parse_config_text",
-    "prox_l21",
-    "prox_sq_fro",
     "read_wav",
     "run",
     "separate",
-    "spec_inner",
-    "spec_norm",
-    "time_diff",
-    "time_diff_adj",
     "write_wav",
 ]

@@ -26,8 +26,11 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
     """
     if n_tracks < 1:
         raise ValueError(f"the benchmark needs at least one track, got {n_tracks}")
-    if int(sample_rate * duration) < 1:
+    n_samples = int(sample_rate * duration)
+    if n_samples < 1:
         raise ValueError(f"a duration of {duration} s at {sample_rate} Hz holds no sample")
+    if filter_len > n_samples:
+        raise ValueError(f"filter_len {filter_len} exceeds the track length {n_samples}")
     if cfg is None:
         cfg = HpssConfig(win_len=1024, hop=256)
     cfg = replace(cfg, solver=replace(cfg.solver, record_trace=bool(out_dir)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import as_samples
-from .stft import Spectrogram, StftConfig, adjoint, forward
+from .stft import Spectrogram, StftConfig, forward
 
 # bins below this fraction of the peak magnitude keep their own frequency
 _IF_EPS = 1e-6
@@ -76,43 +76,4 @@ def build_correction(if_map: IfMap) -> np.ndarray:
     column is unused. Steps of a valid IF map have unit modulus."""
     config = if_map.config
     return np.exp(-2j * np.pi * (config.hop / config.win_len) * if_map.v)
-
-
-def _correction_matrix(if_map: IfMap) -> np.ndarray:
-    """E[:, 0] = 1, E[:, t] = E[:, t-1] s[:, t-1] for the map's steps s,
-    renormalized to unit modulus."""
-    e = np.cumprod(np.insert(build_correction(if_map)[:, :-1], 0, 1.0, axis=1), axis=1)
-    return np.divide(e, np.abs(e), out=e)
-
-
-def ipc_forward(x, if_map: IfMap) -> Spectrogram:
-    """Phase-corrected STFT: E applied elementwise to the plain transform."""
-    spec = forward(x, if_map.config)
-    if if_map.v.shape != spec.shape:
-        raise ValueError("IF map shape does not match the spectrogram")
-    return spec.with_data(_correction_matrix(if_map) * spec.data)
-
-
-def ipc_adjoint(spec: Spectrogram, if_map: IfMap) -> np.ndarray:
-    """Adjoint of ``ipc_forward``: conjugate correction, then the STFT adjoint."""
-    if if_map.v.shape != spec.shape:
-        raise ValueError("IF map shape does not match the spectrogram")
-    return adjoint(spec.with_data(np.conj(_correction_matrix(if_map)) * spec.data))
-
-
-def time_diff(data: np.ndarray) -> np.ndarray:
-    """Forward difference along time with a zero first column."""
-    data = np.asarray(data)
-    out = np.zeros_like(data)
-    np.subtract(data[:, 1:], data[:, :-1], out=out[:, 1:])
-    return out
-
-
-def time_diff_adj(data: np.ndarray) -> np.ndarray:
-    """Adjoint of ``time_diff``: negated backward difference, matching boundary."""
-    data = np.asarray(data)
-    out = np.zeros_like(data)
-    out[:, :-1] -= data[:, 1:]
-    out[:, 1:] += data[:, 1:]
-    return out
 

@@ -115,9 +115,8 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
         weight=weight,
         params=cfg.solver,
     )
-    pair, trace = run(problem, (x_h0, xs - x_h0))
-
-    x_h = pair.harmonic.samples / gain
+    x_h, trace = run(problem, x_h0)
+    x_h = x_h / gain
     x_p = samples - x_h
     return SignalPair(Signal(x_h, rate), Signal(x_p, rate)), trace
 

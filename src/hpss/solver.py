@@ -24,17 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import Signal, as_samples
-from .phase import (
-    IfMap,
-    build_correction,
-    ipc_adjoint,
-    ipc_forward,
-    time_diff,
-    time_diff_adj,
-)
-from .prox import SignalPair, l21_norm, split_sum_arrays
-from .stft import Spectrogram, StftPlan, forward
+from .audio_io import as_samples
+from .phase import IfMap, build_correction
+from .stft import StftPlan
 
 
 class SolverDivergenceError(RuntimeError):
@@ -112,18 +104,6 @@ class HpssProblem:
             raise ValueError("weight entries must lie in (0, 1]")
 
 
-def apply_Lh(x_h, problem: HpssProblem) -> Spectrogram:
-    """Smoothness operator: W o D_t(F_ipc(x_h))."""
-    spec = ipc_forward(as_samples(x_h), problem.if_map)
-    return spec.with_data(problem.weight * time_diff(spec.data))
-
-
-def apply_Lh_adj(spec: Spectrogram, problem: HpssProblem) -> np.ndarray:
-    """Adjoint of ``apply_Lh``: F_ipc^* ( D_t^* (W o Y) )."""
-    data = time_diff_adj(problem.weight * spec.data)
-    return ipc_adjoint(spec.with_data(data), problem.if_map)
-
-
 def _check_step_sizes(problem: HpssProblem) -> None:
     # provable bound |L|^2 <= max(1, 4 max(W)^2): F is a tight frame,
     # |E| = 1 and |D_t| <= 2; the defaults sit on it (1 * 0.25 * 4 = 1)
@@ -138,43 +118,31 @@ def _check_step_sizes(problem: HpssProblem) -> None:
         )
 
 
-def objective(pair, problem: HpssProblem):
-    """Evaluate (total, smooth_term, sparse_term) at the arrays (x_h, x_p)."""
-    x_h, x_p = (as_samples(p) for p in pair)
-    x = problem.mixture
-    gap = np.linalg.norm(x - x_h - x_p)
-    if gap > 1e-9 * max(np.linalg.norm(x), 1.0):
-        raise ValueError("pair violates the exact-sum constraint")
-    smooth = 0.5 * float(np.sum(np.abs(apply_Lh(x_h, problem).data) ** 2))
-    sparse = problem.params.lam * l21_norm(forward(x_p, problem.if_map.config).data)
-    return smooth + sparse, smooth, sparse
-
-
 def _frame_norms(data: np.ndarray) -> np.ndarray:
     """Per-frame l2 norms of a frame-major complex array."""
     return np.sqrt(np.einsum("ij,ij->i", data.view(np.float64), data.view(np.float64)))
 
 
-def run(problem: HpssProblem, init):
-    """Run the primal-dual iteration from an initial pair of arrays (x_h, x_p).
+def run(problem: HpssProblem, x_h0):
+    """Run the primal-dual iteration from the initial harmonic part ``x_h0``.
 
-    The initial pair is projected onto the exact-sum constraint and both duals
-    start at zero. Returns the final pair, a ``SignalPair`` at rate 1 that sums
-    to the mixture bit-exactly, and the trace.
+    The percussive part is x - x_h at every iterate, and both duals start at
+    zero. Returns the final x_h and the trace; at 0 iterations x_h is the
+    samples of ``x_h0``, untouched.
 
     A mixture handed to ``run`` directly with energy near the float64 limit
     (|x| of about 1e150 or more) is reported as diverged: divergence is a
     non-finite ``x_h @ x_h``. ``separate`` normalizes its input, so it never is.
     """
     p = problem.params
-    x = problem.mixture
-    x_h, _ = split_sum_arrays(x, *(as_samples(v) for v in init))
+    x_h = as_samples(x_h0)
+    if x_h.shape != problem.mixture.shape:
+        raise ValueError("initial x_h length does not match the mixture")
     rows = np.empty((p.n_iters if p.record_trace else 0, 4))
     if p.n_iters > 0:
         _check_step_sizes(problem)
         x_h = _iterate(problem, x_h, rows if p.record_trace else None)
-    pair = SignalPair(Signal(x_h, 1), Signal(x - x_h, 1))
-    return pair, SolverTrace(*np.ascontiguousarray(rows.T))
+    return x_h, SolverTrace(*np.ascontiguousarray(rows.T))
 
 
 def _corrected_diff(data, g, w, out, scratch, adjoint=False):

@@ -2,9 +2,9 @@
 
 The transform uses a canonical tight window, frames centered at multiples
 of the hop, and circular extension of the (hop-aligned zero-padded)
-signal. Under the weighted spectrogram inner product implemented by
-``spec_inner`` the adjoint is an exact inverse: ``adjoint(forward(x)) == x``
-to machine precision for any signal length.
+signal. Under the spectrogram inner product that weights the one-sided
+bins by [1, 2, ..., 2, 1] / L, the adjoint is an exact inverse:
+``adjoint(forward(x)) == x`` to machine precision for any signal length.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ from .audio_io import as_samples
 
 # dump magic by payload kind: complex (re/im interleaved) or real
 _DUMP_MAGIC = {True: b"HPSSSPC1", False: b"HPSSIFM1"}
-
-
-def make_hann(win_len: int) -> np.ndarray:
-    """Periodic Hann window: 0.5 - 0.5*cos(2*pi*l/L), l = 0..L-1."""
-    if win_len < 2:
-        raise ValueError("window length must be >= 2")
-    l = np.arange(win_len)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * l / win_len)
 
 
 def tight_normalizer(window: np.ndarray, hop: int) -> np.ndarray:
@@ -68,9 +60,10 @@ class StftConfig:
             raise ValueError("hop must lie in [1, win_len]")
         if self.win_len % self.hop != 0:
             raise ValueError("hop must divide win_len")
-        proto = make_hann(self.win_len)
-        den = tight_normalizer(proto, self.hop)
+        # periodic Hann prototype
         l = np.arange(self.win_len)
+        proto = 0.5 - 0.5 * np.cos(2.0 * np.pi * l / self.win_len)
+        den = tight_normalizer(proto, self.hop)
         object.__setattr__(self, "window", proto / den)
         # analytic Hann derivative (pi/L) sin(2 pi l / L), scaled by L/(2 pi)
         object.__setattr__(
@@ -80,14 +73,6 @@ class StftConfig:
     @property
     def n_bins(self) -> int:
         return self.win_len // 2 + 1
-
-    @property
-    def bin_weights(self) -> np.ndarray:
-        """One-sided bin weights [1, 2, ..., 2, 1] / L of the inner product."""
-        w = np.full(self.n_bins, 2.0)
-        w[0] = 1.0
-        w[-1] = 1.0
-        return w / self.win_len
 
     def n_frames(self, n_samples: int) -> int:
         return -(-n_samples // self.hop)
@@ -214,20 +199,8 @@ def forward(x, config: StftConfig, window: np.ndarray | None = None) -> Spectrog
 
 
 def adjoint(spec: Spectrogram) -> np.ndarray:
-    """Exact adjoint of ``forward`` under ``spec_inner``; inverse for tight windows."""
+    """Exact adjoint of ``forward`` under the bin-weighted inner product."""
     return StftPlan(spec.config, spec.n_samples).adjoint(spec.data.T)
-
-
-def spec_inner(a, b, config: StftConfig) -> float:
-    """Real inner product on spectrograms with one-sided bin weighting."""
-    da = a.data if isinstance(a, Spectrogram) else np.asarray(a)
-    db = b.data if isinstance(b, Spectrogram) else np.asarray(b)
-    w = config.bin_weights
-    return float(np.sum(w[:, None] * np.real(da * np.conj(db))))
-
-
-def spec_norm(a, config: StftConfig) -> float:
-    return float(np.sqrt(max(spec_inner(a, a, config), 0.0)))
 
 
 def write_dump(path, data: np.ndarray, config: StftConfig) -> None:

@@ -346,6 +346,26 @@ class TestBench:
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
 
+    def test_filter_len_checked_before_any_separation(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(hpss.bench, "separate", counted("separate", separate))
+        monkeypatch.setattr(hpss.bench, "mf_separate",
+                            counted("mf_separate", hpss.bench.mf_separate))
+        with pytest.raises(ValueError, match="filter_len 100000 exceeds"):
+            hpss.bench.run_bench(n_tracks=1, sample_rate=8000, duration=0.5,
+                                 filter_len=100000,
+                                 cfg=HpssConfig(win_len=256, hop=64,
+                                                solver=SolverParams(n_iters=2)))
+        assert calls == []
+
 
 class TestDumpSpec:
     def test_defaults_are_the_default_config(self):

@@ -1,24 +1,19 @@
 import numpy as np
 import pytest
 
-from hpss import (
-    IfMap,
-    adjoint,
-    build_correction,
-    estimate_if,
-    forward,
+from hpss import IfMap, adjoint, build_correction, estimate_if, forward, make_config
+from hpss.stft import read_dump, write_dump
+
+from conftest import sine_signal
+from reference import (
+    correction_matrix,
     ipc_adjoint,
     ipc_forward,
-    make_config,
     spec_inner,
     spec_norm,
     time_diff,
     time_diff_adj,
 )
-from hpss.phase import _correction_matrix
-from hpss.stft import read_dump, write_dump
-
-from conftest import sine_signal
 
 
 class TestEstimateIf:
@@ -57,14 +52,14 @@ class TestEstimateIf:
 class TestBuildCorrection:
     def test_zero_frequency(self, small_config):
         shape = (small_config.n_bins, 10)
-        e = _correction_matrix(IfMap(np.zeros(shape), small_config))
+        e = correction_matrix(IfMap(np.zeros(shape), small_config))
         np.testing.assert_allclose(e, 1.0)
 
     def test_half_turn_per_frame(self, small_config):
         # v = L / (2a) rotates by pi per frame: E = (-1)^tau
         shape = (small_config.n_bins, 8)
         v = np.full(shape, small_config.win_len / (2 * small_config.hop))
-        e = _correction_matrix(IfMap(v, small_config))
+        e = correction_matrix(IfMap(v, small_config))
         expected = np.tile(np.power(-1.0, np.arange(8.0)), (shape[0], 1))
         np.testing.assert_allclose(e, expected, atol=1e-12)
 
@@ -73,7 +68,7 @@ class TestBuildCorrection:
         v = rng.uniform(0, small_config.win_len / 2, size=shape)
         if_map = IfMap(v, small_config)
         assert np.max(np.abs(np.abs(build_correction(if_map)) - 1.0)) <= 1e-12
-        e = _correction_matrix(if_map)
+        e = correction_matrix(if_map)
         assert np.max(np.abs(np.abs(e) - 1.0)) <= 1e-12
         np.testing.assert_allclose(e[:, 0], 1.0)
 
@@ -82,7 +77,7 @@ class TestBuildCorrection:
         shape = (small_config.n_bins, 3000)
         v = rng.uniform(0, small_config.win_len / 2, size=shape)
         if_map = IfMap(v, small_config)
-        steps, e = build_correction(if_map), _correction_matrix(if_map)
+        steps, e = build_correction(if_map), correction_matrix(if_map)
         ref = np.empty(shape, dtype=np.complex128)
         ref[:, 0] = 1.0
         step = np.exp(-2j * np.pi * (small_config.hop / small_config.win_len) * v)

@@ -262,3 +262,19 @@ class TestConfigParsing:
             HpssConfig(if_source="nope")
         with pytest.raises(ValueError):
             HpssConfig(kappa=-1.0)
+
+
+def test_public_names():
+    # what separate, mf_separate, the CLI and the benchmark use; the
+    # operator-level reference model lives in tests/reference.py
+    import hpss
+
+    assert sorted(hpss.__all__) == [
+        "EvalResult", "HpssConfig", "HpssProblem", "IfMap", "MedianConfig", "Signal",
+        "SignalPair", "SolverDivergenceError", "SolverParams", "SolverTrace",
+        "Spectrogram", "StftConfig", "adjoint", "bss_eval", "bss_eval_sources",
+        "build_correction", "compute_weight", "estimate_if", "forward", "load_config",
+        "make_config", "median_filter_hpss", "mf_separate", "parse_config_text",
+        "read_wav", "run", "separate", "write_wav",
+    ]
+    assert all(hasattr(hpss, name) for name in hpss.__all__)

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from hpss import l21_norm, prox_l21, prox_sq_fro
-from hpss.prox import split_sum_arrays
+from reference import l21_norm, prox_l21, prox_sq_fro, split_sum_arrays
 
 
 class TestProjectSum:

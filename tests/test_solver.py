@@ -7,27 +7,27 @@ from hpss import (
     SolverDivergenceError,
     SolverParams,
     adjoint,
-    apply_Lh,
-    apply_Lh_adj,
     build_correction,
     estimate_if,
     forward,
-    l21_norm,
     make_config,
-    objective,
-    prox_l21,
-    prox_sq_fro,
     run,
-    spec_inner,
-    spec_norm,
-    time_diff,
-    time_diff_adj,
 )
-from hpss.phase import _correction_matrix
-from hpss.prox import split_sum_arrays
 from hpss.solver import _corrected_diff
 
 from conftest import sine_signal
+from reference import (
+    apply_Lh,
+    apply_Lh_adj,
+    correction_matrix,
+    objective,
+    spec_inner,
+    spec_norm,
+    split_sum_arrays,
+    time_diff,
+    time_diff_adj,
+    two_variable_reference,
+)
 
 RHO0 = 2.0**-0.5
 
@@ -175,7 +175,7 @@ class TestOpnorm:
         )
         with warnings_mod.catch_warnings(record=True) as caught:
             warnings_mod.simplefilter("always")
-            run(prob, (np.zeros(x.size), x.copy()))
+            run(prob, np.zeros(x.size))
         assert any("step-size product" in str(w.message) for w in caught) == warns
 
     def test_criterion_mixture_above_bound_warns(self):
@@ -197,7 +197,7 @@ class TestCorrectedDiff:
         config = make_config(16, 4)  # K = 9; v up to L/2 turns a step twice round
         shape = (config.n_bins, n_frames)
         if_map = IfMap(rng.uniform(0, 8, size=shape), config)
-        steps, e = build_correction(if_map), _correction_matrix(if_map)
+        steps, e = build_correction(if_map), correction_matrix(if_map)
         w = rng.uniform(0.001, 1.0, size=shape)
         c = 0.4
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -226,9 +226,9 @@ class TestRun:
             weight=np.ones(shape),
             params=SolverParams(n_iters=20),
         )
-        pair, trace = run(prob, (np.zeros(n), np.zeros(n)))
-        assert np.max(np.abs(pair.harmonic.samples)) == 0.0
-        assert np.max(np.abs(pair.percussive.samples)) == 0.0
+        x_h, trace = run(prob, np.zeros(n))
+        assert np.max(np.abs(x_h)) == 0.0
+        assert np.max(np.abs(prob.mixture - x_h)) == 0.0
         np.testing.assert_array_equal(trace.total, 0.0)
 
     def test_constraint_after_every_iteration(self, small_config, rng):
@@ -236,7 +236,7 @@ class TestRun:
         for seed in range(5):
             x = desk_mixture(seed=seed)
             prob_base = make_problem(x, small_config, rng)
-            init = (rng.normal(size=x.size), rng.normal(size=x.size))
+            init, _ = split_sum_arrays(x, rng.normal(size=x.size), rng.normal(size=x.size))
             for k in range(1, 26, 4):
                 prob = HpssProblem(
                     mixture=prob_base.mixture,
@@ -244,20 +244,25 @@ class TestRun:
                     weight=prob_base.weight,
                     params=SolverParams(n_iters=k, record_trace=False),
                 )
-                pair, _ = run(prob, init)
-                gap = np.max(
-                    np.abs(x - pair.harmonic.samples - pair.percussive.samples)
-                )
+                x_h, _ = run(prob, init)
+                x_p = x - x_h  # as separate forms it
+                gap = np.max(np.abs(x - x_h - x_p))
                 assert gap <= 1e-12 * np.max(np.abs(x))
 
     def test_deterministic(self, small_config, rng):
         x = desk_mixture()
         prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=30))
-        init = (np.zeros(x.size), x.copy())
-        pair1, trace1 = run(prob, init)
-        pair2, trace2 = run(prob, init)
-        np.testing.assert_array_equal(pair1.harmonic.samples, pair2.harmonic.samples)
+        x_h1, trace1 = run(prob, np.zeros(x.size))
+        x_h2, trace2 = run(prob, np.zeros(x.size))
+        np.testing.assert_array_equal(x_h1, x_h2)
         np.testing.assert_array_equal(trace1.total, trace2.total)
+
+    @pytest.mark.parametrize("n_iters", [0, 2])
+    def test_rejects_initial_x_h_of_other_length(self, small_config, rng, n_iters):
+        x = desk_mixture()
+        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=n_iters))
+        with pytest.raises(ValueError, match="initial x_h length"):
+            run(prob, np.zeros(x.size - 1))
 
     def test_zero_iterations_passthrough(self, small_config, rng):
         x = desk_mixture()
@@ -265,8 +270,8 @@ class TestRun:
             x, small_config, rng, params=SolverParams(n_iters=0)
         )
         x_h0 = rng.normal(size=x.size)
-        pair, trace = run(prob, (x_h0, x - x_h0))
-        np.testing.assert_allclose(pair.harmonic.samples, x_h0, atol=1e-12)
+        x_h, trace = run(prob, x_h0)
+        np.testing.assert_array_equal(x_h, x_h0)
         assert len(trace) == 0
 
     @pytest.mark.parametrize("n_iters, builds", [(0, 0), (2, 1)])
@@ -284,7 +289,7 @@ class TestRun:
         monkeypatch.setattr(hpss.solver, "build_correction", counted)
         x = desk_mixture()
         prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=n_iters))
-        run(prob, (np.zeros(x.size), x.copy()))
+        run(prob, np.zeros(x.size))
         assert len(calls) == builds and all(m is prob.if_map for m in calls)
 
     def test_extreme_sparsity_collapses_percussive(self):
@@ -302,8 +307,8 @@ class TestRun:
             weight=weight,
             params=SolverParams(lam=1e6, n_iters=300, record_trace=False),
         )
-        pair, _ = run(prob, (np.zeros(n), x.copy()))
-        ratio = np.sum(pair.percussive.samples**2) / np.sum(x**2)
+        x_h, _ = run(prob, np.zeros(n))
+        ratio = np.sum((x - x_h) ** 2) / np.sum(x**2)
         assert ratio <= 1e-6
 
     def test_on_bin_sinusoid_keeps_percussive_small(self):
@@ -326,8 +331,8 @@ class TestRun:
             params=SolverParams(record_trace=False),
         )
         init = mf_separate(x, config)
-        pair, _ = run(prob, (init.harmonic.samples, init.percussive.samples))
-        assert np.sum(pair.percussive.samples**2) <= 0.01 * np.sum(x**2)
+        x_h, _ = run(prob, init.harmonic.samples)
+        assert np.sum((x - x_h) ** 2) <= 0.01 * np.sum(x**2)
 
     def test_step_size_warning_without_divergence(self, small_config, rng):
         x = desk_mixture()
@@ -340,8 +345,8 @@ class TestRun:
             params=SolverParams(mu1=40.0, n_iters=3, record_trace=False),
         )
         with pytest.warns(UserWarning, match="step-size"):
-            pair, _ = run(prob, (np.zeros(n), x.copy()))
-        assert np.all(np.isfinite(pair.harmonic.samples))
+            x_h, _ = run(prob, np.zeros(n))
+        assert np.all(np.isfinite(x_h))
 
     def test_no_warning_at_defaults(self, small_config, rng):
         import warnings as warnings_mod
@@ -350,7 +355,7 @@ class TestRun:
         prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=2))
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
-            run(prob, (np.zeros(x.size), x.copy()))
+            run(prob, np.zeros(x.size))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detection(self, small_config, rng):
@@ -363,7 +368,7 @@ class TestRun:
         )
         with pytest.warns(UserWarning, match="step-size"):
             with pytest.raises(SolverDivergenceError) as err:
-                run(prob, (np.zeros(x.size), x.copy()))
+                run(prob, np.zeros(x.size))
         assert err.value.iteration >= 1
 
     def test_fixed_point_invariance(self):
@@ -379,8 +384,8 @@ class TestRun:
         params = SolverParams(n_iters=1, record_trace=False)
         if_map = IfMap(np.full(shape, 8.0), config)
         prob = HpssProblem(mixture=x, if_map=if_map, weight=weight, params=params)
-        pair, _ = run(prob, (x.copy(), np.zeros(n)))
-        inc = np.linalg.norm(pair.harmonic.samples - x)
+        x_h, _ = run(prob, x.copy())
+        inc = np.linalg.norm(x_h - x)
         assert inc <= 1e-9 * np.linalg.norm(x)
 
 
@@ -417,7 +422,7 @@ class TestTrace:
     def test_csv_export(self, tmp_path, small_config, rng):
         x = desk_mixture()
         prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=5))
-        _, trace = run(prob, (np.zeros(x.size), x.copy()))
+        _, trace = run(prob, np.zeros(x.size))
         assert len(trace) == 5
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
@@ -429,54 +434,18 @@ class TestTrace:
         assert float(first[1]) == pytest.approx(trace.total[0])
 
 
-def two_variable_reference(problem, init):
-    """The paper's iteration over the pair (x_h, x_p), step by step.
-
-    Each iteration projects the primal gradient step onto the exact-sum
-    constraint, takes both dual ascent steps with Moreau-form proximal
-    updates, and relaxes primal and dual; the trace evaluates the
-    objective of every iterate directly.
-    """
-    p = problem.params
-    x = problem.mixture
-    x_h, x_p = split_sum_arrays(x, *init)
-    y_h = apply_Lh(np.zeros(x.size), problem)
-    y_p = forward(np.zeros(x.size), problem.if_map.config)
-    lam_mu2 = p.lam * p.mu2
-    rows = []
-    for _ in range(p.n_iters):
-        g_h = x_h - p.mu1 * apply_Lh_adj(y_h, problem)
-        g_p = x_p - p.mu1 * adjoint(y_p)
-        t_h, t_p = split_sum_arrays(x, g_h, g_p)
-        z_h = y_h.data + apply_Lh(2.0 * t_h - x_h, problem).data
-        z_p = y_p.data + forward(2.0 * t_p - x_p, problem.if_map.config).data
-        yt_h = z_h - p.mu2 * prox_sq_fro(z_h / p.mu2, 1.0 / p.mu2)
-        yt_p = z_p - lam_mu2 * prox_l21(z_p / lam_mu2, 1.0 / p.mu2)
-        new_h = p.alpha * t_h + (1.0 - p.alpha) * x_h
-        new_p = p.alpha * t_p + (1.0 - p.alpha) * x_p
-        inc = np.sqrt(np.sum((new_h - x_h) ** 2) + np.sum((new_p - x_p) ** 2))
-        x_h, x_p = new_h, new_p
-        y_h = y_h.with_data(p.alpha * yt_h + (1.0 - p.alpha) * y_h.data)
-        y_p = y_p.with_data(p.alpha * yt_p + (1.0 - p.alpha) * y_p.data)
-        smooth = 0.5 * np.sum(np.abs(apply_Lh(x_h, problem).data) ** 2)
-        sparse = p.lam * l21_norm(forward(x_p, problem.if_map.config).data)
-        rows.append((smooth + sparse, smooth, sparse, inc))
-    return x_h, np.array(rows)
-
-
 class TestEquivalence:
     def test_matches_two_variable_iteration(self, small_config, rng):
         x = desk_mixture()
         prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=50))
         init = (rng.normal(size=x.size), rng.normal(size=x.size))  # infeasible
         ref_h, ref_rows = two_variable_reference(prob, init)
-        pair, trace = run(prob, init)
-        got_h = pair.harmonic.samples
+        got_h, trace = run(prob, split_sum_arrays(x, *init)[0])
         assert np.max(np.abs(got_h - ref_h)) <= 1e-12 * np.max(np.abs(ref_h))
         columns = (trace.total, trace.smooth, trace.sparse, trace.primal_increment)
         for col, ref in zip(columns, ref_rows.T):
             np.testing.assert_allclose(col, ref, rtol=1e-10, atol=0)
-        total, _, _ = objective((got_h, pair.percussive.samples), prob)
+        total, _, _ = objective((got_h, x - got_h), prob)
         assert trace.total[-1] == pytest.approx(total, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize(
@@ -512,7 +481,7 @@ class TestEquivalence:
         monkeypatch.setattr(
             hpss.stft.Spectrogram, "__post_init__", counted("spectrogram", post_init)
         )
-        run(prob, (np.zeros(x.size), x.copy()))
+        run(prob, np.zeros(x.size))
         # with the trace on, F(x) and F(x_h0) are the only transforms outside the loop
         extra = 2 if n_iters else 0
         expected = {"forward": n_iters + extra, "adjoint": n_iters, "spectrogram": 0}
@@ -530,20 +499,20 @@ class TestEquivalence:
 
         captured = []
 
-        def capture(problem, init):
-            captured.append((problem, init))
-            return run(problem, init)
+        def capture(problem, x_h0):
+            captured.append((problem, x_h0))
+            return run(problem, x_h0)
 
         monkeypatch.setattr(hpss.pipeline, "run", capture)
         cfg = HpssConfig(solver=SolverParams(n_iters=0))
         separate(criterion_mixture().mixture, cfg)
-        problem, init = captured[0]
+        problem, x_h0 = captured[0]
         problem = replace(problem, params=SolverParams(n_iters=3, record_trace=False))
         unit = problem.weight.size * np.dtype(np.complex128).itemsize
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            run(problem, init)
+            run(problem, x_h0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,19 +3,11 @@ import struct
 import numpy as np
 import pytest
 
-from hpss import (
-    Signal,
-    Spectrogram,
-    adjoint,
-    forward,
-    make_config,
-    make_hann,
-    spec_inner,
-    spec_norm,
-)
+from hpss import Signal, Spectrogram, adjoint, forward, make_config
 from hpss.stft import StftConfig, StftPlan, read_dump, write_dump
 
 from conftest import sine_signal
+from reference import bin_weights, spec_inner, spec_norm
 
 
 def naive_stft(x, config):
@@ -76,14 +68,19 @@ def reference_adjoint(data, config, n):
 
 class TestWindows:
     def test_hann_quarter_points(self):
-        np.testing.assert_allclose(make_hann(4), [0.0, 0.5, 1.0, 0.5])
+        # at hop 1 the tight normalizer is one constant, sqrt(sum of Hann^2) = sqrt(3/2)
+        w = StftConfig(4, 1).window
+        np.testing.assert_allclose(w * np.sqrt(1.5), [0.0, 0.5, 1.0, 0.5])
 
     def test_hann_midpoint(self):
-        assert make_hann(4096)[2048] == pytest.approx(1.0)
+        # Hann^2 at 75 % overlap sums to 3/2 at every sample, so the peak is sqrt(2/3)
+        w = StftConfig(4096, 1024).window
+        assert w[2048] == pytest.approx(np.sqrt(2.0 / 3.0))
+        assert np.argmax(w) == 2048
 
     def test_hann_too_short(self):
-        with pytest.raises(ValueError):
-            make_hann(1)
+        with pytest.raises(ValueError, match=">= 2"):
+            StftConfig(0, 1)
 
     def test_tight_cola_sum(self):
         w = StftConfig(4096, 1024).window
@@ -110,7 +107,7 @@ class TestConfig:
 
     def test_bin_weights(self):
         cfg = make_config(8, 4)
-        np.testing.assert_allclose(cfg.bin_weights * 8, [1, 2, 2, 2, 1])
+        np.testing.assert_allclose(bin_weights(cfg) * 8, [1, 2, 2, 2, 1])
 
     @pytest.mark.parametrize(
         "win_len, hop",
@@ -118,7 +115,7 @@ class TestConfig:
     )
     def test_windows_derive_from_geometry(self, win_len, hop):
         # an in-test copy of the tight Hann and derivative-window formula
-        proto = make_hann(win_len)
+        proto = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win_len) / win_len)
         den = np.empty(win_len)
         for l0 in range(hop):
             den[l0::hop] = np.sum(proto[l0::hop] ** 2)
