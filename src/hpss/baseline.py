@@ -98,8 +98,7 @@ def median_filter_hpss(spec: Spectrogram, mc: MedianConfig = MedianConfig()):
     p_mag = _median_shrink(mag, mc.perc_kernel, axis=0)
     num = h_mag**mc.mask_power
     den = num + p_mag**mc.mask_power
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mask = np.where(den > 0.0, num / den, 0.5)
+    mask = np.divide(num, den, out=np.full_like(num, 0.5), where=den > 0.0)
     return h_mag, p_mag, mask
 
 

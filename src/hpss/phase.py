@@ -44,9 +44,9 @@ def estimate_if(x, config: StftConfig) -> IfMap:
     Transforms x with the analysis and the derivative window and applies
     ``if_from_spectra``.
     """
-    spec = forward(x, config)
-    spec_d = forward(as_samples(x), config, window=config.deriv_window)
-    return if_from_spectra(spec, spec_d)
+    samples = as_samples(x)
+    spec = forward(samples, config)
+    return if_from_spectra(spec, forward(samples, config, window=config.deriv_window))
 
 
 def if_from_spectra(spec: Spectrogram, spec_d: Spectrogram) -> IfMap:
@@ -54,21 +54,16 @@ def if_from_spectra(spec: Spectrogram, spec_d: Spectrogram) -> IfMap:
 
     v[w, tau] = w - Im[ F_d(x) / F(x) ] where F_d uses the derivative
     window (already scaled to bin units). Bins whose magnitude falls
-    below ``_IF_EPS`` times the global maximum keep v = w, and the result is
-    clamped to [0, L/2].
+    below ``_IF_EPS`` times the global maximum, or below the smallest normal
+    float, keep v = w, and the result is clamped to [0, L/2].
     """
     config = spec.config
     mag = np.abs(spec.data)
-    peak = mag.max()
-    omega = np.arange(config.n_bins, dtype=np.float64)[:, None]
-    v = np.broadcast_to(omega, mag.shape).copy()
-    if peak > 0.0:
-        weak = mag < _IF_EPS * peak
-        safe = np.where(weak, 1.0, spec.data)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = np.imag(spec_d.data / safe)
-        v = np.where(weak, v, v - corr)
-    return IfMap(np.clip(v, 0.0, config.win_len / 2), config)
+    # subnormal bins stay weak too: their reciprocal overflows (and silence divides 0/0)
+    strong = mag >= max(_IF_EPS * mag.max(), np.finfo(np.float64).tiny)
+    q = np.divide(spec_d.data, spec.data, out=np.zeros_like(spec.data), where=strong)
+    v = np.arange(config.n_bins, dtype=np.float64)[:, None] - q.imag
+    return IfMap(np.clip(v, 0.0, config.win_len / 2, out=v), config)
 
 
 def build_correction(if_map: IfMap) -> np.ndarray:

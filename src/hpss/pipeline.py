@@ -98,9 +98,7 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     config = cfg.stft()
     spec = forward(xs, config)
     if oracle is None:
-        spec_d = forward(xs, config, window=config.deriv_window)
-        if_map = if_from_spectra(spec, spec_d)
-        del spec_d
+        if_map = if_from_spectra(spec, forward(xs, config, window=config.deriv_window))
     else:
         if_map = estimate_if(oracle * gain, config)
 

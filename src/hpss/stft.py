@@ -20,19 +20,6 @@ from .audio_io import as_samples
 _DUMP_MAGIC = {True: b"HPSSSPC1", False: b"HPSSIFM1"}
 
 
-def tight_normalizer(window: np.ndarray, hop: int) -> np.ndarray:
-    """Per-sample normalizer sqrt(sum_k g^2[l + k*hop]) of the prototype."""
-    win_len = len(window)
-    if hop < 1 or win_len % hop != 0:
-        raise ValueError("hop must divide the window length")
-    den = np.empty(win_len)
-    for l0 in range(hop):
-        den[l0::hop] = np.sum(window[l0::hop] ** 2)
-    if np.any(den <= 0.0):
-        raise ValueError("window/hop combination leaves coverage gaps")
-    return np.sqrt(den)
-
-
 @dataclass(frozen=True)
 class StftConfig:
     """Transform geometry; the analysis and derivative windows derive from it.
@@ -63,7 +50,12 @@ class StftConfig:
         # periodic Hann prototype
         l = np.arange(self.win_len)
         proto = 0.5 - 0.5 * np.cos(2.0 * np.pi * l / self.win_len)
-        den = tight_normalizer(proto, self.hop)
+        # per-phase sums of proto^2 (row r of the (hop, L/hop) array holds
+        # proto[r::hop]), one per residue of l mod hop
+        sums = np.ascontiguousarray((proto**2).reshape(-1, self.hop).T).sum(axis=1)
+        if np.any(sums <= 0.0):
+            raise ValueError("window/hop combination leaves coverage gaps")
+        den = np.tile(np.sqrt(sums), self.win_len // self.hop)
         object.__setattr__(self, "window", proto / den)
         # analytic Hann derivative (pi/L) sin(2 pi l / L), scaled by L/(2 pi)
         object.__setattr__(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hpss import IfMap, adjoint, build_correction, estimate_if, forward, make_config
+from hpss import IfMap, Spectrogram, adjoint, build_correction, estimate_if, forward, make_config
+from hpss.phase import _IF_EPS, if_from_spectra
 from hpss.stft import read_dump, write_dump
 
 from conftest import sine_signal
@@ -47,6 +48,81 @@ class TestEstimateIf:
         v = estimate_if(rng.normal(size=4000), bench_config).v
         assert v.min() >= 0.0
         assert v.max() <= bench_config.win_len / 2
+
+
+def substitute_and_select_if(data, data_d, config):
+    """The IF map as an unguarded division: weak bins divide by a substitute 1,
+    then a select puts their own frequency back."""
+    mag = np.abs(data)
+    peak = mag.max()
+    omega = np.arange(config.n_bins, dtype=np.float64)[:, None]
+    v = np.broadcast_to(omega, mag.shape).copy()
+    if peak > 0.0:
+        weak = mag < _IF_EPS * peak
+        safe = np.where(weak, 1.0, data)
+        v = np.where(weak, v, v - np.imag(data_d / safe))
+    return np.clip(v, 0.0, config.win_len / 2)
+
+
+class TestIfFromSpectra:
+    """The guarded division equals the substitute-and-select form, byte for byte."""
+
+    N_FRAMES = 40
+
+    def spectra(self, config, data, data_d):
+        n = config.hop * self.N_FRAMES
+        return Spectrogram(data, config, n), Spectrogram(data_d, config, n)
+
+    def check(self, config, data, data_d):
+        got = if_from_spectra(*self.spectra(config, data, data_d)).v
+        want = substitute_and_select_if(data, data_d, config)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    def random(self, config, rng):
+        shape = (config.n_bins, self.N_FRAMES)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def test_random_spectra(self, small_config, rng):
+        for _ in range(5):
+            data = self.random(small_config, rng)
+            data *= 10.0 ** rng.uniform(-9, 0, size=data.shape)  # weak bins too
+            self.check(small_config, data, 5.0 * self.random(small_config, rng))
+
+    def test_bins_at_the_threshold(self, small_config, rng):
+        data = 0.5 * self.random(small_config, rng) / np.sqrt(2 * small_config.n_bins)
+        data[0, 0] = 4.0  # the peak
+        threshold = _IF_EPS * 4.0
+        data[3] = threshold  # strong
+        data[4] = np.nextafter(threshold, 0.0)  # weak
+        data_d = self.random(small_config, rng)
+        v = self.check(small_config, data, data_d)
+        np.testing.assert_array_equal(v[3], np.clip(3.0 - np.imag(data_d[3] / threshold), 0, 32))
+        np.testing.assert_array_equal(v[4], 4.0)
+
+    def test_zero_bins_among_strong_ones(self, small_config, rng):
+        data = self.random(small_config, rng)
+        zero = rng.uniform(size=data.shape) < 0.2
+        data[zero] = 0.0
+        v = self.check(small_config, data, self.random(small_config, rng))
+        omega = np.broadcast_to(np.arange(small_config.n_bins)[:, None], v.shape)
+        np.testing.assert_array_equal(v[zero], omega[zero])
+
+    def test_all_zero_spectrum(self, small_config, rng):
+        data = np.zeros((small_config.n_bins, self.N_FRAMES), dtype=complex)
+        v = self.check(small_config, data, self.random(small_config, rng))
+        np.testing.assert_array_equal(v, np.broadcast_to(np.arange(small_config.n_bins)[:, None], v.shape))
+
+    def test_subnormal_bins_keep_their_frequency(self, small_config):
+        # 3e-309 clears _IF_EPS times the 1e-303 peak, but its reciprocal overflows
+        data = np.zeros((small_config.n_bins, self.N_FRAMES), dtype=complex)
+        data[5, ::2] = 1e-303
+        data[6, ::2] = 3e-309
+        v = if_from_spectra(*self.spectra(small_config, data, 2j * data)).v
+        np.testing.assert_array_equal(v[5, ::2], 3.0)  # 5 - Im(2j)
+        v[5, ::2] = 5.0
+        omega = np.broadcast_to(np.arange(small_config.n_bins)[:, None], v.shape)
+        np.testing.assert_array_equal(v, omega)
 
 
 class TestBuildCorrection:
