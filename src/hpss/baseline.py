@@ -29,8 +29,8 @@ class MedianConfig:
         for k in (self.harm_kernel, self.perc_kernel):
             if k < 3 or k % 2 == 0:
                 raise ValueError("median kernels must be odd and >= 3")
-        if self.mask_power < 1.0:
-            raise ValueError("mask_power must be >= 1")
+        if not 1.0 <= self.mask_power < np.inf:  # NaN fails every comparison
+            raise ValueError(f"mask_power must be finite and >= 1, got {self.mask_power}")
 
 
 @lru_cache(maxsize=None)
@@ -87,17 +87,20 @@ def median_filter_hpss(spec: Spectrogram, mc: MedianConfig = MedianConfig()):
     """Return (H_mag, P_mag, mask_h) for a mixture spectrogram.
 
     H_mag is the time-directional median of |X|, P_mag the
-    frequency-directional median; mask_h = H^p / (H^p + P^p) with the
-    0/0 case mapped to 0.5. The soft-masked harmonic spectrogram is
-    mask_h * X.
+    frequency-directional median; mask_h = H^p / (H^p + P^p), computed on
+    magnitudes divided by max|X|, with the 0/0 case mapped to 0.5. The
+    soft-masked harmonic spectrogram is mask_h * X.
     """
     mag = np.abs(spec.data)
     if mag.size == 0:
         raise ValueError("empty spectrogram")
     h_mag = _median_shrink(mag, mc.harm_kernel, axis=1)
     p_mag = _median_shrink(mag, mc.perc_kernel, axis=0)
-    num = h_mag**mc.mask_power
-    den = num + p_mag**mc.mask_power
+    # no median exceeds the peak, so the scaled powers neither overflow nor
+    # depend on the input's gain; silence keeps scale 1
+    scale = mag.max() or 1.0
+    num = (h_mag / scale) ** mc.mask_power
+    den = num + (p_mag / scale) ** mc.mask_power
     mask = np.divide(num, den, out=np.full_like(num, 0.5), where=den > 0.0)
     return h_mag, p_mag, mask
 
@@ -120,8 +123,8 @@ def compute_weight(pre_h, kappa: float = 0.001) -> np.ndarray:
     harmonic bins receive the smallest smoothing weight. An all-zero
     pre-estimate degenerates to a uniform weight of one.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     mag = np.abs(np.asarray(pre_h))
     peak = mag.max() if mag.size else 0.0
     if peak == 0.0:

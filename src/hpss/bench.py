@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import replace
 
@@ -26,6 +27,8 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
     """
     if n_tracks < 1:
         raise ValueError(f"the benchmark needs at least one track, got {n_tracks}")
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration}")
     n_samples = int(sample_rate * duration)
     if n_samples < 1:
         raise ValueError(f"a duration of {duration} s at {sample_rate} Hz holds no sample")

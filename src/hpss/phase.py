@@ -44,9 +44,9 @@ def estimate_if(x, config: StftConfig) -> IfMap:
     Transforms x with the analysis and the derivative window and applies
     ``if_from_spectra``.
     """
-    samples = as_samples(x)
-    spec = forward(samples, config)
-    return if_from_spectra(spec, forward(samples, config, window=config.deriv_window))
+    spec = forward(x, config)
+    spec_d = forward(as_samples(x), config, window=config.deriv_window)
+    return if_from_spectra(spec, spec_d)
 
 
 def if_from_spectra(spec: Spectrogram, spec_d: Spectrogram) -> IfMap:

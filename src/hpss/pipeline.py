@@ -41,8 +41,8 @@ class HpssConfig:
     def __post_init__(self):
         if self.if_source not in (IF_SOURCE_MIXTURE, IF_SOURCE_ORACLE):
             raise ValueError(f"unknown if_source: {self.if_source!r}")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not 0.0 < self.kappa < np.inf:  # NaN fails every comparison
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
     def stft(self) -> StftConfig:
         return make_config(self.win_len, self.hop)

@@ -49,10 +49,12 @@ class SolverParams:
     record_trace: bool = True
 
     def __post_init__(self):
-        if self.lam <= 0 or self.mu1 <= 0 or self.mu2 <= 0:
-            raise ValueError("lam, mu1 and mu2 must be positive")
+        for name in ("lam", "mu1", "mu2"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.alpha < 2.0):
-            raise ValueError("alpha must lie in (0, 2)")
+            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
         if self.n_iters < 0:
             raise ValueError("n_iters must be non-negative")
 

@@ -50,8 +50,9 @@ class StftConfig:
         # periodic Hann prototype
         l = np.arange(self.win_len)
         proto = 0.5 - 0.5 * np.cos(2.0 * np.pi * l / self.win_len)
-        # per-phase sums of proto^2 (row r of the (hop, L/hop) array holds
-        # proto[r::hop]), one per residue of l mod hop
+        # per-phase sums of proto^2: row r of the contiguous (hop, L/hop) array
+        # is proto[r::hop], and a row sum adds in the order a 1-D sum of that
+        # phase does (a strided or axis-0 sum can differ in the last bit)
         sums = np.ascontiguousarray((proto**2).reshape(-1, self.hop).T).sum(axis=1)
         if np.any(sums <= 0.0):
             raise ValueError("window/hop combination leaves coverage gaps")

@@ -150,7 +150,8 @@ def two_variable_reference(problem, init):
     Each iteration projects the primal gradient step onto the exact-sum
     constraint, takes both dual ascent steps with Moreau-form proximal
     updates, and relaxes primal and dual; the trace evaluates the
-    objective of every iterate directly.
+    objective of every iterate directly. Returns (x_h, x_p, rows): both
+    parts are iterated, so x_h + x_p = x holds only up to rounding.
     """
     p = problem.params
     x = problem.mixture
@@ -176,4 +177,4 @@ def two_variable_reference(problem, init):
         smooth = 0.5 * np.sum(np.abs(apply_Lh(x_h, problem).data) ** 2)
         sparse = p.lam * l21_norm(forward(x_p, problem.if_map.config).data)
         rows.append((smooth + sparse, smooth, sparse, inc))
-    return x_h, np.array(rows)
+    return x_h, x_p, np.array(rows)

@@ -11,6 +11,7 @@ from hpss import (
     Spectrogram,
     compute_weight,
     forward,
+    make_config,
     median_filter_hpss,
     mf_separate,
 )
@@ -55,6 +56,14 @@ def scipy_median_shrink(mag, kernel, axis):
             out[i, :] = lo
             out[n - 1 - i, :] = hi
     return out
+
+
+def wiener_mask_formula(h_mag, p_mag, peak, power):
+    """(h/s)^p / ((h/s)^p + (p/s)^p) for s = peak (1 for silence), 0.5 where 0/0."""
+    s = peak if peak > 0.0 else 1.0
+    num = (h_mag / s) ** power
+    den = num + (p_mag / s) ** power
+    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.5)
 
 
 @st.composite
@@ -162,13 +171,23 @@ class TestMedianFilter:
         mag = np.abs(spec.data)
         h_ref = scipy_median_shrink(mag, mc.harm_kernel, axis=1)
         p_ref = scipy_median_shrink(mag, mc.perc_kernel, axis=0)
-        num = h_ref**mc.mask_power
-        den = num + p_ref**mc.mask_power
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mask_ref = np.where(den > 0.0, num / den, 0.5)
+        mask_ref = wiener_mask_formula(h_ref, p_ref, mag.max(), mc.mask_power)
         np.testing.assert_array_equal(h_mag, h_ref)
         np.testing.assert_array_equal(p_mag, p_ref)
-        np.testing.assert_array_equal(mask, mask_ref)
+        assert mask.tobytes() == mask_ref.tobytes()
+
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.3])
+    def test_mask_formula_with_zero_denominators(self, small_config, rng, density):
+        # sparse spectra leave both medians 0 in many bins: those get 0.5
+        n = 640
+        shape = (small_config.n_bins, small_config.n_frames(n))
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        data[rng.uniform(size=shape) >= density] = 0.0
+        mc = MedianConfig(harm_kernel=5, perc_kernel=7, mask_power=1.5)
+        h_mag, p_mag, mask = median_filter_hpss(spec_from(data, small_config, n), mc)
+        mask_ref = wiener_mask_formula(h_mag, p_mag, np.abs(data).max(), mc.mask_power)
+        assert mask.tobytes() == mask_ref.tobytes()
+        assert np.any(mask == 0.5)
 
     def test_mask_bounds_and_complement(self, small_config, rng):
         n = 400
@@ -209,6 +228,34 @@ class TestMfSeparate:
         x = rng.normal(size=5000)
         pair = mf_separate(x, bench_config)
         assert np.max(np.abs(x - pair.harmonic.samples - pair.percussive.samples)) == 0.0
+
+
+@pytest.fixture(scope="module")
+def corpus_mf_reference():
+    x = bench_corpus(0, n_tracks=1)[0].mixture.samples
+    config = make_config(1024, 256)
+    return x, config, mf_separate(x, config).harmonic.samples
+
+
+@settings(max_examples=30, deadline=None)
+@given(exponent=st.floats(min_value=-300.0, max_value=300.0))
+def test_mf_gain_equivariance_extreme_gains(corpus_mf_reference, exponent):
+    # the mask sees magnitudes over their peak, so no gain overflows or flattens it
+    x, config, ref_h = corpus_mf_reference
+    gain = 10.0**exponent
+    scaled = gain * x
+    pair = mf_separate(scaled, config)
+    h, p = pair.harmonic.samples, pair.percussive.samples
+    assert np.max(np.abs(scaled - h - p)) == 0.0
+    assert np.max(np.abs(h - gain * ref_h)) <= 1e-12 * gain * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+def test_non_finite_parameters_rejected_by_name(value):
+    with pytest.raises(ValueError, match="^mask_power must be finite"):
+        MedianConfig(mask_power=value)
+    with pytest.raises(ValueError, match="^kappa must be positive and finite"):
+        compute_weight(np.ones((2, 2)), kappa=value)
 
 
 class TestComputeWeight:

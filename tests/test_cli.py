@@ -195,6 +195,37 @@ class TestSeparate:
         )
         assert code == EXIT_BAD_ARGS
 
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            pytest.param(["--mu2", "inf"], None, "mu2 must be positive and finite, got inf",
+                         id="mu2-inf"),
+            pytest.param(["--mu2", "inf", "--trace", "TRACE"], None, "mu2 must",
+                         id="mu2-inf-trace"),
+            pytest.param([], "mask_power = nan", "mask_power must be finite and >= 1, got nan",
+                         id="mask_power-nan-in-config"),
+            pytest.param(["--kappa", "nan"], None, "kappa must be positive and finite, got nan",
+                         id="kappa-nan"),
+        ],
+    )
+    def test_non_finite_model_parameter_gives_args_exit(
+        self, wav_dir, tmp_path, capsys, flags, config, message
+    ):
+        # NaN passes a `<= 0` check and inf passes every sign check; both are named
+        extra = [str(tmp_path / "t.csv") if f == "TRACE" else f for f in flags]
+        if config is not None:
+            (tmp_path / "hpss.cfg").write_text(config + "\n")
+            extra += ["--config", str(tmp_path / "hpss.cfg")]
+        code, _ = run_cli(
+            ["separate", str(wav_dir / "mix.wav"),
+             "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav"),
+             "--win", "64", "--hop", "16", "--iters", "2", *extra]
+        )
+        assert code == EXIT_BAD_ARGS
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and len(err.splitlines()) == 1
+        assert list(tmp_path.glob("*.wav")) == [] and not (tmp_path / "t.csv").exists()
+
     def test_bad_if_source_gives_args_exit(self, wav_dir, tmp_path):
         code, _ = run_cli(
             ["separate", str(wav_dir / "mix.wav"),
@@ -331,6 +362,10 @@ class TestBench:
                          "a duration of 0.0 s at 16000 Hz holds no sample", id="duration-0"),
             pytest.param(["--duration", "0.0001", "--sample-rate", "8000"],
                          "holds no sample", id="under-one-sample"),
+            pytest.param(["--duration", "inf"], "duration must be finite, got inf",
+                         id="duration-inf"),
+            pytest.param(["--duration", "nan"], "duration must be finite, got nan",
+                         id="duration-nan"),
             pytest.param(["--tracks", "1", "--duration", "0.2", "--sample-rate", "8000",
                           "--iters", "2"],
                          "more than 1920 samples (0.24 s at 8000 Hz), got 1600",

@@ -263,6 +263,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             HpssConfig(kappa=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+    def test_non_finite_kappa_rejected(self, value):
+        with pytest.raises(ValueError, match="^kappa must be positive and finite"):
+            HpssConfig(kappa=value)
+
 
 def test_public_names():
     # what separate, mf_separate, the CLI and the benchmark use; the

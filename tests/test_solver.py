@@ -30,6 +30,7 @@ from reference import (
 )
 
 RHO0 = 2.0**-0.5
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 def make_problem(x, config, rng=None, weight=None, params=None, if_source=None):
@@ -72,6 +73,12 @@ class TestParams:
             SolverParams(alpha=2.0)
         with pytest.raises(ValueError):
             SolverParams(n_iters=-1)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("name", ["lam", "mu1", "mu2", "alpha"])
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            SolverParams(**{name: value})
 
 
 class TestProblem:
@@ -232,11 +239,14 @@ class TestRun:
         np.testing.assert_array_equal(trace.total, 0.0)
 
     def test_constraint_after_every_iteration(self, small_config, rng):
-        # endpoints of k-iteration runs visit every iterate of the longest run
+        # the two-variable iteration keeps x_h + x_p = x to rounding, and run's
+        # x_h (its x_p is x - x_h) stays on that iteration's path; endpoints of
+        # k-iteration runs visit every fourth iterate of the longest run
         for seed in range(5):
             x = desk_mixture(seed=seed)
             prob_base = make_problem(x, small_config, rng)
-            init, _ = split_sum_arrays(x, rng.normal(size=x.size), rng.normal(size=x.size))
+            pair = (rng.normal(size=x.size), rng.normal(size=x.size))  # infeasible
+            init, _ = split_sum_arrays(x, *pair)
             for k in range(1, 26, 4):
                 prob = HpssProblem(
                     mixture=prob_base.mixture,
@@ -244,10 +254,10 @@ class TestRun:
                     weight=prob_base.weight,
                     params=SolverParams(n_iters=k, record_trace=False),
                 )
+                ref_h, ref_p, _ = two_variable_reference(prob, pair)
                 x_h, _ = run(prob, init)
-                x_p = x - x_h  # as separate forms it
-                gap = np.max(np.abs(x - x_h - x_p))
-                assert gap <= 1e-12 * np.max(np.abs(x))
+                assert np.max(np.abs(x - ref_h - ref_p)) <= 1e-12 * np.max(np.abs(x))
+                assert np.max(np.abs(x_h - ref_h)) <= 1e-12 * np.max(np.abs(ref_h))
 
     def test_deterministic(self, small_config, rng):
         x = desk_mixture()
@@ -439,7 +449,7 @@ class TestEquivalence:
         x = desk_mixture()
         prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=50))
         init = (rng.normal(size=x.size), rng.normal(size=x.size))  # infeasible
-        ref_h, ref_rows = two_variable_reference(prob, init)
+        ref_h, _, ref_rows = two_variable_reference(prob, init)
         got_h, trace = run(prob, split_sum_arrays(x, *init)[0])
         assert np.max(np.abs(got_h - ref_h)) <= 1e-12 * np.max(np.abs(ref_h))
         columns = (trace.total, trace.smooth, trace.sparse, trace.primal_increment)
