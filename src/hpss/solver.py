@@ -14,11 +14,17 @@ y_p + F(x) - F(u) projected onto the l2 ball of radius lambda, y_h from
 (y_h + W P(F u)) / (1 + mu2), and x_h from (u + x_h) / 2, each relaxed by
 alpha: one adjoint and one forward STFT, with F(x) computed once. The trace
 follows F(x_p) and W P(F x_h) by the same relaxation, at no transform cost.
+Each transform is one sweep over the plan's frame blocks, and the steps on
+spectrogram-sized arrays run block by block inside it, on blocks in cache:
+P^*(W y_h) - y_p just before its inverse FFT, the dual steps just after the
+forward FFT.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -134,7 +140,8 @@ def run(problem: HpssProblem, x_h0):
 
     A mixture handed to ``run`` directly with energy near the float64 limit
     (|x| of about 1e150 or more) is reported as diverged: divergence is a
-    non-finite ``x_h @ x_h``. ``separate`` normalizes its input, so it never is.
+    non-finite sample of x_h or an energy ``x_h @ x_h`` beyond the float64
+    range. ``separate`` normalizes its input, so it never is.
     """
     p = problem.params
     x_h = as_samples(x_h0)
@@ -147,25 +154,60 @@ def run(problem: HpssProblem, x_h0):
     return x_h, SolverTrace(*np.ascontiguousarray(rows.T))
 
 
-def _corrected_diff(data, g, w, out, scratch, adjoint=False):
-    """out = w P(X) on T x K arrays, P(X)[t] = X[t] - g[t] X[t-1], P(X)[0] = 0;
-    with ``adjoint``, out = P^*(w Y), where P^* multiplies by s[t] = conj(g[t+1])."""
-    if adjoint:
-        np.multiply(data, w, out=out)
-        np.conjugate(g[1:], out=scratch[1:])  # with the product, ~1/3 the cost of out / g
-        scratch[1:] *= out[1:]
+def _corrected_diff(data, g, w, carry, first, out, scratch):
+    """out = w P(X) on one block of frames of X held in ``data``, with ``g`` and
+    ``w`` sliced to the block: P(X)[t] = X[t] - g[t] X[t-1], P(X)[0] = 0.
+
+    ``carry`` holds the frame before the block (unread for the ``first``
+    block) and is left holding the block's last frame, so consecutive blocks
+    chain. ``out`` may be ``data``; ``scratch`` has at least as many rows.
+    """
+    n = len(data)
+    np.multiply(g[1:], data[:-1], out=scratch[1:n])
+    if not first:
+        np.multiply(g[0], carry, out=scratch[0])
+    carry[...] = data[-1]
+    np.subtract(data[1:], scratch[1:n], out=out[1:])
+    if first:
         out[0] = 0.0
-        out[:-1] -= scratch[1:]
     else:
-        np.multiply(g[1:], data[:-1], out=scratch[1:])
-        np.subtract(data[1:], scratch[1:], out=out[1:])
-        out[0] = 0.0
-        out *= w
+        np.subtract(data[0], scratch[0], out=out[0])
+    out *= w
     return out
 
 
+def _corrected_diff_adjoint(y, g, w, t0, t1, out, scratch):
+    """out[:t1 - t0] = P^*(w Y) on frames t0..t1-1 of the T x K arrays, where
+    P^* multiplies by s[t] = conj(g[t+1]): reads frame t1 of Y and w, one frame
+    of look-ahead. ``out`` and ``scratch`` have at least t1 - t0 + 1 rows."""
+    t2 = min(t1 + 1, len(y))
+    m = t2 - t0
+    z = out[:m]
+    np.multiply(y[t0:t2], w[t0:t2], out=z)
+    s = np.conjugate(g[t0 + 1 : t2], out=scratch[1:m])  # ~1/3 the cost of z / g
+    s *= z[1:]
+    if t0 == 0:
+        z[0] = 0.0
+    z[:-1] -= s
+    return out[: t1 - t0]
+
+
+def _energy_overflows(x: np.ndarray) -> bool:
+    """True iff ``x`` holds a non-finite sample or ``x @ x`` exceeds the float64
+    range. Only Python floats, which overflow to inf without a warning, see a
+    product that can overflow."""
+    peak = float(np.maximum(x.max(), -x.min()))  # NaN and inf propagate
+    if peak * peak * x.size <= sys.float_info.max:
+        return False
+    if not math.isfinite(peak):
+        return True
+    z = x / peak
+    return not math.isfinite(peak * peak * float(z @ z))
+
+
 def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
-    """The loop on frame-major (T x K) arrays; fills the trace rows, returns x_h."""
+    """The loop on frame-major (T x K) arrays, one sweep over the plan's frame
+    blocks per transform; fills the trace rows, returns x_h."""
     p = problem.params
     plan = StftPlan(problem.if_map.config, x_h.size)
     # the relaxed smooth-dual step is y_h <- (1 - alpha + c) y_h + c W P(F u); the
@@ -175,46 +217,66 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     fx = plan.forward(problem.mixture)
     g = np.empty_like(fx)  # g[t] = conj(s[t-1]); g[0] is never read
     np.conjugate(build_correction(problem.if_map)[:, :-1].T, out=g[1:])
-    y_h, y_p, fu, a = (np.zeros_like(fx) for _ in range(4))
+    y_h, y_p = np.zeros_like(fx), np.zeros_like(fx)
+    # block scratch with one frame of look-ahead, and the carried frame of P
+    a, scratch = (np.empty((plan.block + 1, fx.shape[1]), dtype=fx.dtype) for _ in range(2))
+    carry = np.empty(fx.shape[1], dtype=fx.dtype)
     beta = 0.5 * p.alpha  # x_h <- x_h + beta (u - x_h), and so every image of it
     if rows is not None:
-        plan.forward(x_h, out=fu)
-        f_p = fx - fu  # F(x_p)
-        l_h = _corrected_diff(fu, g, w, np.empty_like(fu), a)  # sqrt(c) W P(F x_h)
+        f_p, l_h = np.empty_like(fx), np.empty_like(fx)  # F(x_p), sqrt(c) W P(F x_h)
+        sparse_norms = np.empty(len(fx))  # frame norms of f_p
+        for t0, t1, fu in plan.forward_blocks(x_h):
+            np.subtract(fx[t0:t1], fu, out=f_p[t0:t1])
+            _corrected_diff(fu, g[t0:t1], w[t0:t1], carry, t0 == 0, l_h[t0:t1], scratch)
+
+    def primal_residual(t0, t1):  # frames t0..t1-1 of P^*(W y_h) - y_p
+        block = _corrected_diff_adjoint(y_h, g, w, t0, t1, a, scratch)
+        block -= y_p[t0:t1]
+        return block
 
     for it in range(p.n_iters):
-        # primal: u = x_h - mu1 F^*(P^*(W y_h) - y_p)
-        _corrected_diff(y_h, g, w, a, fu, adjoint=True)
-        a -= y_p
-        u = x_h - p.mu1 * plan.adjoint(a)
-        plan.forward(u, out=fu)
+        # primal: u = x_h - mu1 F^*(P^*(W y_h) - y_p), in the adjoint's output
+        u = plan.adjoint_blocks(primal_residual)
+        u *= -p.mu1
+        u += x_h
+        for t0, t1, fu in plan.forward_blocks(u):
+            frames = slice(t0, t1)
+            # percussive dual: frames of y_p + F(x) - F(u) projected onto the lam-ball
+            d = np.subtract(fx[frames], fu, out=a[: t1 - t0])
+            if rows is not None:  # f_p <- (1 - beta) f_p + beta F(x - u)
+                fp = f_p[frames]
+                fp -= d
+                fp *= 1.0 - beta
+                fp += d
+                sparse_norms[frames] = _frame_norms(fp)
+            d += y_p[frames]
+            d *= (p.alpha * p.lam / np.maximum(_frame_norms(d), p.lam))[:, None]
+            yp = y_p[frames]
+            yp *= 1.0 - p.alpha
+            yp += d
 
-        # percussive dual: frames of y_p + F(x) - F(u) projected onto the lam-ball
-        np.subtract(fx, fu, out=a)
-        if rows is not None:  # f_p <- (1 - beta) f_p + beta F(x - u)
-            f_p -= a
-            f_p *= 1.0 - beta
-            f_p += a
-        a += y_p
-        a *= (p.alpha * p.lam / np.maximum(_frame_norms(a), p.lam))[:, None]
-        y_p *= 1.0 - p.alpha
-        y_p += a
+            # smooth dual: z_h = y_h + W P(F u), Moreau step z_h / (1 + mu2)
+            lu = _corrected_diff(fu, g[frames], w[frames], carry, t0 == 0, fu, scratch)
+            if rows is not None:
+                lh = l_h[frames]
+                lh -= lu
+                lh *= 1.0 - beta
+                lh += lu
+            yh = y_h[frames]
+            yh *= 1.0 - p.alpha + c
+            yh += lu
 
-        # smooth dual: z_h = y_h + W P(F u), Moreau step z_h / (1 + mu2)
-        lu = _corrected_diff(fu, g, w, fu, a)
-        if rows is not None:
-            l_h -= lu
-            l_h *= 1.0 - beta
-            l_h += lu
-        y_h *= 1.0 - p.alpha + c
-        y_h += lu
-
-        new_h = p.alpha * (0.5 * (u + x_h)) + (1.0 - p.alpha) * x_h
-        if not np.isfinite(new_h @ new_h):  # also catches non-finite samples
+        # new_h = alpha (u + x_h) / 2 + (1 - alpha) x_h, in place in u
+        new_h = u
+        new_h += x_h
+        new_h *= 0.5
+        new_h *= p.alpha
+        new_h += (1.0 - p.alpha) * x_h
+        if _energy_overflows(new_h):
             raise SolverDivergenceError(it + 1)
         if rows is not None:
             smooth = 0.5 * float(np.vdot(l_h, l_h).real) / c
-            sparse = p.lam * float(np.sum(_frame_norms(f_p)))
+            sparse = p.lam * float(np.sum(sparse_norms))
             step = np.sqrt(2.0) * np.linalg.norm(new_h - x_h)  # x_p moves by -step
             rows[it] = smooth + sparse, smooth, sparse, step
         x_h = new_h

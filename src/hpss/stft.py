@@ -18,6 +18,9 @@ from .audio_io import as_samples
 
 # dump magic by payload kind: complex (re/im interleaved) or real
 _DUMP_MAGIC = {True: b"HPSSSPC1", False: b"HPSSIFM1"}
+# complex coefficients per frame block: 2**15 of them are 512 KB, so a block and
+# the few block-sized arrays an elementwise pass reads beside it stay in cache
+_BLOCK_COEFFS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -110,11 +113,14 @@ class Spectrogram:
 class StftPlan:
     """Frame-major (T x K) forward/adjoint pair for signals of one length.
 
-    Framing reads a strided view of a persistent, circularly extended
-    buffer; the adjoint overlap-adds the L/hop frame blocks with one
-    reshape-add each. Repeated transforms of same-length signals reuse
-    the buffers, so they allocate nothing but the outputs they are not
-    given. ``forward`` and ``adjoint`` below wrap this pair.
+    Both directions stream the frames in blocks of ``block`` rows, sized by
+    the bin count so a block holds about 2**15 coefficients. Framing reads a
+    strided view of a persistent, circularly extended buffer; the adjoint
+    overlap-adds each block's L/hop frame parts with one reshape-add each.
+    The plan holds one block x L real and one block x K complex scratch, so
+    repeated transforms of same-length signals allocate nothing but the
+    outputs they are not given. ``forward_blocks`` and ``adjoint_blocks`` are
+    the sweeps; ``forward`` and ``adjoint`` run them over whole arrays.
     """
 
     def __init__(self, config: StftConfig, n_samples: int):
@@ -123,19 +129,16 @@ class StftPlan:
         self.n_samples = n_samples
         self.n_frames = config.n_frames(n_samples)
         self.n_pad = hop * self.n_frames
+        self.block = max(1, min(self.n_frames, _BLOCK_COEFFS // config.n_bins))
         # x[k] sits at (k + L/2) mod n_pad of the padded frame-0-at-zero signal
         self._shift = (win_len // 2) % self.n_pad
         self._head = min(n_samples, self.n_pad - self._shift)
         self._pad = np.zeros(self.n_pad + win_len - hop)
         self._frames = np.lib.stride_tricks.sliding_window_view(self._pad, win_len)[::hop]
-        self._real = np.empty((self.n_frames, win_len))
+        self._real = np.empty((self.block, win_len))
+        self._coeffs = np.empty((self.block, config.n_bins), dtype=np.complex128)
         if self.n_pad >= win_len:
-            self._wrap = None
             self._ola = np.empty(self._pad.size)
-        else:
-            # frames overlap themselves: scatter-add through explicit indices
-            tau = hop * np.arange(self.n_frames)[:, None]
-            self._wrap = (tau + np.arange(win_len)[None, :]) % self.n_pad
 
     def _extend(self) -> None:
         """Repeat pad[:n_pad] periodically over the frame tail."""
@@ -145,39 +148,79 @@ class StftPlan:
             pad[start:stop] = pad[: stop - start]
             start = stop
 
-    def forward(self, x: np.ndarray, window=None, out=None) -> np.ndarray:
-        """T x K one-sided coefficients of the length-n signal ``x``."""
+    def _blocks(self):
+        """(t0, t1) of each frame block, first to last."""
+        return [(t0, min(t0 + self.block, self.n_frames))
+                for t0 in range(0, self.n_frames, self.block)]
+
+    def forward_blocks(self, x: np.ndarray, window=None, out=None):
+        """Yield ``(t0, t1, coeffs)``, first block to last: frames t0..t1-1 of the
+        transform of the length-n signal ``x`` as a (t1 - t0) x K array. The
+        blocks are rows of ``out`` when it is given; otherwise they share one
+        scratch, which the next block overwrites."""
         g = self.config.window if window is None else window
         s, m, n = self._shift, self._head, self.n_samples
         self._pad[s : s + m] = x[:m]
         self._pad[: n - m] = x[m:]
         self._extend()
-        np.multiply(self._frames, g, out=self._real)
-        return np.fft.rfft(self._real, n=self.config.win_len, axis=1, out=out)
+        for t0, t1 in self._blocks():
+            real = self._real[: t1 - t0]
+            np.multiply(self._frames[t0:t1], g, out=real)
+            coeffs = self._coeffs[: t1 - t0] if out is None else out[t0:t1]
+            yield t0, t1, np.fft.rfft(real, n=self.config.win_len, axis=1, out=coeffs)
 
-    def adjoint(self, data: np.ndarray) -> np.ndarray:
-        """Length-n signal from T x K coefficients (any strides)."""
+    def forward(self, x: np.ndarray, window=None, out=None) -> np.ndarray:
+        """T x K one-sided coefficients of the length-n signal ``x``."""
+        if out is None:
+            out = np.empty((self.n_frames, self.config.n_bins), dtype=np.complex128)
+        for _ in self.forward_blocks(x, window, out):
+            pass
+        return out
+
+    def adjoint_blocks(self, coeffs) -> np.ndarray:
+        """Length-n signal from the T x K coefficients that ``coeffs(t0, t1)``
+        returns for frames t0..t1-1, as a (t1 - t0) x K array of any strides.
+
+        The blocks are asked for from the last to the first, each read before
+        the next is asked for, so every sample adds its frames in decreasing
+        order, as a whole-array overlap-add does. When frames overlap
+        themselves (n_pad < L) they are scatter-added first to last, which is
+        the order of one ``np.add.at`` over all frames.
+        """
         win_len, hop = self.config.win_len, self.config.hop
-        u = np.fft.irfft(data, n=win_len, axis=1, out=self._real)
-        u *= self.config.window
-        n_frames, n_pad = self.n_frames, self.n_pad
-        if self._wrap is None:
+        n_pad = self.n_pad
+        if n_pad >= win_len:
             buf = self._ola
-            buf[:n_pad].reshape(n_frames, hop)[...] = u[:, :hop]
             buf[n_pad:] = 0.0
-            for j in range(1, win_len // hop):
-                buf[j * hop : j * hop + n_pad].reshape(n_frames, hop)[...] += u[
-                    :, j * hop : (j + 1) * hop
-                ]
+            for t0, t1 in reversed(self._blocks()):
+                u = self._inverse(coeffs(t0, t1))
+                buf[t0 * hop : t1 * hop].reshape(t1 - t0, hop)[...] = u[:, :hop]
+                for j in range(1, win_len // hop):
+                    buf[(t0 + j) * hop : (t1 + j) * hop].reshape(t1 - t0, hop)[...] += u[
+                        :, j * hop : (j + 1) * hop
+                    ]
             buf[: buf.size - n_pad] += buf[n_pad:]
         else:
             buf = np.zeros(n_pad)
-            np.add.at(buf, self._wrap, u)
+            for t0, t1 in self._blocks():
+                u = self._inverse(coeffs(t0, t1))
+                tau = hop * np.arange(t0, t1)[:, None]
+                np.add.at(buf, (tau + np.arange(win_len)[None, :]) % n_pad, u)
         s, m, n = self._shift, self._head, self.n_samples
         out = np.empty(n)
         out[:m] = buf[s : s + m]
         out[m:] = buf[: n - m]
         return out
+
+    def _inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Windowed inverse FFT of a block of frames, in the real scratch."""
+        u = np.fft.irfft(coeffs, n=self.config.win_len, axis=1, out=self._real[: len(coeffs)])
+        u *= self.config.window
+        return u
+
+    def adjoint(self, data: np.ndarray) -> np.ndarray:
+        """Length-n signal from T x K coefficients (any strides)."""
+        return self.adjoint_blocks(lambda t0, t1: data[t0:t1])
 
 
 def forward(x, config: StftConfig, window: np.ndarray | None = None) -> Spectrogram:

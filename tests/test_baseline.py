@@ -229,6 +229,25 @@ class TestMfSeparate:
         pair = mf_separate(x, bench_config)
         assert np.max(np.abs(x - pair.harmonic.samples - pair.percussive.samples)) == 0.0
 
+    def test_peak_memory_budget(self):
+        # traced peak of mf_separate above its entry, in K x T complex128 arrays,
+        # on 10 s at 4096/1024: the median filter sets it, not the transforms
+        import tracemalloc
+
+        from hpss.synth import bench_track
+
+        x = bench_track(np.random.default_rng(0), 44100, 10.0).mixture
+        config = make_config(4096, 1024)
+        unit = config.n_bins * config.n_frames(x.samples.size) * 16
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            mf_separate(x, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / unit <= 4.31  # measured 4.06
+
 
 @pytest.fixture(scope="module")
 def corpus_mf_reference():

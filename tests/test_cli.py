@@ -8,7 +8,7 @@ import hpss.bench
 import hpss.cli
 from hpss import HpssConfig, Signal, SolverParams, read_wav, separate, write_wav
 from hpss.cli import (
-    EXIT_BAD_ARGS, EXIT_IO, EXIT_OK, _build_parser, _separate_config, main,
+    EXIT_BAD_ARGS, EXIT_DIVERGED, EXIT_IO, EXIT_OK, _build_parser, _separate_config, main,
 )
 from hpss.stft import read_dump
 from hpss.synth import bench_track
@@ -225,6 +225,27 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert err.startswith("error: " + message) and len(err.splitlines()) == 1
         assert list(tmp_path.glob("*.wav")) == [] and not (tmp_path / "t.csv").exists()
+
+    def test_divergence_gives_diverged_exit_and_one_error_line(self, wav_dir, tmp_path):
+        # a process of its own, so numpy's warnings reach stderr as a user sees them
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(hpss.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpss.cli", "separate", str(wav_dir / "mix.wav"),
+             "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav"),
+             "--win", "64", "--hop", "16", "--iters", "50", "--mu1", "1e160", "--mu2", "1e160"],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == EXIT_DIVERGED
+        assert "RuntimeWarning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines[-1] == "error: solver diverged: non-finite value at iteration 2"
+        assert list(tmp_path.glob("*.wav")) == []
 
     def test_bad_if_source_gives_args_exit(self, wav_dir, tmp_path):
         code, _ = run_cli(

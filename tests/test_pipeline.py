@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hpss import HpssConfig, Signal, SolverParams, mf_separate, separate
 from hpss.pipeline import CONFIG_KEYS, IF_SOURCE_ORACLE, parse_config_text, with_values
-from hpss.stft import StftPlan
 from hpss.synth import bench_track
 
 SMALL = HpssConfig(win_len=256, hop=64, solver=SolverParams(n_iters=25))
@@ -109,22 +108,24 @@ class TestSeparate:
 
     def test_setup_transforms(self, monkeypatch):
         # the mixture's plain transform serves both the IF estimate and the
-        # median filter; an oracle adds its own plain transform
-        calls = []
-        original = StftPlan.forward
+        # median filter; an oracle adds its own plain transform. Counted in
+        # frames through the forward FFT, so every frame block of a sweep counts
+        frames = []
+        rfft = np.fft.rfft
 
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return original(self, *args, **kwargs)
+        def counting(a, *args, **kwargs):
+            frames.append(len(a))
+            return rfft(a, *args, **kwargs)
 
-        monkeypatch.setattr(StftPlan, "forward", counting)
+        monkeypatch.setattr(np.fft, "rfft", counting)
         mixture, harm, _ = small_mixture()
         cfg = replace(SMALL, solver=SolverParams(n_iters=0))
+        n_frames = cfg.stft().n_frames(mixture.samples.size)
         separate(mixture, cfg)
-        assert len(calls) == 2
-        calls.clear()
+        assert sum(frames) == 2 * n_frames
+        frames.clear()
         separate(mixture, replace(cfg, if_source=IF_SOURCE_ORACLE), oracle_h=harm)
-        assert len(calls) == 3
+        assert sum(frames) == 3 * n_frames
 
     def test_oracle_missing_errors(self):
         mixture, _, _ = small_mixture()

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpss import Signal, Spectrogram, adjoint, forward, make_config
 from hpss.stft import StftConfig, StftPlan, read_dump, write_dump
@@ -245,6 +247,64 @@ class TestFrameMajorKernel:
             np.testing.assert_array_equal(
                 plan.adjoint(data), reference_adjoint(data.T, small_config, n)
             )
+
+
+def block_rows(config):
+    """The plan's frame-block size once a signal spans more than one block."""
+    return StftPlan(config, config.hop * (1 << 16)).block
+
+
+def assert_plan_bytes(plan, x, data):
+    """Forward (both windows) and adjoint of ``plan`` equal the references byte
+    for byte, sign bits of zeros included."""
+    config, n = plan.config, plan.n_samples
+    for window in (config.window, config.deriv_window):
+        got = plan.forward(x, window).T
+        assert got.tobytes() == reference_forward(x, config, window).tobytes()
+    assert plan.adjoint(data).tobytes() == reference_adjoint(data.T, config, n).tobytes()
+
+
+class TestFrameBlocks:
+    """Transforms that cross frame-block boundaries; B is read from the plan."""
+
+    # (4096, 64) frames overlap themselves (n_pad < L) at every T below
+    GEOMETRIES = [(1024, 256), (4096, 1024), (4096, 64)]
+
+    @pytest.mark.parametrize("win_len, hop", GEOMETRIES)
+    @pytest.mark.parametrize("frames", ["B-1", "B", "B+1", "2B+1"])
+    def test_bit_identical_to_reference(self, rng, win_len, hop, frames):
+        config = make_config(win_len, hop)
+        b = block_rows(config)
+        n_frames = {"B-1": b - 1, "B": b, "B+1": b + 1, "2B+1": 2 * b + 1}[frames]
+        n = hop * n_frames - 3  # a short last frame
+        plan = StftPlan(config, n)
+        assert plan.n_frames == n_frames
+        assert (plan.n_pad < win_len) == (hop == 64)
+        data = rng.normal(size=(n_frames, config.n_bins)) * (1 - 2j)
+        assert_plan_bytes(plan, rng.normal(size=n), data)
+
+    def test_block_from_bin_count(self):
+        # 2**15 coefficients per block, capped at the frame count
+        assert block_rows(make_config(4096, 1024)) == 15
+        assert block_rows(make_config(1024, 256)) == 63
+        assert StftPlan(make_config(1024, 256), 256 * 10).block == 10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        geometry=st.sampled_from(GEOMETRIES),
+        blocks=st.floats(min_value=0.0, max_value=3.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_plan_reuse_across_lengths(self, geometry, blocks, seed):
+        # any length up to 3.5 blocks, twice through one plan
+        win_len, hop = geometry
+        config = make_config(win_len, hop)
+        n = max(1, int(blocks * block_rows(config) * hop))
+        rng = np.random.default_rng(seed)
+        plan = StftPlan(config, n)
+        for _ in range(2):
+            data = rng.normal(size=(plan.n_frames, config.n_bins)) * (1 + 1j)
+            assert_plan_bytes(plan, rng.normal(size=n), data)
 
 
 class TestDump:
