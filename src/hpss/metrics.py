@@ -4,20 +4,31 @@ Each estimate is decomposed into target, interference and artifact parts
 by least-squares projection onto delayed copies of the references
 (projection filters of a configurable length, computed over the full
 signals). Follows the classic sources-style evaluation.
+
+The correlations that set up the projections come from one real FFT of
+each signal at the smallest 5-smooth length of at least
+``n + filter_len - 1``, so that no lag wraps around. The projections
+themselves are short-block (overlap-add) convolutions of each reference
+with its filter. Every score is a power ratio clamped to [1e-30, 1e30],
+so it lies in [-300, 300] dB: a silent estimate reads -300.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import astuple, dataclass
 from typing import ClassVar
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
+from scipy.signal import oaconvolve
 
 from .audio_io import Signal, as_samples
 
 _DB_FLOOR_RATIO = 1e-30
+_DB_CAP = 300.0  # -10 log10(_DB_FLOOR_RATIO): every score lies in [-300, 300] dB
 
 
 @dataclass(frozen=True)
@@ -63,26 +74,40 @@ class EvalResult:
 
 
 def _safe_db(num: float, den: float) -> float:
-    den = max(den, num * _DB_FLOOR_RATIO, 1e-300)
-    return 10.0 * np.log10(num / den)
+    """10 log10(num / den) with the ratio clamped to [1e-30, 1e30]."""
+    num, den = float(num), float(den)
+    if num <= den * _DB_FLOOR_RATIO:
+        return -_DB_CAP
+    if den <= num * _DB_FLOOR_RATIO:
+        return _DB_CAP
+    return 10.0 * math.log10(num / den)
 
 
-def _xcorr(a_fft: np.ndarray, b_fft: np.ndarray, n_fft: int, flen: int):
-    """Circular cross-correlation of a and b at lags 0, -1, ..., 1 - flen
-    (the Toeplitz column) and at lags 0, 1, ..., flen - 1 (its row)."""
-    cc = np.real(np.fft.irfft(a_fft * np.conj(b_fft), n=n_fft))
-    return np.concatenate(([cc[0]], cc[-1 : -flen : -1])), cc[:flen]
+def _xcorr(a_fft, b_fft, prod, cc, flen: int):
+    """Cross-correlation of a and b at lags 0, -1, ..., 1 - flen (the
+    Toeplitz column) and at lags 0, 1, ..., flen - 1 (its row).
+
+    The product goes through the buffer prod and the inverse transform
+    into the buffer cc; the row is a view of cc, valid until the next call.
+    """
+    np.conjugate(b_fft, out=prod)
+    prod *= a_fft
+    np.fft.irfft(prod, n=cc.size, out=cc)
+    return np.concatenate((cc[:1], cc[-1:-flen:-1])), cc[:flen]
 
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve for one right-hand side, or one per column of a 2-D rhs. A
+    singular gram gets a tiny ridge and one warning per right-hand side."""
     try:
         return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         ridge = 1e-10 * max(np.trace(gram) / gram.shape[0], 1.0)
-        warnings.warn(
-            "singular projection system; regularizing with a tiny ridge",
-            stacklevel=3,
-        )
+        for _ in range(1 if rhs.ndim == 1 else rhs.shape[1]):
+            warnings.warn(
+                "singular projection system; regularizing with a tiny ridge",
+                stacklevel=3,
+            )
         return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
 
 
@@ -98,9 +123,10 @@ def bss_eval_sources(refs, ests, filter_len: int = 512):
     """Score each estimate against its matching reference.
 
     Returns a list of (SDR, SIR, SAR) triples, one per source, using
-    filter_len-tap projection filters. Each reference is transformed once
-    and the joint Gram matrix of all their delayed copies is built once;
-    the projection onto reference j alone solves its j-th diagonal block.
+    filter_len-tap projection filters. Every signal is transformed once,
+    and the joint Gram matrix of all the references' delayed copies is
+    built and solved once, with one right-hand side per estimate; the
+    projection onto reference j alone solves its j-th diagonal block.
     Signal inputs must share one sample rate.
     """
     refs, ests = list(refs), list(ests)
@@ -120,32 +146,34 @@ def bss_eval_sources(refs, ests, filter_len: int = 512):
         raise ValueError(f"filter_len {filter_len} exceeds the signal length {n}")
 
     flen = filter_len
-    blocks = [slice(i * flen, (i + 1) * flen) for i in range(len(refs))]
-    n_out = n + flen - 1
-    n_fft = int(2 ** np.ceil(np.log2(n_out)))
-    ref_f = [np.fft.rfft(r, n=n_fft) for r in refs]
+    n_src = len(refs)
+    blocks = [slice(i * flen, (i + 1) * flen) for i in range(n_src)]
+    # long enough that no lag below flen wraps around
+    n_fft = next_fast_len(n + flen - 1, real=True)
+    spectra = np.empty((2 * n_src, n_fft // 2 + 1), dtype=complex)
+    for sig, out in zip(refs + ests, spectra):
+        np.fft.rfft(sig, n=n_fft, out=out)
+    ref_f, est_f = spectra[:n_src], spectra[n_src:]
+    prod, cc = np.empty_like(spectra[0]), np.empty(n_fft)
 
-    gram = np.zeros((len(refs) * flen,) * 2)
+    gram = np.zeros((n_src * flen,) * 2)
     for i, bi in enumerate(blocks):
         for j, bj in enumerate(blocks[: i + 1]):
-            block = toeplitz(*_xcorr(ref_f[i], ref_f[j], n_fft, flen))
+            block = toeplitz(*_xcorr(ref_f[i], ref_f[j], prod, cc, flen))
             gram[bi, bj] = block
             gram[bj, bi] = block.T
-
-    def filtered(coeffs, i):
-        filt_f = np.fft.rfft(coeffs, n=n_fft)
-        return np.real(np.fft.irfft(filt_f * ref_f[i], n=n_fft))[:n_out]
+    rhs = np.empty((n_src * flen, n_src))
+    for i, bi in enumerate(blocks):
+        for j, e_f in enumerate(est_f):
+            rhs[bi, j] = _xcorr(ref_f[i], e_f, prod, cc, flen)[0]
+    joint = _solve(gram, rhs) if n_src > 1 else None
 
     scores = []
-    for j, est in enumerate(ests):
-        est_f = np.fft.rfft(est, n=n_fft)
-        rhs = np.concatenate([_xcorr(f, est_f, n_fft, flen)[0] for f in ref_f])
-        bj = blocks[j]
-        s_target = filtered(_solve(gram[bj, bj], rhs[bj]), j)
+    for j, (bj, est) in enumerate(zip(blocks, ests)):
+        s_target = oaconvolve(refs[j], _solve(gram[bj, bj], rhs[bj, j]))
         p_all = s_target
-        if len(refs) > 1:
-            coeffs = _solve(gram, rhs)
-            p_all = sum(filtered(coeffs[bi], i) for i, bi in enumerate(blocks))
+        if joint is not None:
+            p_all = sum(oaconvolve(r, joint[bi, j]) for r, bi in zip(refs, blocks))
         e_artif = -p_all
         e_artif[:n] += est
         scores.append(_scores(s_target, p_all - s_target, e_artif))

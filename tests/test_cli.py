@@ -1,5 +1,9 @@
 import io
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,17 @@ def run_cli(args):
     out = io.StringIO()
     code = main(args, out=out)
     return code, out.getvalue()
+
+
+def run_cli_process(args):
+    """Run ``hpss`` in a process of its own, so numpy's warnings reach
+    stderr as a user sees them."""
+    src = str(Path(hpss.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "hpss.cli", *args],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 SEP_FLAGS = ["--win", "256", "--hop", "64", "--iters", "10"]
@@ -227,19 +242,10 @@ class TestSeparate:
         assert list(tmp_path.glob("*.wav")) == [] and not (tmp_path / "t.csv").exists()
 
     def test_divergence_gives_diverged_exit_and_one_error_line(self, wav_dir, tmp_path):
-        # a process of its own, so numpy's warnings reach stderr as a user sees them
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(hpss.cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "hpss.cli", "separate", str(wav_dir / "mix.wav"),
+        proc = run_cli_process(
+            ["separate", str(wav_dir / "mix.wav"),
              "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav"),
-             "--win", "64", "--hop", "16", "--iters", "50", "--mu1", "1e160", "--mu2", "1e160"],
-            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+             "--win", "64", "--hop", "16", "--iters", "50", "--mu1", "1e160", "--mu2", "1e160"]
         )
         assert proc.returncode == EXIT_DIVERGED
         assert "RuntimeWarning" not in proc.stderr
@@ -270,6 +276,27 @@ class TestEval:
         assert lines[0].startswith("track,method,sdr_h")
         vals = [float(v) for v in lines[1].split(",")[2:]]
         assert all(v >= 100.0 for v in vals)
+
+    def test_silent_estimate_scores_floor(self, wav_dir, tmp_path):
+        # a zero estimate has no target energy: its scores sit at the -300 dB
+        # floor, finite in the row and in the mean, with nothing on stderr
+        silent = tmp_path / "silent.wav"
+        ref_h = read_wav(wav_dir / "ref_h.wav")
+        write_wav(silent, Signal(np.zeros(ref_h.samples.size), ref_h.sample_rate), "float32")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(",".join(
+            ["t"] + [str(p) for p in (wav_dir / "ref_h.wav", wav_dir / "ref_p.wav",
+                                      silent, wav_dir / "ref_p.wav")]
+        ))
+        proc = run_cli_process(["eval", "--manifest", str(manifest)])
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        rows = [line.split(",") for line in proc.stdout.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["t", "mean"]
+        for row in rows:
+            vals = [float(v) for v in row[2:]]
+            assert all(-300.0 <= v <= 300.0 for v in vals)
+            assert vals[:3] == [-300.0, -300.0, -300.0]
 
     def test_manifest_appends_mean(self, wav_dir, tmp_path):
         manifest = tmp_path / "m.csv"
