@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .audio_io import Signal, read_wav, write_wav
 from .baseline import MedianConfig, compute_weight, median_filter_hpss, mf_separate
 from .metrics import EvalResult, bss_eval, bss_eval_sources
-from .phase import IfMap, build_correction, estimate_if
+from .phase import IfMap, estimate_if
 from .pipeline import HpssConfig, load_config, parse_config_text, separate
 from .prox import SignalPair
 from .solver import HpssProblem, SolverDivergenceError, SolverParams, SolverTrace, run
@@ -36,7 +36,6 @@ __all__ = [
     "adjoint",
     "bss_eval",
     "bss_eval_sources",
-    "build_correction",
     "compute_weight",
     "estimate_if",
     "forward",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from dataclasses import replace
 
 from . import __version__
@@ -224,6 +225,9 @@ def _cmd_dump(args) -> int:
 def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
     parser = _build_parser()
+    # warnings print as one line each; callers recording them still see them all
+    saved_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args = parser.parse_args(argv)
         if args.command == "separate":
@@ -244,6 +248,8 @@ def main(argv=None, out=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        warnings.formatwarning = saved_format
 
 
 if __name__ == "__main__":

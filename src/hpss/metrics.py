@@ -106,7 +106,7 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         for _ in range(1 if rhs.ndim == 1 else rhs.shape[1]):
             warnings.warn(
                 "singular projection system; regularizing with a tiny ridge",
-                stacklevel=3,
+                stacklevel=4,  # _solve <- _eval_sources <- public function <- caller
             )
         return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
 
@@ -129,6 +129,10 @@ def bss_eval_sources(refs, ests, filter_len: int = 512):
     projection onto reference j alone solves its j-th diagonal block.
     Signal inputs must share one sample rate.
     """
+    return _eval_sources(refs, ests, filter_len)
+
+
+def _eval_sources(refs, ests, filter_len):
     refs, ests = list(refs), list(ests)
     rates = {s.sample_rate for s in refs + ests if isinstance(s, Signal)}
     if len(rates) > 1:
@@ -182,7 +186,5 @@ def bss_eval_sources(refs, ests, filter_len: int = 512):
 
 def bss_eval(ref_h, ref_p, est_h, est_p, filter_len: int = 512) -> EvalResult:
     """Evaluate a harmonic/percussive pair against reference stems."""
-    (sdr_h, sir_h, sar_h), (sdr_p, sir_p, sar_p) = bss_eval_sources(
-        [ref_h, ref_p], [est_h, est_p], filter_len
-    )
-    return EvalResult(sdr_h, sir_h, sar_h, sdr_p, sir_p, sar_p)
+    scores_h, scores_p = _eval_sources([ref_h, ref_p], [est_h, est_p], filter_len)
+    return EvalResult(*scores_h, *scores_p)

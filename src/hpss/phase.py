@@ -1,10 +1,6 @@
-"""Instantaneous-frequency estimation and instantaneous phase correction.
+"""Instantaneous-frequency estimation from the phase derivative of the STFT.
 
-The correction matrix E, the running product of the predicted per-frame
-phase steps of sinusoidal content, cancels their phase advance, so the
-phase-corrected STFT of a steady tone is constant along time in each
-sub-band. The steps follow from the IF map alone, so the map is the
-correction; for a fixed map the corrected transform is a linear operator.
+The solver predicts each bin's phase advance over one hop from the IF map.
 """
 
 from __future__ import annotations
@@ -64,11 +60,4 @@ def if_from_spectra(spec: Spectrogram, spec_d: Spectrogram) -> IfMap:
     q = np.divide(spec_d.data, spec.data, out=np.zeros_like(spec.data), where=strong)
     v = np.arange(config.n_bins, dtype=np.float64)[:, None] - q.imag
     return IfMap(np.clip(v, 0.0, config.win_len / 2, out=v), config)
-
-
-def build_correction(if_map: IfMap) -> np.ndarray:
-    """The per-frame phase steps s = exp(-2pi j v a / L), K x T; the last
-    column is unused. Steps of a valid IF map have unit modulus."""
-    config = if_map.config
-    return np.exp(-2j * np.pi * (config.hop / config.win_len) * if_map.v)
 

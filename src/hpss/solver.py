@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import as_samples
-from .phase import IfMap, build_correction
+from .phase import IfMap
 from .stft import StftPlan
 
 
@@ -213,10 +213,14 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     # the relaxed smooth-dual step is y_h <- (1 - alpha + c) y_h + c W P(F u); the
     # loop holds y_h / sqrt(c) and w = sqrt(c) W, so neither it nor W y_h scales
     c = p.alpha / (1.0 + p.mu2)
-    w = np.ascontiguousarray(problem.weight.T) * np.sqrt(c)
+    w = np.multiply(problem.weight.T, np.sqrt(c), order="C")
     fx = plan.forward(problem.mixture)
-    g = np.empty_like(fx)  # g[t] = conj(s[t-1]); g[0] is never read
-    np.conjugate(build_correction(problem.if_map)[:, :-1].T, out=g[1:])
+    # the IF map v predicts the phase steps s = exp(-2pi j a v / L) (Yatabe and Oikawa,
+    # 2018); the loop holds g[t] = conj(s[t-1]), built in place, and never reads g[0]
+    g = np.zeros_like(fx)
+    phase = 2 * np.pi * (plan.config.hop / plan.config.win_len)
+    np.multiply(problem.if_map.v[:, :-1].T, phase, out=g[1:].imag)
+    np.exp(g, out=g)
     y_h, y_p = np.zeros_like(fx), np.zeros_like(fx)
     # block scratch with one frame of look-ahead, and the carried frame of P
     a, scratch = (np.empty((plan.block + 1, fx.shape[1]), dtype=fx.dtype) for _ in range(2))

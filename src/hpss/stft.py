@@ -169,10 +169,9 @@ class StftPlan:
             coeffs = self._coeffs[: t1 - t0] if out is None else out[t0:t1]
             yield t0, t1, np.fft.rfft(real, n=self.config.win_len, axis=1, out=coeffs)
 
-    def forward(self, x: np.ndarray, window=None, out=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, window=None) -> np.ndarray:
         """T x K one-sided coefficients of the length-n signal ``x``."""
-        if out is None:
-            out = np.empty((self.n_frames, self.config.n_bins), dtype=np.complex128)
+        out = np.empty((self.n_frames, self.config.n_bins), dtype=np.complex128)
         for _ in self.forward_blocks(x, window, out):
             pass
         return out

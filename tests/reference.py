@@ -16,7 +16,6 @@ from hpss import (
     Spectrogram,
     StftConfig,
     adjoint,
-    build_correction,
     forward,
 )
 from hpss.audio_io import as_samples
@@ -42,10 +41,19 @@ def spec_norm(a, config: StftConfig) -> float:
     return float(np.sqrt(max(spec_inner(a, a, config), 0.0)))
 
 
+def phase_steps(if_map: IfMap) -> np.ndarray:
+    """The per-frame phase steps s = exp(-2 pi j a v / L), K x T, as cosine and
+    sine of the phase a bin at IF v advances over one hop a; the last column
+    is unused."""
+    config = if_map.config
+    advance = 2 * np.pi * config.hop * if_map.v / config.win_len
+    return np.cos(advance) - 1j * np.sin(advance)
+
+
 def correction_matrix(if_map: IfMap) -> np.ndarray:
     """E[:, 0] = 1, E[:, t] = E[:, t-1] s[:, t-1] for the map's steps s,
     renormalized to unit modulus."""
-    e = np.cumprod(np.insert(build_correction(if_map)[:, :-1], 0, 1.0, axis=1), axis=1)
+    e = np.cumprod(np.insert(phase_steps(if_map)[:, :-1], 0, 1.0, axis=1), axis=1)
     return np.divide(e, np.abs(e), out=e)
 
 

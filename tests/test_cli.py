@@ -253,6 +253,16 @@ class TestSeparate:
         assert lines[-1] == "error: solver diverged: non-finite value at iteration 2"
         assert list(tmp_path.glob("*.wav")) == []
 
+    def test_step_size_warning_is_one_line(self, wav_dir, tmp_path):
+        proc = run_cli_process(
+            ["separate", str(wav_dir / "mix.wav"),
+             "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav"),
+             "--win", "64", "--hop", "16", "--iters", "2", "--mu1", "2"]
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr.startswith("warning: step-size product mu1*mu2*B = ")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_bad_if_source_gives_args_exit(self, wav_dir, tmp_path):
         code, _ = run_cli(
             ["separate", str(wav_dir / "mix.wav"),
@@ -297,6 +307,22 @@ class TestEval:
             vals = [float(v) for v in row[2:]]
             assert all(-300.0 <= v <= 300.0 for v in vals)
             assert vals[:3] == [-300.0, -300.0, -300.0]
+
+    def test_silent_reference_warns_in_one_line(self, wav_dir, tmp_path):
+        # a zero reference makes the projection system singular; the ridge
+        # warnings of one call share a line and print once, without a path
+        silent = tmp_path / "silent.wav"
+        ref_h = read_wav(wav_dir / "ref_h.wav")
+        write_wav(silent, Signal(np.zeros(ref_h.samples.size), ref_h.sample_rate), "float32")
+        proc = run_cli_process(
+            ["eval", "--ref-h", str(silent), "--ref-p", str(wav_dir / "ref_p.wav"),
+             "--est-h", str(wav_dir / "ref_h.wav"), "--est-p", str(wav_dir / "ref_p.wav"),
+             "--filter-len", "8"]
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr.startswith("warning: singular projection system")
+        assert len(proc.stderr.splitlines()) == 1
+        assert len(proc.stdout.splitlines()) == 2
 
     def test_manifest_appends_mean(self, wav_dir, tmp_path):
         manifest = tmp_path / "m.csv"

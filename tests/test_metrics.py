@@ -197,6 +197,15 @@ class TestSingleGram:
         assert sum("singular projection" in str(w.message) for w in caught) == 3
         assert all(np.isfinite(v) for v in scores[0])
 
+    def test_ridge_warning_names_the_calling_line(self):
+        ref = np.sin(np.arange(512) * 0.3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bss_eval(np.zeros(512), ref, ref, ref, filter_len=4)
+            bss_eval_sources([ref, np.zeros(512)], [ref, ref], 4)
+        assert len(caught) == 6
+        assert {w.filename for w in caught} == {__file__}
+
 
 def _lstsq_scores(refs, ests, flen):
     """SDR/SIR/SAR by explicit least squares on a matrix of delayed copies."""

@@ -7,7 +7,6 @@ from hpss import (
     SolverDivergenceError,
     SolverParams,
     adjoint,
-    build_correction,
     estimate_if,
     forward,
     make_config,
@@ -22,6 +21,7 @@ from reference import (
     apply_Lh_adj,
     correction_matrix,
     objective,
+    phase_steps,
     spec_inner,
     spec_norm,
     split_sum_arrays,
@@ -205,7 +205,7 @@ class TestCorrectedDiff:
         config = make_config(16, 4)  # K = 9; v up to L/2 turns a step twice round
         shape = (config.n_bins, n_frames)
         if_map = IfMap(rng.uniform(0, 8, size=shape), config)
-        steps, e = build_correction(if_map), correction_matrix(if_map)
+        steps, e = phase_steps(if_map), correction_matrix(if_map)
         w = rng.uniform(0.001, 1.0, size=shape)
         c = 0.4
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -305,19 +305,29 @@ class TestRun:
     def test_steps_built_once_per_iterating_run(
         self, small_config, rng, monkeypatch, n_iters, builds
     ):
+        # the steps are the solver's only exponential: count its np.exp calls
         import hpss.solver
 
-        calls = []
+        built = []
 
-        def counted(if_map):
-            calls.append(if_map)
-            return build_correction(if_map)
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(hpss.solver, "build_correction", counted)
+            def exp(self, *args, **kwargs):
+                result = np.exp(*args, **kwargs)
+                built.append(result.copy())
+                return result
+
+        monkeypatch.setattr(hpss.solver, "np", CountingNumpy())
         x = desk_mixture()
         prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=n_iters))
         run(prob, np.zeros(x.size))
-        assert len(calls) == builds and all(m is prob.if_map for m in calls)
+        assert len(built) == builds
+        for g in built:  # frame-major, g[t] = conj(s[t-1])
+            assert g.shape == prob.if_map.v.shape[::-1]
+            np.testing.assert_allclose(g[1:].T, np.conj(phase_steps(prob.if_map)[:, :-1]),
+                                       rtol=0, atol=1e-15)
 
     def test_extreme_sparsity_collapses_percussive(self):
         # the percussive branch vanishes as the sparsity weight grows
