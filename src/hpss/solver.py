@@ -12,18 +12,21 @@ P(X)[t] = X[t] - conj(s[t-1]) X[t-1] for the per-frame phase step s. With
 u = x_h - mu1 F^*(P^*(W y_h) - y_p), an iteration sets y_p from the frames of
 y_p + F(x) - F(u) projected onto the l2 ball of radius lambda, y_h from
 (y_h + W P(F u)) / (1 + mu2), and x_h from (u + x_h) / 2, each relaxed by
-alpha: one adjoint and one forward STFT, with F(x) computed once. The trace
-follows F(x_p) and W P(F x_h) by the same relaxation, at no transform cost.
-Each transform is one sweep over the plan's frame blocks, and the steps on
-spectrogram-sized arrays run block by block inside it, on blocks in cache:
-P^*(W y_h) - y_p just before its inverse FFT, the dual steps just after the
-forward FFT.
+alpha: one adjoint and one forward STFT, with F(x) computed once. A trace
+row scores u, the point the forward sweep transforms: its smooth term sums
+|W P(F u)|^2 and its sparse term the frame norms of F(x) - F(u) block by
+block, so the trace holds no spectrogram-sized array and takes no transform
+of its own. Each transform is one sweep over the plan's frame blocks, and
+the steps on spectrogram-sized arrays run block by block inside it, on
+blocks in cache: P^*(W y_h) - y_p just before its inverse FFT, the dual
+steps and the trace's sums just after the forward FFT.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -67,7 +70,14 @@ class SolverParams:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration diagnostics: objective split and primal increment norm."""
+    """Per-iteration diagnostics: objective split and primal increment norm.
+
+    Row k scores the point u_k = x_h - mu1 F^*(P^*(W y_h) - y_p) that iteration
+    k transforms (2 t_h - x_h in the paper's two-variable form), with x_p =
+    x - u_k; ``primal_increment`` is the step of the pair (x_h, x_p) that
+    iteration k takes. So ``total[-1]`` is the objective at the last u, not at
+    the x_h that ``run`` returns.
+    """
 
     total: np.ndarray
     smooth: np.ndarray
@@ -122,8 +132,19 @@ def _check_step_sizes(problem: HpssProblem) -> None:
             f"step-size product mu1*mu2*B = {p.mu1 * p.mu2 * bound:.3f} exceeds 1, "
             f"where B = max(1, 4 max(W)^2) = {bound:.3f} is the certified bound "
             "on |L|^2; the iteration may not converge",
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning raised by the calling function names
+    the first frame outside the package, whichever public function led there
+    (``warnings.warn``'s ``skip_file_prefixes`` needs Python 3.12)."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _frame_norms(data: np.ndarray) -> np.ndarray:
@@ -225,13 +246,6 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     # block scratch with one frame of look-ahead, and the carried frame of P
     a, scratch = (np.empty((plan.block + 1, fx.shape[1]), dtype=fx.dtype) for _ in range(2))
     carry = np.empty(fx.shape[1], dtype=fx.dtype)
-    beta = 0.5 * p.alpha  # x_h <- x_h + beta (u - x_h), and so every image of it
-    if rows is not None:
-        f_p, l_h = np.empty_like(fx), np.empty_like(fx)  # F(x_p), sqrt(c) W P(F x_h)
-        sparse_norms = np.empty(len(fx))  # frame norms of f_p
-        for t0, t1, fu in plan.forward_blocks(x_h):
-            np.subtract(fx[t0:t1], fu, out=f_p[t0:t1])
-            _corrected_diff(fu, g[t0:t1], w[t0:t1], carry, t0 == 0, l_h[t0:t1], scratch)
 
     def primal_residual(t0, t1):  # frames t0..t1-1 of P^*(W y_h) - y_p
         block = _corrected_diff_adjoint(y_h, g, w, t0, t1, a, scratch)
@@ -243,16 +257,13 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
         u = plan.adjoint_blocks(primal_residual)
         u *= -p.mu1
         u += x_h
+        smooth = sparse = 0.0  # the trace row scores u from the blocks of F(u)
         for t0, t1, fu in plan.forward_blocks(u):
             frames = slice(t0, t1)
             # percussive dual: frames of y_p + F(x) - F(u) projected onto the lam-ball
             d = np.subtract(fx[frames], fu, out=a[: t1 - t0])
-            if rows is not None:  # f_p <- (1 - beta) f_p + beta F(x - u)
-                fp = f_p[frames]
-                fp -= d
-                fp *= 1.0 - beta
-                fp += d
-                sparse_norms[frames] = _frame_norms(fp)
+            if rows is not None:
+                sparse += float(np.sum(_frame_norms(d)))
             d += y_p[frames]
             d *= (p.alpha * p.lam / np.maximum(_frame_norms(d), p.lam))[:, None]
             yp = y_p[frames]
@@ -262,10 +273,7 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
             # smooth dual: z_h = y_h + W P(F u), Moreau step z_h / (1 + mu2)
             lu = _corrected_diff(fu, g[frames], w[frames], carry, t0 == 0, fu, scratch)
             if rows is not None:
-                lh = l_h[frames]
-                lh -= lu
-                lh *= 1.0 - beta
-                lh += lu
+                smooth += float(np.vdot(lu, lu).real)
             yh = y_h[frames]
             yh *= 1.0 - p.alpha + c
             yh += lu
@@ -279,8 +287,8 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
         if _energy_overflows(new_h):
             raise SolverDivergenceError(it + 1)
         if rows is not None:
-            smooth = 0.5 * float(np.vdot(l_h, l_h).real) / c
-            sparse = p.lam * float(np.sum(sparse_norms))
+            smooth = 0.5 * smooth / c
+            sparse *= p.lam
             step = np.sqrt(2.0) * np.linalg.norm(new_h - x_h)  # x_p moves by -step
             rows[it] = smooth + sparse, smooth, sparse, step
         x_h = new_h

@@ -157,9 +157,11 @@ def two_variable_reference(problem, init):
 
     Each iteration projects the primal gradient step onto the exact-sum
     constraint, takes both dual ascent steps with Moreau-form proximal
-    updates, and relaxes primal and dual; the trace evaluates the
-    objective of every iterate directly. Returns (x_h, x_p, rows): both
-    parts are iterated, so x_h + x_p = x holds only up to rounding.
+    updates, and relaxes primal and dual. Each trace row evaluates the
+    objective directly at the point the dual steps transform,
+    (2 t_h - x_h, 2 t_p - x_p) for the projected pair (t_h, t_p), and the
+    increment of the relaxed pair. Returns (x_h, x_p, rows): both parts are
+    iterated, so x_h + x_p = x holds only up to rounding.
     """
     p = problem.params
     x = problem.mixture
@@ -172,8 +174,12 @@ def two_variable_reference(problem, init):
         g_h = x_h - p.mu1 * apply_Lh_adj(y_h, problem)
         g_p = x_p - p.mu1 * adjoint(y_p)
         t_h, t_p = split_sum_arrays(x, g_h, g_p)
-        z_h = y_h.data + apply_Lh(2.0 * t_h - x_h, problem).data
-        z_p = y_p.data + forward(2.0 * t_p - x_p, problem.if_map.config).data
+        l_h = apply_Lh(2.0 * t_h - x_h, problem).data
+        f_p = forward(2.0 * t_p - x_p, problem.if_map.config).data
+        smooth = 0.5 * np.sum(np.abs(l_h) ** 2)
+        sparse = p.lam * l21_norm(f_p)
+        z_h = y_h.data + l_h
+        z_p = y_p.data + f_p
         yt_h = z_h - p.mu2 * prox_sq_fro(z_h / p.mu2, 1.0 / p.mu2)
         yt_p = z_p - lam_mu2 * prox_l21(z_p / lam_mu2, 1.0 / p.mu2)
         new_h = p.alpha * t_h + (1.0 - p.alpha) * x_h
@@ -182,7 +188,5 @@ def two_variable_reference(problem, init):
         x_h, x_p = new_h, new_p
         y_h = y_h.with_data(p.alpha * yt_h + (1.0 - p.alpha) * y_h.data)
         y_p = y_p.with_data(p.alpha * yt_p + (1.0 - p.alpha) * y_p.data)
-        smooth = 0.5 * np.sum(np.abs(apply_Lh(x_h, problem).data) ** 2)
-        sparse = p.lam * l21_norm(forward(x_p, problem.if_map.config).data)
         rows.append((smooth + sparse, smooth, sparse, inc))
     return x_h, x_p, np.array(rows)

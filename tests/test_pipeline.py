@@ -97,6 +97,25 @@ class TestSeparate:
         assert len(trace) == 25
         assert np.all(np.isfinite(trace.total))
 
+    def test_peak_memory_per_audio_second(self):
+        # tracemalloc peak of separate above its entry, trace on (the default), on
+        # criterion 8 at 3 iterations: at most half the seed's 23.04 MB/audio-s
+        import tracemalloc
+
+        from hpss.synth import criterion_mixture
+
+        mixture = criterion_mixture().mixture
+        cfg = HpssConfig(solver=SolverParams(n_iters=3))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            _, trace = separate(mixture, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 3
+        assert (peak - entry) / 1e6 / mixture.duration <= 11.52  # measured 11.41
+
     def test_oracle_if_source(self):
         track = bench_track(np.random.default_rng(3), sample_rate=8000, duration=1.0)
         cfg = HpssConfig(

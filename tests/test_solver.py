@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,24 @@ class TestOpnorm:
             warnings_mod.simplefilter("always")
             run(prob, np.zeros(x.size))
         assert any("step-size product" in str(w.message) for w in caught) == warns
+
+    @pytest.mark.parametrize("entry", ["run", "separate"])
+    def test_warning_names_the_caller(self, small_config, entry):
+        # the warning points at the first frame outside the package, here this file
+        import warnings as warnings_mod
+
+        from hpss import HpssConfig, separate
+
+        params = SolverParams(mu1=2.0, n_iters=1, record_trace=False)
+        x = desk_mixture(n=800)
+        with warnings_mod.catch_warnings(record=True) as caught:
+            warnings_mod.simplefilter("always")
+            if entry == "run":
+                run(make_problem(x, small_config, params=params), np.zeros(x.size))
+            else:
+                separate(x, HpssConfig(win_len=64, hop=16, solver=params))
+        found = [w for w in caught if "step-size product" in str(w.message)]
+        assert [w.filename for w in found] == [__file__]
 
     def test_criterion_mixture_above_bound_warns(self):
         # mu1 mu2 = 0.3625 on the paper's problem, where |L_h| is about 1.69:
@@ -500,7 +520,13 @@ class TestEquivalence:
         columns = (trace.total, trace.smooth, trace.sparse, trace.primal_increment)
         for col, ref in zip(columns, ref_rows.T):
             np.testing.assert_allclose(col, ref, rtol=1e-10, atol=0)
-        total, _, _ = objective((got_h, x - got_h), prob)
+        # the last row scores the last transformed point u: invert the final
+        # relaxation new_h = alpha (u + x_h) / 2 + (1 - alpha) x_h for it
+        params = SolverParams(n_iters=prob.params.n_iters - 1, record_trace=False)
+        prev_h, _ = run(replace(prob, params=params), split_sum_arrays(x, *init)[0])
+        a = prob.params.alpha
+        u = (2.0 * got_h - (2.0 - a) * prev_h) / a
+        total, _, _ = objective((u, x - u), prob)
         assert trace.total[-1] == pytest.approx(total, rel=1e-10, abs=0)
 
     def test_matches_two_variable_iteration_across_frame_blocks(self, rng):
@@ -559,8 +585,8 @@ class TestEquivalence:
             counted("spectrogram", post_init, False),
         )
         run(prob, np.zeros(x.size))
-        # with the trace on, F(x) and F(x_h0) are the only transforms outside the loop
-        extra = 2 if n_iters else 0
+        # with the trace on too, F(x) is the only transform outside the loop
+        extra = 1 if n_iters else 0
         n_frames = small_config.n_frames(x.size)
         expected = {
             "forward": (n_iters + extra) * n_frames,
@@ -572,30 +598,44 @@ class TestEquivalence:
     def test_peak_memory_budget(self, monkeypatch):
         # the loop's working set, counted in K x T complex128 arrays: the traced
         # peak of run above its entry, trace off, on the criterion-8 problem
-        import tracemalloc
-        from dataclasses import replace
+        problem, x_h0 = criterion_problem(monkeypatch)
+        assert run_peak_units(problem, x_h0, record_trace=False) <= 6.55  # measured 6.30
 
-        import hpss.pipeline
-        from hpss import HpssConfig, separate
-        from hpss.synth import criterion_mixture
+    def test_peak_memory_budget_with_trace(self, monkeypatch):
+        # the trace is summed from the sweep's own blocks: it adds no K x T array
+        problem, x_h0 = criterion_problem(monkeypatch)
+        off = run_peak_units(problem, x_h0, record_trace=False)
+        assert run_peak_units(problem, x_h0, record_trace=True) <= off + 0.05
 
-        captured = []
 
-        def capture(problem, x_h0):
-            captured.append((problem, x_h0))
-            return run(problem, x_h0)
+def criterion_problem(monkeypatch):
+    """The problem and initial x_h that ``separate`` hands ``run`` on criterion 8."""
+    import hpss.pipeline
+    from hpss import HpssConfig, separate
+    from hpss.synth import criterion_mixture
 
-        monkeypatch.setattr(hpss.pipeline, "run", capture)
-        cfg = HpssConfig(solver=SolverParams(n_iters=0))
-        separate(criterion_mixture().mixture, cfg)
-        problem, x_h0 = captured[0]
-        problem = replace(problem, params=SolverParams(n_iters=3, record_trace=False))
-        unit = problem.weight.size * np.dtype(np.complex128).itemsize
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            run(problem, x_h0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - entry) / unit <= 6.55  # measured 6.30
+    captured = []
+
+    def capture(problem, x_h0):
+        captured.append((problem, x_h0))
+        return run(problem, x_h0)
+
+    monkeypatch.setattr(hpss.pipeline, "run", capture)
+    separate(criterion_mixture().mixture, HpssConfig(solver=SolverParams(n_iters=0)))
+    return captured[0]
+
+
+def run_peak_units(problem, x_h0, record_trace):
+    """Traced peak of a 3-iteration ``run`` above its entry, in K x T complex128 units."""
+    import tracemalloc
+
+    problem = replace(problem, params=SolverParams(n_iters=3, record_trace=record_trace))
+    unit = problem.weight.size * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        run(problem, x_h0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - entry) / unit
