@@ -47,12 +47,14 @@ class Signal:
 
 
 def as_samples(x) -> np.ndarray:
-    """Accept a Signal or a bare 1-D array and return float64 samples."""
+    """Accept a Signal or a bare 1-D array of finite values; return float64 samples."""
     if isinstance(x, Signal):
         return x.samples
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D sample array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("samples must be finite")
     return arr
 
 

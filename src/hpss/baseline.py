@@ -1,8 +1,8 @@
 """Median-filter HPSS: pre-estimator, solver initializer, and baseline.
 
-Time-directional medians of the magnitude spectrogram capture horizontal
-(harmonic) structure, frequency-directional medians capture vertical
-(percussive) structure; a soft Wiener-type mask splits the mixture.
+Time-directional medians of the frame-major (T x K) magnitude spectrogram
+capture horizontal (harmonic) structure, frequency-directional medians
+vertical (percussive) structure; a soft Wiener-type mask splits the mixture.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .audio_io import Signal, as_samples
 from .prox import SignalPair
-from .stft import Spectrogram, StftConfig, adjoint, forward
+from .stft import StftConfig, StftPlan
 
 
 @dataclass(frozen=True)
@@ -83,25 +83,29 @@ def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     return out
 
 
-def median_filter_hpss(spec: Spectrogram, mc: MedianConfig = MedianConfig()):
-    """Return (H_mag, P_mag, mask_h) for a mixture spectrogram.
+def median_filter_hpss(spec: np.ndarray, mc: MedianConfig = MedianConfig()):
+    """Return (H_mag, P_mag, mask_h) for the T x K mixture coefficients X.
 
     H_mag is the time-directional median of |X|, P_mag the
     frequency-directional median; mask_h = H^p / (H^p + P^p), computed on
     magnitudes divided by max|X|, with the 0/0 case mapped to 0.5. The
     soft-masked harmonic spectrogram is mask_h * X.
     """
-    mag = np.abs(spec.data)
+    mag = np.abs(spec)
     if mag.size == 0:
         raise ValueError("empty spectrogram")
-    h_mag = _median_shrink(mag, mc.harm_kernel, axis=1)
-    p_mag = _median_shrink(mag, mc.perc_kernel, axis=0)
+    h_mag = _median_shrink(mag, mc.harm_kernel, axis=0)
+    p_mag = _median_shrink(mag, mc.perc_kernel, axis=1)
     # no median exceeds the peak, so the scaled powers neither overflow nor
     # depend on the input's gain; silence keeps scale 1
     scale = mag.max() or 1.0
-    num = (h_mag / scale) ** mc.mask_power
-    den = num + (p_mag / scale) ** mc.mask_power
-    mask = np.divide(num, den, out=np.full_like(num, 0.5), where=den > 0.0)
+    del mag  # the mask is built in place below, beside H and P alone
+    num, den = h_mag / scale, p_mag / scale
+    num **= mc.mask_power
+    den **= mc.mask_power
+    den += num
+    mask = np.divide(num, den, out=num, where=den > 0.0)
+    mask[den == 0.0] = 0.5  # where num = den = 0
     return h_mag, p_mag, mask
 
 
@@ -109,24 +113,28 @@ def mf_separate(x, config: StftConfig, mc: MedianConfig = MedianConfig()) -> Sig
     """Median-filter separation: soft-masked harmonic, exact-sum percussive."""
     samples = as_samples(x)
     rate = x.sample_rate if isinstance(x, Signal) else 1
-    spec = forward(samples, config)
+    plan = StftPlan(config, samples.size)
+    spec = plan.forward(samples)
     _, _, mask = median_filter_hpss(spec, mc)
-    x_h = adjoint(spec.with_data(mask * spec.data))
+    x_h = plan.adjoint(mask * spec)
     return SignalPair(Signal(x_h, rate), Signal(samples - x_h, rate))
 
 
 def compute_weight(pre_h, kappa: float = 0.001) -> np.ndarray:
     """Smoothness weight kappa / max(kappa, normalized harmonic amplitude).
 
-    Magnitudes of the pre-estimated harmonic K x T array are normalized
+    Magnitudes of the pre-estimated harmonic T x K array are normalized
     by their global maximum, so entries lie in (0, 1] and strong
     harmonic bins receive the smallest smoothing weight. An all-zero
     pre-estimate degenerates to a uniform weight of one.
     """
     if not 0.0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    mag = np.abs(np.asarray(pre_h))
+    mag = np.abs(pre_h, dtype=np.float64)  # a new array: scaled in place below
     peak = mag.max() if mag.size else 0.0
+    if not np.isfinite(peak):  # a NaN or inf entry would spread to every weight
+        raise ValueError(f"pre-estimate magnitudes must be finite, got a peak of {peak}")
     if peak == 0.0:
         return np.ones_like(mag)
-    return kappa / np.maximum(kappa, mag / peak)
+    mag /= peak
+    return np.divide(kappa, np.maximum(kappa, mag, out=mag), out=mag)

@@ -16,10 +16,10 @@ import numpy as np
 
 from .audio_io import Signal, as_samples
 from .baseline import MedianConfig, compute_weight, median_filter_hpss
-from .phase import estimate_if, if_from_spectra
+from .phase import IfMap, if_from_spectra
 from .prox import SignalPair
 from .solver import HpssProblem, SolverParams, run
-from .stft import StftConfig, adjoint, forward, make_config
+from .stft import StftConfig, StftPlan, make_config
 
 REFERENCE_RMS = 2.0**-0.5
 
@@ -96,20 +96,22 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     xs = samples * gain
 
     config = cfg.stft()
-    spec = forward(xs, config)
+    plan = StftPlan(config, xs.size)
+    spec = plan.forward(xs)
     if oracle is None:
-        if_map = if_from_spectra(spec, forward(xs, config, window=config.deriv_window))
+        v = if_from_spectra(spec, plan.forward(xs, config.deriv_window))
     else:
-        if_map = estimate_if(oracle * gain, config)
+        oracle = oracle * gain
+        v = if_from_spectra(plan.forward(oracle), plan.forward(oracle, config.deriv_window))
 
     _, _, mask = median_filter_hpss(spec, cfg.median)
-    x_h0 = adjoint(spec.with_data(mask * spec.data))
-    weight = compute_weight(mask * np.abs(spec.data), cfg.kappa)
-    del spec, mask  # the solver's working set need not stack on these
+    x_h0 = plan.adjoint(mask * spec)
+    weight = compute_weight(mask * np.abs(spec), cfg.kappa)
+    del plan, spec, mask, oracle  # the solver's working set need not stack on these
 
     problem = HpssProblem(
         mixture=xs,
-        if_map=if_map,
+        if_map=IfMap(v, config),
         weight=weight,
         params=cfg.solver,
     )

@@ -19,7 +19,7 @@ block, so the trace holds no spectrogram-sized array and takes no transform
 of its own. Each transform is one sweep over the plan's frame blocks, and
 the steps on spectrogram-sized arrays run block by block inside it, on
 blocks in cache: P^*(W y_h) - y_p just before its inverse FFT, the dual
-steps and the trace's sums just after the forward FFT.
+steps and the trace's sums just after the forward FFT, all on T x K arrays.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class HpssProblem:
-    """Mixture, IF map (phase correction and geometry), smoothness weight, params."""
+    """Mixture, IF map (phase correction and geometry), T x K weight, params."""
 
     mixture: np.ndarray
     if_map: IfMap
@@ -111,14 +111,14 @@ class HpssProblem:
         x = as_samples(self.mixture)
         object.__setattr__(self, "mixture", x)
         config = self.if_map.config
-        shape = (config.n_bins, config.n_frames(x.size))
+        shape = (config.n_frames(x.size), config.n_bins)
         if self.if_map.v.shape != shape:
             raise ValueError("IF map shape does not match the mixture")
         w = np.asarray(self.weight, dtype=np.float64)
         object.__setattr__(self, "weight", w)
         if w.shape != shape:
             raise ValueError("weight shape does not match the mixture")
-        if w.min() <= 0.0 or w.max() > 1.0:
+        if not (0.0 < w.min() and w.max() <= 1.0):  # NaN fails both comparisons
             raise ValueError("weight entries must lie in (0, 1]")
 
 
@@ -234,13 +234,13 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     # the relaxed smooth-dual step is y_h <- (1 - alpha + c) y_h + c W P(F u); the
     # loop holds y_h / sqrt(c) and w = sqrt(c) W, so neither it nor W y_h scales
     c = p.alpha / (1.0 + p.mu2)
-    w = np.multiply(problem.weight.T, np.sqrt(c), order="C")
+    w = problem.weight * np.sqrt(c)
     fx = plan.forward(problem.mixture)
     # the IF map v predicts the phase steps s = exp(-2pi j a v / L) (Yatabe and Oikawa,
     # 2018); the loop holds g[t] = conj(s[t-1]), built in place, and never reads g[0]
     g = np.zeros_like(fx)
     phase = 2 * np.pi * (plan.config.hop / plan.config.win_len)
-    np.multiply(problem.if_map.v[:, :-1].T, phase, out=g[1:].imag)
+    np.multiply(problem.if_map.v[:-1], phase, out=g[1:].imag)
     np.exp(g, out=g)
     y_h, y_p = np.zeros_like(fx), np.zeros_like(fx)
     # block scratch with one frame of look-ahead, and the carried frame of P

@@ -5,12 +5,13 @@ of the hop, and circular extension of the (hop-aligned zero-padded)
 signal. Under the spectrogram inner product that weights the one-sided
 bins by [1, 2, ..., 2, 1] / L, the adjoint is an exact inverse:
 ``adjoint(forward(x)) == x`` to machine precision for any signal length.
+Coefficients are T x K, a row per frame; only dump files hold them K x T.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,9 +82,9 @@ def make_config(win_len: int, hop: int) -> StftConfig:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Complex K x T matrix of one-sided STFT coefficients.
+    """Complex T x K matrix of one-sided STFT coefficients.
 
-    Column tau holds the frame centered at sample hop*tau. n_samples
+    Row tau holds the frame centered at sample hop*tau. n_samples
     records the analyzed signal length so the adjoint can crop.
     """
 
@@ -93,21 +94,15 @@ class Spectrogram:
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        if data.ndim != 2:
-            raise ValueError("Spectrogram data must be 2-D")
-        if data.shape[0] != self.config.n_bins:
-            raise ValueError("row count must equal n_bins")
-        if data.shape[1] != self.config.n_frames(self.n_samples):
-            raise ValueError("column count must equal ceil(n_samples / hop)")
-        if not np.all(np.isfinite(data.view(np.float64))):
+        shape = (self.config.n_frames(self.n_samples), self.config.n_bins)
+        if data.shape != shape:
+            raise ValueError(f"Spectrogram data must be T x K = {shape}, got {data.shape}")
+        if not np.all(np.isfinite(data)):
             raise ValueError("Spectrogram entries must be finite")
 
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    def with_data(self, data: np.ndarray) -> "Spectrogram":
-        return replace(self, data=data)
 
 
 class StftPlan:
@@ -223,37 +218,33 @@ class StftPlan:
 
 
 def forward(x, config: StftConfig, window: np.ndarray | None = None) -> Spectrogram:
-    """One-sided STFT: X[w, tau] = sum_l x[l + a*tau - L/2] g[l] e^{-2pi j w l / L}."""
+    """One-sided STFT: X[tau, w] = sum_l x[l + a*tau - L/2] g[l] e^{-2pi j w l / L}."""
     samples = as_samples(x)
     data = StftPlan(config, samples.size).forward(samples, window)
-    return Spectrogram(
-        data=np.ascontiguousarray(data.T),
-        config=config,
-        n_samples=samples.size,
-    )
+    return Spectrogram(data=data, config=config, n_samples=samples.size)
 
 
 def adjoint(spec: Spectrogram) -> np.ndarray:
     """Exact adjoint of ``forward`` under the bin-weighted inner product."""
-    return StftPlan(spec.config, spec.n_samples).adjoint(spec.data.T)
+    return StftPlan(spec.config, spec.n_samples).adjoint(spec.data)
 
 
 def write_dump(path, data: np.ndarray, config: StftConfig) -> None:
-    """Dump a K x T array: an 8-byte magic, K, T, L, a as little-endian uint64,
-    then row-major float64. Complex data gets magic HPSSSPC1 and interleaves
-    re/im; real data gets HPSSIFM1."""
-    k, t = data.shape
+    """Dump a T x K array as K x T: an 8-byte magic, K, T, L, a as little-endian
+    uint64, then row-major float64 of the K x T transpose. Complex data gets
+    magic HPSSSPC1 and interleaves re/im; real data gets HPSSIFM1."""
+    t, k = data.shape
     is_complex = np.iscomplexobj(data)
     if is_complex:
         data = np.stack((data.real, data.imag), axis=-1)
     header = _DUMP_MAGIC[is_complex] + struct.pack("<QQQQ", k, t, config.win_len, config.hop)
     with open(path, "wb") as fh:
-        fh.write(header + np.ascontiguousarray(data, dtype="<f8").tobytes())
+        fh.write(header + np.ascontiguousarray(data.swapaxes(0, 1), dtype="<f8").tobytes())
 
 
 def read_dump(path):
-    """Read a ``write_dump`` file; returns (data, (K, T, L, a)), complex or real
-    according to its magic."""
+    """Read a ``write_dump`` file; returns (data, (K, T, L, a)) with ``data`` a
+    C-contiguous T x K array, complex or real according to its magic."""
     with open(path, "rb") as fh:
         raw = fh.read()
     is_complex = {magic: c for c, magic in _DUMP_MAGIC.items()}.get(raw[:8])
@@ -263,6 +254,6 @@ def read_dump(path):
     body = np.frombuffer(raw, dtype="<f8", offset=40)
     if body.size != k * t * (1 + is_complex):
         raise ValueError(f"{path}: truncated dump payload")
-    body = body.reshape(k, t, 1 + is_complex)
+    body = np.ascontiguousarray(body.reshape(k, t, 1 + is_complex).swapaxes(0, 1))
     data = body[..., 0] + 1j * body[..., 1] if is_complex else body[..., 0].copy()
     return data, (int(k), int(t), int(win_len), int(hop))

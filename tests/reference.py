@@ -6,6 +6,10 @@ spectrogram inner product, the correction matrix E and the phase-corrected
 transform, the time difference, the smoothness operator L_h, the proximity
 operators, the sum projection, the objective, and the paper's iteration over
 the pair (x_h, x_p). Tests import it as ``from reference import ...``.
+
+The model computes on K x T arrays, one column per frame, as the paper writes
+them. The package's arrays are T x K; the model transposes them on entry
+(``model_layout``) and hands spectrograms back in the package's layout.
 """
 
 import numpy as np
@@ -21,6 +25,22 @@ from hpss import (
 from hpss.audio_io import as_samples
 
 
+def model_layout(data) -> np.ndarray:
+    """The model's K x T copy of a package (T x K) array."""
+    return np.ascontiguousarray(np.asarray(data).T)
+
+
+def model_forward(x, config: StftConfig) -> np.ndarray:
+    """The K x T coefficients of the package's ``forward``."""
+    return model_layout(forward(x, config).data)
+
+
+def package_spec(data: np.ndarray, config: StftConfig, n: int) -> Spectrogram:
+    """The package (T x K) spectrogram of a signal of length n with the model's
+    K x T coefficients ``data``."""
+    return Spectrogram(data.T, config, n)
+
+
 def bin_weights(config: StftConfig) -> np.ndarray:
     """One-sided bin weights [1, 2, ..., 2, 1] / L of the inner product."""
     w = np.full(config.n_bins, 2.0)
@@ -29,10 +49,9 @@ def bin_weights(config: StftConfig) -> np.ndarray:
     return w / config.win_len
 
 
-def spec_inner(a, b, config: StftConfig) -> float:
+def spec_inner(a: Spectrogram, b: Spectrogram, config: StftConfig) -> float:
     """Real inner product on spectrograms with one-sided bin weighting."""
-    da = a.data if isinstance(a, Spectrogram) else np.asarray(a)
-    db = b.data if isinstance(b, Spectrogram) else np.asarray(b)
+    da, db = model_layout(a.data), model_layout(b.data)
     w = bin_weights(config)
     return float(np.sum(w[:, None] * np.real(da * np.conj(db))))
 
@@ -46,7 +65,7 @@ def phase_steps(if_map: IfMap) -> np.ndarray:
     sine of the phase a bin at IF v advances over one hop a; the last column
     is unused."""
     config = if_map.config
-    advance = 2 * np.pi * config.hop * if_map.v / config.win_len
+    advance = 2 * np.pi * config.hop * model_layout(if_map.v) / config.win_len
     return np.cos(advance) - 1j * np.sin(advance)
 
 
@@ -59,17 +78,19 @@ def correction_matrix(if_map: IfMap) -> np.ndarray:
 
 def ipc_forward(x, if_map: IfMap) -> Spectrogram:
     """Phase-corrected STFT: E applied elementwise to the plain transform."""
-    spec = forward(x, if_map.config)
-    if if_map.v.shape != spec.shape:
+    x = as_samples(x)
+    data = model_forward(x, if_map.config)
+    if if_map.v.shape != data.shape[::-1]:
         raise ValueError("IF map shape does not match the spectrogram")
-    return spec.with_data(correction_matrix(if_map) * spec.data)
+    return package_spec(correction_matrix(if_map) * data, if_map.config, x.size)
 
 
 def ipc_adjoint(spec: Spectrogram, if_map: IfMap) -> np.ndarray:
     """Adjoint of ``ipc_forward``: conjugate correction, then the STFT adjoint."""
     if if_map.v.shape != spec.shape:
         raise ValueError("IF map shape does not match the spectrogram")
-    return adjoint(spec.with_data(np.conj(correction_matrix(if_map)) * spec.data))
+    data = np.conj(correction_matrix(if_map)) * model_layout(spec.data)
+    return adjoint(package_spec(data, spec.config, spec.n_samples))
 
 
 def time_diff(data: np.ndarray) -> np.ndarray:
@@ -131,13 +152,14 @@ def l21_norm(data: np.ndarray) -> float:
 def apply_Lh(x_h, problem: HpssProblem) -> Spectrogram:
     """Smoothness operator: W o D_t(F_ipc(x_h))."""
     spec = ipc_forward(as_samples(x_h), problem.if_map)
-    return spec.with_data(problem.weight * time_diff(spec.data))
+    data = model_layout(problem.weight) * time_diff(model_layout(spec.data))
+    return package_spec(data, spec.config, spec.n_samples)
 
 
 def apply_Lh_adj(spec: Spectrogram, problem: HpssProblem) -> np.ndarray:
     """Adjoint of ``apply_Lh``: F_ipc^* ( D_t^* (W o Y) )."""
-    data = time_diff_adj(problem.weight * spec.data)
-    return ipc_adjoint(spec.with_data(data), problem.if_map)
+    data = time_diff_adj(model_layout(problem.weight) * model_layout(spec.data))
+    return ipc_adjoint(package_spec(data, spec.config, spec.n_samples), problem.if_map)
 
 
 def objective(pair, problem: HpssProblem):
@@ -147,8 +169,8 @@ def objective(pair, problem: HpssProblem):
     gap = np.linalg.norm(x - x_h - x_p)
     if gap > 1e-9 * max(np.linalg.norm(x), 1.0):
         raise ValueError("pair violates the exact-sum constraint")
-    smooth = 0.5 * float(np.sum(np.abs(apply_Lh(x_h, problem).data) ** 2))
-    sparse = problem.params.lam * l21_norm(forward(x_p, problem.if_map.config).data)
+    smooth = 0.5 * float(np.sum(np.abs(model_layout(apply_Lh(x_h, problem).data)) ** 2))
+    sparse = problem.params.lam * l21_norm(model_forward(x_p, problem.if_map.config))
     return smooth + sparse, smooth, sparse
 
 
@@ -165,28 +187,29 @@ def two_variable_reference(problem, init):
     """
     p = problem.params
     x = problem.mixture
+    config = problem.if_map.config
     x_h, x_p = split_sum_arrays(x, *init)
-    y_h = apply_Lh(np.zeros(x.size), problem)
-    y_p = forward(np.zeros(x.size), problem.if_map.config)
+    y_h = model_layout(apply_Lh(np.zeros(x.size), problem).data)
+    y_p = model_forward(np.zeros(x.size), config)
     lam_mu2 = p.lam * p.mu2
     rows = []
     for _ in range(p.n_iters):
-        g_h = x_h - p.mu1 * apply_Lh_adj(y_h, problem)
-        g_p = x_p - p.mu1 * adjoint(y_p)
+        g_h = x_h - p.mu1 * apply_Lh_adj(package_spec(y_h, config, x.size), problem)
+        g_p = x_p - p.mu1 * adjoint(package_spec(y_p, config, x.size))
         t_h, t_p = split_sum_arrays(x, g_h, g_p)
-        l_h = apply_Lh(2.0 * t_h - x_h, problem).data
-        f_p = forward(2.0 * t_p - x_p, problem.if_map.config).data
+        l_h = model_layout(apply_Lh(2.0 * t_h - x_h, problem).data)
+        f_p = model_forward(2.0 * t_p - x_p, config)
         smooth = 0.5 * np.sum(np.abs(l_h) ** 2)
         sparse = p.lam * l21_norm(f_p)
-        z_h = y_h.data + l_h
-        z_p = y_p.data + f_p
+        z_h = y_h + l_h
+        z_p = y_p + f_p
         yt_h = z_h - p.mu2 * prox_sq_fro(z_h / p.mu2, 1.0 / p.mu2)
         yt_p = z_p - lam_mu2 * prox_l21(z_p / lam_mu2, 1.0 / p.mu2)
         new_h = p.alpha * t_h + (1.0 - p.alpha) * x_h
         new_p = p.alpha * t_p + (1.0 - p.alpha) * x_p
         inc = np.sqrt(np.sum((new_h - x_h) ** 2) + np.sum((new_p - x_p) ** 2))
         x_h, x_p = new_h, new_p
-        y_h = y_h.with_data(p.alpha * yt_h + (1.0 - p.alpha) * y_h.data)
-        y_p = y_p.with_data(p.alpha * yt_p + (1.0 - p.alpha) * y_p.data)
+        y_h = p.alpha * yt_h + (1.0 - p.alpha) * y_h
+        y_p = p.alpha * yt_p + (1.0 - p.alpha) * y_p
         rows.append((smooth + sparse, smooth, sparse, inc))
     return x_h, x_p, np.array(rows)

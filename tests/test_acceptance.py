@@ -5,6 +5,7 @@ criteria execute.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -69,7 +70,7 @@ def test_criterion_02_adjoint_identities():
     rng = np.random.default_rng(2)
     n = 900
     n_frames = config.n_frames(n)
-    shape = (config.n_bins, n_frames)
+    shape = (n_frames, config.n_bins)
 
     mix = rng.standard_normal(n)
     if_map = estimate_if(mix, config)
@@ -84,8 +85,8 @@ def test_criterion_02_adjoint_identities():
         for _ in range(50):
             x = rng.standard_normal(n)
             spec = apply_fn(x)
-            y = spec.with_data(
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            y = replace(
+                spec, data=rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             )
             lhs = spec_inner(spec, y, config)
             rhs = float(np.dot(x, adj_fn(y)))
@@ -174,13 +175,13 @@ def test_criterion_04_if_estimator():
     n = 3 * 44100
     on = sine_tone(100.0 * 44100 / 4096, n, 44100, 0.4)
     v_on = estimate_if(on, config).v
-    interior = slice(8, v_on.shape[1] - 8)
-    err_on = float(np.max(np.abs(v_on[100, interior] - 100.0)))
+    interior = slice(8, v_on.shape[0] - 8)
+    err_on = float(np.max(np.abs(v_on[interior, 100] - 100.0)))
 
     off = sine_tone(100.37 * 44100 / 4096, n, 44100, 1.1)
     v_off = estimate_if(off, config).v
     err_off = max(
-        float(np.max(np.abs(v_off[row, interior] - 100.37))) for row in (99, 100, 101)
+        float(np.max(np.abs(v_off[interior, col] - 100.37))) for col in (99, 100, 101)
     )
     report(
         "criterion 4 (IF estimator)",
@@ -194,8 +195,8 @@ def test_criterion_05_ipc_smoothness():
     n = 3 * 44100
     s = sine_tone(100.0 * 44100 / 4096, n, 44100, 0.3)
     spec = ipc_forward(s, estimate_if(s, config))
-    row = spec.data[100, 8:-8]
-    resid = float(np.max(np.abs(np.diff(row)) / np.abs(row[:-1])))
+    peak = spec.data[8:-8, 100]
+    resid = float(np.max(np.abs(np.diff(peak)) / np.abs(peak[:-1])))
     report(
         "criterion 5 (phase-corrected smoothness)",
         resid <= 1e-3,
@@ -216,7 +217,7 @@ def test_criterion_06_constraint_invariant():
             rng.uniform(size=n) < 0.01
         )
         x *= RHO0 / np.sqrt(np.mean(x**2))
-        shape = (config.n_bins, config.n_frames(n))
+        shape = (config.n_frames(n), config.n_bins)
         if_map = estimate_if(x, config)
         weight = rng.uniform(0.001, 1.0, size=shape)
         pair = (rng.standard_normal(n), rng.standard_normal(n))  # infeasible
@@ -256,7 +257,7 @@ def _desk_problem():
     from hpss import compute_weight, median_filter_hpss, mf_separate
 
     spec = forward(x, config)
-    _, _, mask = median_filter_hpss(spec)
+    _, _, mask = median_filter_hpss(spec.data)
     weight = compute_weight(mask * np.abs(spec.data))
     init = mf_separate(x, config)
     return x, estimate_if(x, config), weight, init.harmonic.samples

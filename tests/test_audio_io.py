@@ -1,11 +1,25 @@
 import struct
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpss import Signal, read_wav, write_wav
+from hpss import (
+    HpssConfig,
+    Signal,
+    SolverParams,
+    estimate_if,
+    forward,
+    make_config,
+    mf_separate,
+    read_wav,
+    separate,
+    write_wav,
+)
+from hpss.pipeline import IF_SOURCE_ORACLE
 
 
 def test_signal_validation():
@@ -17,6 +31,33 @@ def test_signal_validation():
         Signal(np.array([0.0]), 0)
     s = Signal([0.0, 0.5], 8000)
     assert len(s) == 2 and s.duration == pytest.approx(2 / 8000)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("where", [0, 500, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "entry", ["separate", "separate-oracle", "mf_separate", "estimate_if", "forward"]
+)
+def test_non_finite_samples_rejected_at_the_boundary(entry, where, value):
+    # a bare array passes through as_samples, which names the fault before any
+    # arithmetic can warn about it
+    finite = np.random.default_rng(0).normal(size=1000)
+    bad = finite.copy()
+    bad[where] = value
+    config = make_config(64, 16)
+    cfg = HpssConfig(win_len=64, hop=16, solver=SolverParams(n_iters=2))
+    oracle = replace(cfg, if_source=IF_SOURCE_ORACLE)
+    call = {
+        "separate": lambda: separate(bad, cfg),
+        "separate-oracle": lambda: separate(finite, oracle, oracle_h=bad),
+        "mf_separate": lambda: mf_separate(bad, config),
+        "estimate_if": lambda: estimate_if(bad, config),
+        "forward": lambda: forward(bad, config),
+    }[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            call()
 
 
 def _raw_wav(codec, bits, rate, channels, payload):

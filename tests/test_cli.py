@@ -10,7 +10,17 @@ import pytest
 
 import hpss.bench
 import hpss.cli
-from hpss import HpssConfig, Signal, SolverParams, read_wav, separate, write_wav
+from hpss import (
+    HpssConfig,
+    Signal,
+    SolverParams,
+    estimate_if,
+    forward,
+    make_config,
+    read_wav,
+    separate,
+    write_wav,
+)
 from hpss.cli import (
     EXIT_BAD_ARGS, EXIT_DIVERGED, EXIT_IO, EXIT_OK, _build_parser, _separate_config, main,
 )
@@ -490,8 +500,10 @@ class TestDumpSpec:
         assert code == EXIT_OK
         data, (k, t, win_len, hop) = read_dump(out)
         assert (k, win_len, hop) == (129, 256, 64)
-        assert data.shape == (k, t)
-        assert np.iscomplexobj(data)
+        assert data.shape == (t, k)  # K x T on disk, frame-major in memory
+        np.testing.assert_array_equal(
+            data, forward(read_wav(wav_dir / "mix.wav"), make_config(256, 64)).data
+        )
 
     def test_if_dump(self, wav_dir, tmp_path):
         out = tmp_path / "if.bin"
@@ -501,9 +513,11 @@ class TestDumpSpec:
         )
         assert code == EXIT_OK
         data, meta = read_dump(out)
-        assert data.shape[0] == 129
+        assert data.shape[1] == meta[0] == 129
         assert not np.iscomplexobj(data)
-        assert np.all(np.isfinite(data))
+        np.testing.assert_array_equal(
+            data, estimate_if(read_wav(wav_dir / "mix.wav"), make_config(256, 64)).v
+        )
 
 
 class TestArgErrors:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hpss import IfMap, Spectrogram, adjoint, estimate_if, forward, make_config
+from hpss import IfMap, adjoint, estimate_if, forward, make_config
 from hpss.phase import _IF_EPS, if_from_spectra
 from hpss.stft import read_dump, write_dump
 
@@ -23,21 +25,21 @@ class TestEstimateIf:
         cfg = make_config(4096, 1024)
         s = sine_signal(100.0, 3 * 44100, 4096, rate=44100)
         v = estimate_if(s, cfg).v
-        interior = slice(8, v.shape[1] - 8)
-        assert np.max(np.abs(v[100, interior] - 100.0)) <= 0.01
+        interior = slice(8, v.shape[0] - 8)
+        assert np.max(np.abs(v[interior, 100] - 100.0)) <= 0.01
 
     def test_off_bin_sinusoid(self):
         cfg = make_config(4096, 1024)
         s = sine_signal(100.37, 3 * 44100, 4096, rate=44100)
         v = estimate_if(s, cfg).v
-        interior = slice(8, v.shape[1] - 8)
-        for row in (99, 100, 101):  # the three bins nearest the peak
-            assert np.max(np.abs(v[row, interior] - 100.37)) <= 0.02
+        interior = slice(8, v.shape[0] - 8)
+        for col in (99, 100, 101):  # the three bins nearest the peak
+            assert np.max(np.abs(v[interior, col] - 100.37)) <= 0.02
 
     def test_silent_signal_guard(self, small_config):
         v = estimate_if(np.zeros(500), small_config).v
         omega = np.arange(small_config.n_bins)
-        np.testing.assert_array_equal(v, np.broadcast_to(omega[:, None], v.shape))
+        np.testing.assert_array_equal(v, np.broadcast_to(omega, v.shape))
 
     def test_scale_invariance(self, bench_config, rng):
         x = rng.normal(size=8000)
@@ -56,7 +58,7 @@ def substitute_and_select_if(data, data_d, config):
     then a select puts their own frequency back."""
     mag = np.abs(data)
     peak = mag.max()
-    omega = np.arange(config.n_bins, dtype=np.float64)[:, None]
+    omega = np.arange(config.n_bins, dtype=np.float64)
     v = np.broadcast_to(omega, mag.shape).copy()
     if peak > 0.0:
         weak = mag < _IF_EPS * peak
@@ -70,18 +72,14 @@ class TestIfFromSpectra:
 
     N_FRAMES = 40
 
-    def spectra(self, config, data, data_d):
-        n = config.hop * self.N_FRAMES
-        return Spectrogram(data, config, n), Spectrogram(data_d, config, n)
-
     def check(self, config, data, data_d):
-        got = if_from_spectra(*self.spectra(config, data, data_d)).v
+        got = if_from_spectra(data, data_d)
         want = substitute_and_select_if(data, data_d, config)
         assert got.tobytes() == want.tobytes()
         return got
 
     def random(self, config, rng):
-        shape = (config.n_bins, self.N_FRAMES)
+        shape = (self.N_FRAMES, config.n_bins)
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     def test_random_spectra(self, small_config, rng):
@@ -94,58 +92,59 @@ class TestIfFromSpectra:
         data = 0.5 * self.random(small_config, rng) / np.sqrt(2 * small_config.n_bins)
         data[0, 0] = 4.0  # the peak
         threshold = _IF_EPS * 4.0
-        data[3] = threshold  # strong
-        data[4] = np.nextafter(threshold, 0.0)  # weak
+        data[:, 3] = threshold  # strong
+        data[:, 4] = np.nextafter(threshold, 0.0)  # weak
         data_d = self.random(small_config, rng)
         v = self.check(small_config, data, data_d)
-        strong = np.clip(3.0 - np.imag(data_d[3] / threshold), 0.0, small_config.win_len / 2)
-        np.testing.assert_array_equal(v[3], strong)
-        np.testing.assert_array_equal(v[4], 4.0)
+        strong = np.clip(3.0 - np.imag(data_d[:, 3] / threshold), 0.0, small_config.win_len / 2)
+        np.testing.assert_array_equal(v[:, 3], strong)
+        np.testing.assert_array_equal(v[:, 4], 4.0)
 
     def test_zero_bins_among_strong_ones(self, small_config, rng):
         data = self.random(small_config, rng)
         zero = rng.uniform(size=data.shape) < 0.2
         data[zero] = 0.0
         v = self.check(small_config, data, self.random(small_config, rng))
-        omega = np.broadcast_to(np.arange(small_config.n_bins)[:, None], v.shape)
+        omega = np.broadcast_to(np.arange(small_config.n_bins), v.shape)
         np.testing.assert_array_equal(v[zero], omega[zero])
 
     def test_all_zero_spectrum(self, small_config, rng):
-        data = np.zeros((small_config.n_bins, self.N_FRAMES), dtype=complex)
+        data = np.zeros((self.N_FRAMES, small_config.n_bins), dtype=complex)
         v = self.check(small_config, data, self.random(small_config, rng))
-        omega = np.broadcast_to(np.arange(small_config.n_bins)[:, None], v.shape)
+        omega = np.broadcast_to(np.arange(small_config.n_bins), v.shape)
         np.testing.assert_array_equal(v, omega)
 
     def test_subnormal_bins_keep_their_frequency(self, small_config):
         # 3e-309 clears _IF_EPS times the 1e-303 peak, but its reciprocal overflows
-        data = np.zeros((small_config.n_bins, self.N_FRAMES), dtype=complex)
-        data[5, ::2] = 1e-303
-        data[6, ::2] = 3e-309
-        v = if_from_spectra(*self.spectra(small_config, data, 2j * data)).v
-        np.testing.assert_array_equal(v[5, ::2], 3.0)  # 5 - Im(2j)
-        v[5, ::2] = 5.0
-        omega = np.broadcast_to(np.arange(small_config.n_bins)[:, None], v.shape)
+        data = np.zeros((self.N_FRAMES, small_config.n_bins), dtype=complex)
+        data[::2, 5] = 1e-303
+        data[::2, 6] = 3e-309
+        v = if_from_spectra(data, 2j * data)
+        np.testing.assert_array_equal(v[::2, 5], 3.0)  # 5 - Im(2j)
+        v[::2, 5] = 5.0
+        omega = np.broadcast_to(np.arange(small_config.n_bins), v.shape)
         np.testing.assert_array_equal(v, omega)
 
 
 class TestBuildCorrection:
-    """The reference's phase steps s and correction matrix E."""
+    """The reference's phase steps s and correction matrix E (K x T, the
+    model's layout) of T x K IF maps."""
 
     def test_zero_frequency(self, small_config):
-        shape = (small_config.n_bins, 10)
+        shape = (10, small_config.n_bins)
         e = correction_matrix(IfMap(np.zeros(shape), small_config))
         np.testing.assert_allclose(e, 1.0)
 
     def test_half_turn_per_frame(self, small_config):
         # v = L / (2a) rotates by pi per frame: E = (-1)^tau
-        shape = (small_config.n_bins, 8)
+        shape = (8, small_config.n_bins)
         v = np.full(shape, small_config.win_len / (2 * small_config.hop))
         e = correction_matrix(IfMap(v, small_config))
-        expected = np.tile(np.power(-1.0, np.arange(8.0)), (shape[0], 1))
+        expected = np.tile(np.power(-1.0, np.arange(8.0)), (small_config.n_bins, 1))
         np.testing.assert_allclose(e, expected, atol=1e-12)
 
     def test_unit_modulus_random(self, small_config, rng):
-        shape = (small_config.n_bins, 300)
+        shape = (300, small_config.n_bins)
         v = rng.uniform(0, small_config.win_len / 2, size=shape)
         if_map = IfMap(v, small_config)
         assert np.max(np.abs(np.abs(phase_steps(if_map)) - 1.0)) <= 1e-12
@@ -157,7 +156,7 @@ class TestBuildCorrection:
         # reference: E as a running product renormalized frame by frame
         shape = (small_config.n_bins, 3000)
         v = rng.uniform(0, small_config.win_len / 2, size=shape)
-        if_map = IfMap(v, small_config)
+        if_map = IfMap(v.T, small_config)
         steps, e = phase_steps(if_map), correction_matrix(if_map)
         ref = np.empty(shape, dtype=np.complex128)
         ref[:, 0] = 1.0
@@ -171,13 +170,13 @@ class TestBuildCorrection:
 
     def test_if_map_validation(self, small_config):
         with pytest.raises(ValueError):
-            IfMap(np.full((small_config.n_bins, 4), -1.0), small_config)
+            IfMap(np.full((4, small_config.n_bins), -1.0), small_config)
         with pytest.raises(ValueError, match="n_bins"):
-            IfMap(np.zeros((small_config.n_bins + 1, 4)), small_config)
+            IfMap(np.zeros((4, small_config.n_bins + 1)), small_config)
 
 
 def _random_if_map(config, n_frames, rng):
-    v = rng.uniform(0, config.win_len / 2, size=(config.n_bins, n_frames))
+    v = rng.uniform(0, config.win_len / 2, size=(n_frames, config.n_bins))
     return IfMap(v, config)
 
 
@@ -187,7 +186,7 @@ class TestIpcOperators:
         spec = forward(x, small_config)
         still = IfMap(np.zeros(spec.shape), small_config)  # every step is 1
         np.testing.assert_array_equal(ipc_forward(x, still).data, spec.data)
-        y = spec.with_data(rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
+        y = replace(spec, data=rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
         np.testing.assert_allclose(ipc_adjoint(y, still), adjoint(y), atol=1e-14)
 
     def test_round_trip_identity(self, small_config, rng):
@@ -206,7 +205,8 @@ class TestIpcOperators:
         for _ in range(50):
             x = rng.normal(size=n)
             spec = ipc_forward(x, if_map)
-            y = spec.with_data(rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
+            data = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
+            y = replace(spec, data=data)
             lhs = spec_inner(spec, y, cfg)
             rhs = float(np.dot(x, ipc_adjoint(y, if_map)))
             worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(x) * spec_norm(y, cfg)))
@@ -224,8 +224,8 @@ class TestIpcOperators:
         cfg = make_config(4096, 1024)
         s = sine_signal(100.0, 3 * 44100, 4096, rate=44100)
         spec = ipc_forward(s, estimate_if(s, cfg))
-        row = spec.data[100, 8:-8]
-        resid = np.abs(np.diff(row)) / np.abs(row[:-1])
+        peak = spec.data[8:-8, 100]
+        resid = np.abs(np.diff(peak)) / np.abs(peak[:-1])
         assert resid.max() <= 1e-3
 
 
@@ -257,7 +257,7 @@ class TestTimeDiff:
 
 
 def test_if_dump_round_trip(tmp_path, small_config, rng):
-    v = rng.uniform(0, 8, size=(small_config.n_bins, 7))
+    v = rng.uniform(0, 8, size=(7, small_config.n_bins))
     if_map = IfMap(v, small_config)
     path = tmp_path / "if.bin"
     write_dump(path, if_map.v, if_map.config)

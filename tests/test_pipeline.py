@@ -7,8 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpss import HpssConfig, Signal, SolverParams, mf_separate, separate
+import hpss.pipeline
+from hpss import (
+    HpssConfig,
+    Signal,
+    SolverParams,
+    compute_weight,
+    estimate_if,
+    forward,
+    median_filter_hpss,
+    mf_separate,
+    run,
+    separate,
+)
 from hpss.pipeline import CONFIG_KEYS, IF_SOURCE_ORACLE, parse_config_text, with_values
+from hpss.stft import Spectrogram, StftPlan
 from hpss.synth import bench_track
 
 SMALL = HpssConfig(win_len=256, hop=64, solver=SolverParams(n_iters=25))
@@ -287,6 +300,87 @@ class TestConfigParsing:
     def test_non_finite_kappa_rejected(self, value):
         with pytest.raises(ValueError, match="^kappa must be positive and finite"):
             HpssConfig(kappa=value)
+
+
+def count_constructions(monkeypatch):
+    """A dict that counts the StftPlans and Spectrograms built from now on."""
+    counts = {"plans": 0, "spectrograms": 0}
+    plan_init = StftPlan.__init__
+    spec_post_init = Spectrogram.__post_init__
+
+    def counted_plan(self, *args):
+        counts["plans"] += 1
+        plan_init(self, *args)
+
+    def counted_spec(self):
+        counts["spectrograms"] += 1
+        spec_post_init(self)
+
+    monkeypatch.setattr(StftPlan, "__init__", counted_plan)
+    monkeypatch.setattr(Spectrogram, "__post_init__", counted_spec)
+    return counts
+
+
+class TestSetUpStructure:
+    """Set-up runs on one StftPlan's frame-major transforms and builds no
+    Spectrogram; an iterating run builds one plan of its own."""
+
+    def test_separate_plans(self, monkeypatch):
+        mixture, harm, _ = small_mixture()
+        counts = count_constructions(monkeypatch)
+        separate(mixture, SMALL)
+        assert counts["plans"] <= 2 and counts["spectrograms"] == 0
+        counts.update(plans=0)
+        separate(mixture, replace(SMALL, if_source=IF_SOURCE_ORACLE), oracle_h=harm)
+        assert counts["plans"] <= 2 and counts["spectrograms"] == 0
+
+    def test_mf_separate_plans(self, monkeypatch):
+        mixture, _, _ = small_mixture()
+        counts = count_constructions(monkeypatch)
+        mf_separate(mixture, SMALL.stft())
+        assert counts == {"plans": 1, "spectrograms": 0}
+
+    def test_setup_plan_released_before_run(self, monkeypatch):
+        import gc
+
+        live = []
+
+        def probe(problem, x_h0):
+            live.append(sum(isinstance(o, StftPlan) for o in gc.get_objects()))
+            return run(problem, x_h0)
+
+        monkeypatch.setattr(hpss.pipeline, "run", probe)
+        separate(small_mixture()[0], SMALL)
+        assert live == [0]
+
+
+def test_spectrogram_sized_arrays_are_frame_major(monkeypatch):
+    # every T x K array the package makes and hands out is C-contiguous
+    problems = []
+
+    def capture(problem, x_h0):
+        problems.append(problem)
+        return run(problem, x_h0)
+
+    monkeypatch.setattr(hpss.pipeline, "run", capture)
+    mixture, _, _ = small_mixture()
+    separate(mixture, SMALL)
+    config = SMALL.stft()
+    spec = forward(mixture, config).data
+    h_mag, p_mag, mask = median_filter_hpss(spec)
+    arrays = {
+        "forward": spec,
+        "estimate_if": estimate_if(mixture, config).v,
+        "harmonic median": h_mag,
+        "percussive median": p_mag,
+        "mask": mask,
+        "compute_weight": compute_weight(mask * np.abs(spec)),
+        "problem weight": problems[0].weight,
+        "problem IF map": problems[0].if_map.v,
+    }
+    shape = (config.n_frames(mixture.samples.size), config.n_bins)
+    for name, array in arrays.items():
+        assert array.shape == shape and array.flags.c_contiguous, name
 
 
 def test_public_names():

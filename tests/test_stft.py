@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def naive_stft(x, config):
     y = np.zeros(n_pad)
     y[:n] = x
     k = config.n_bins
-    out = np.zeros((k, n_frames), dtype=complex)
+    out = np.zeros((n_frames, k), dtype=complex)
     for tau in range(n_frames):
         for omega in range(k):
             acc = 0.0 + 0.0j
@@ -31,12 +32,12 @@ def naive_stft(x, config):
                     * config.window[l]
                     * np.exp(-2j * np.pi * omega * l / win_len)
                 )
-            out[omega, tau] = acc
+            out[tau, omega] = acc
     return out
 
 
 def reference_forward(x, config, window):
-    """Roll, pad and frame the signal, then one rfft per frame (K x T)."""
+    """Roll, pad and frame the signal, then one rfft per frame (T x K)."""
     win_len, hop = config.win_len, config.hop
     n_frames = config.n_frames(x.size)
     n_pad = hop * n_frames
@@ -44,15 +45,15 @@ def reference_forward(x, config, window):
     y[: x.size] = x
     z = np.roll(y, win_len // 2)
     idx = (hop * np.arange(n_frames)[:, None] + np.arange(win_len)[None, :]) % n_pad
-    return np.fft.rfft(z[idx] * window[None, :], n=win_len, axis=1).T.copy()
+    return np.fft.rfft(z[idx] * window[None, :], n=win_len, axis=1)
 
 
 def reference_adjoint(data, config, n):
     """irfft per frame, overlap-add (a scatter-add when frames self-overlap), unroll."""
     win_len, hop = config.win_len, config.hop
-    n_frames = data.shape[1]
+    n_frames = data.shape[0]
     n_pad = hop * n_frames
-    u = np.fft.irfft(data.T, n=win_len, axis=1) * config.window[None, :]
+    u = np.fft.irfft(data, n=win_len, axis=1) * config.window[None, :]
     if n_pad >= win_len:
         buf = np.zeros(n_pad + win_len)
         for j in range(win_len // hop):
@@ -148,15 +149,15 @@ class TestForward:
         x = np.zeros(16)
         x[0] = 1.0
         spec = forward(x, cfg)
-        mags = np.abs(spec.data[:, 0])
+        mags = np.abs(spec.data[0])
         np.testing.assert_allclose(mags, mags[0])
         assert mags[0] > 0
 
     def test_on_bin_sinusoid_peak_row(self, bench_config):
         s = sine_signal(100.0, 16000, bench_config.win_len)
         spec = forward(s, bench_config)
-        interior = np.abs(spec.data[:, 5:-5])
-        assert np.all(np.argmax(interior, axis=0) == 100)
+        interior = np.abs(spec.data[5:-5])
+        assert np.all(np.argmax(interior, axis=1) == 100)
 
     def test_matches_naive_dft(self, rng):
         cfg = make_config(16, 4)
@@ -195,7 +196,7 @@ class TestAdjoint:
             x = rng.normal(size=400)
             spec = forward(x, cfg)
             y = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
-            yspec = spec.with_data(y)
+            yspec = replace(spec, data=y)
             lhs = spec_inner(spec, yspec, cfg)
             rhs = float(np.dot(x, adjoint(yspec)))
             denom = np.linalg.norm(x) * spec_norm(yspec, cfg)
@@ -215,7 +216,23 @@ class TestAdjoint:
     def test_shape_mismatch(self, small_config, rng):
         spec = forward(rng.normal(size=100), small_config)
         with pytest.raises(ValueError):
-            Spectrogram(spec.data[:, :-1], small_config, 100)
+            Spectrogram(spec.data[:-1], small_config, 100)
+
+    def test_any_strides(self, small_config, rng):
+        # an F-ordered array and a strided view are valid data, checked for
+        # finiteness like any other; the adjoint reads them as they are
+        n = 300
+        spec = forward(rng.normal(size=n), small_config)
+        strided = np.zeros((spec.shape[0], 2 * spec.shape[1]), dtype=complex)[:, ::2]
+        strided[...] = spec.data
+        for data in (np.asfortranarray(spec.data), strided):
+            assert not data.flags.c_contiguous
+            assert adjoint(Spectrogram(data, small_config, n)).tobytes() == (
+                adjoint(spec).tobytes()
+            )
+            data[2, 3] = complex(0.0, float("nan"))
+            with pytest.raises(ValueError, match="must be finite"):
+                Spectrogram(data, small_config, n)
 
 
 class TestFrameMajorKernel:
@@ -232,7 +249,7 @@ class TestFrameMajorKernel:
         y = forward(x, small_config)
         data = rng.normal(size=y.shape) + 1j * rng.normal(size=y.shape)
         np.testing.assert_array_equal(
-            adjoint(y.with_data(data)), reference_adjoint(data, small_config, n)
+            adjoint(replace(y, data=data)), reference_adjoint(data, small_config, n)
         )
 
     @pytest.mark.parametrize("n", (5, 40, 777))
@@ -241,11 +258,11 @@ class TestFrameMajorKernel:
         for _ in range(3):
             x = rng.normal(size=n)
             np.testing.assert_array_equal(
-                plan.forward(x).T, reference_forward(x, small_config, small_config.window)
+                plan.forward(x), reference_forward(x, small_config, small_config.window)
             )
             data = rng.normal(size=(plan.n_frames, small_config.n_bins)) * (1 + 1j)
             np.testing.assert_array_equal(
-                plan.adjoint(data), reference_adjoint(data.T, small_config, n)
+                plan.adjoint(data), reference_adjoint(data, small_config, n)
             )
 
 
@@ -259,9 +276,9 @@ def assert_plan_bytes(plan, x, data):
     for byte, sign bits of zeros included."""
     config, n = plan.config, plan.n_samples
     for window in (config.window, config.deriv_window):
-        got = plan.forward(x, window).T
+        got = plan.forward(x, window)
         assert got.tobytes() == reference_forward(x, config, window).tobytes()
-    assert plan.adjoint(data).tobytes() == reference_adjoint(data.T, config, n).tobytes()
+    assert plan.adjoint(data).tobytes() == reference_adjoint(data, config, n).tobytes()
 
 
 class TestFrameBlocks:
@@ -313,28 +330,30 @@ class TestDump:
         path = tmp_path / "spec.bin"
         write_dump(path, spec.data, small_config)
         data, (k, t, win_len, hop) = read_dump(path)
-        assert (k, t) == spec.shape
+        assert (t, k) == spec.shape
         assert (win_len, hop) == (64, 16)
         np.testing.assert_array_equal(data, spec.data)
 
     def test_golden_bytes(self, tmp_path):
+        # z and v are the K x T matrices on disk; the API takes and returns T x K
         cfg = make_config(8, 2)
         z = np.array([[1.5 - 2j, 0.25j], [-3.0, 1e-300 + 7j]])
         v = np.array([[0.0, 1.0, 2.5], [4.0, -0.5, 3.25]])
         header = struct.pack("<QQQQ", 2, 2, 8, 2)
         re_im = struct.pack("<8d", 1.5, -2.0, 0.0, 0.25, -3.0, 0.0, 1e-300, 7.0)
-        write_dump(tmp_path / "z.bin", z, cfg)
+        write_dump(tmp_path / "z.bin", z.T, cfg)
         assert (tmp_path / "z.bin").read_bytes() == b"HPSSSPC1" + header + re_im
-        write_dump(tmp_path / "v.bin", v, cfg)
+        write_dump(tmp_path / "v.bin", v.T, cfg)
         assert (tmp_path / "v.bin").read_bytes() == (
             b"HPSSIFM1" + struct.pack("<QQQQ", 2, 3, 8, 2) + struct.pack("<6d", *v.ravel())
         )
         data, meta = read_dump(tmp_path / "z.bin")
         assert meta == (2, 2, 8, 2) and np.iscomplexobj(data)
-        np.testing.assert_array_equal(data, z)
+        np.testing.assert_array_equal(data, z.T)
         data, meta = read_dump(tmp_path / "v.bin")
         assert meta == (2, 3, 8, 2) and not np.iscomplexobj(data)
-        np.testing.assert_array_equal(data, v)
+        assert data.shape == (3, 2) and data.flags.c_contiguous
+        np.testing.assert_array_equal(data, v.T)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
