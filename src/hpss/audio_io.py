@@ -7,7 +7,9 @@ downmixed to mono by averaging.
 
 from __future__ import annotations
 
+import os
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -56,6 +58,17 @@ def as_samples(x) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
     return arr
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning raised by the calling function names
+    the first frame outside the package, whichever public function led there
+    (``warnings.warn``'s ``skip_file_prefixes`` needs Python 3.12)."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _iter_chunks(data: bytes):
@@ -142,9 +155,8 @@ def write_wav(path, s: Signal, bit_depth=16) -> None:
 
     if np.any(np.abs(samples) > 1.0):
         n_clip = int(np.sum(np.abs(samples) > 1.0))
-        warnings.warn(
-            f"clipping {n_clip} out-of-range samples to [-1, 1]", stacklevel=2
-        )
+        warnings.warn(f"{path}: clipping {n_clip} out-of-range samples to [-1, 1]",
+                      stacklevel=_caller_stacklevel())
         samples = np.clip(samples, -1.0, 1.0)
 
     if depth == "16":

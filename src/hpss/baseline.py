@@ -83,30 +83,30 @@ def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     return out
 
 
-def median_filter_hpss(spec: np.ndarray, mc: MedianConfig = MedianConfig()):
-    """Return (H_mag, P_mag, mask_h) for the T x K mixture coefficients X.
+def median_filter_hpss(spec: np.ndarray, mc: MedianConfig = MedianConfig()) -> np.ndarray:
+    """Soft harmonic mask of the T x K mixture coefficients X, a T x K array.
 
-    H_mag is the time-directional median of |X|, P_mag the
-    frequency-directional median; mask_h = H^p / (H^p + P^p), computed on
-    magnitudes divided by max|X|, with the 0/0 case mapped to 0.5. The
-    soft-masked harmonic spectrogram is mask_h * X.
+    H is the time-directional median of |X|, P the frequency-directional
+    median; the mask is H^p / (H^p + P^p), computed on magnitudes divided by
+    max|X| in the two medians' own buffers, with the 0/0 case mapped to 0.5.
+    The soft-masked harmonic spectrogram is mask * X.
     """
     mag = np.abs(spec)
     if mag.size == 0:
         raise ValueError("empty spectrogram")
-    h_mag = _median_shrink(mag, mc.harm_kernel, axis=0)
-    p_mag = _median_shrink(mag, mc.perc_kernel, axis=1)
+    num = _median_shrink(mag, mc.harm_kernel, axis=0)
+    den = _median_shrink(mag, mc.perc_kernel, axis=1)
     # no median exceeds the peak, so the scaled powers neither overflow nor
     # depend on the input's gain; silence keeps scale 1
     scale = mag.max() or 1.0
-    del mag  # the mask is built in place below, beside H and P alone
-    num, den = h_mag / scale, p_mag / scale
-    num **= mc.mask_power
-    den **= mc.mask_power
+    del mag  # the mask is built in the medians' own buffers below
+    for a in (num, den):
+        a /= scale
+        a **= mc.mask_power
     den += num
     mask = np.divide(num, den, out=num, where=den > 0.0)
     mask[den == 0.0] = 0.5  # where num = den = 0
-    return h_mag, p_mag, mask
+    return mask
 
 
 def mf_separate(x, config: StftConfig, mc: MedianConfig = MedianConfig()) -> SignalPair:
@@ -115,7 +115,7 @@ def mf_separate(x, config: StftConfig, mc: MedianConfig = MedianConfig()) -> Sig
     rate = x.sample_rate if isinstance(x, Signal) else 1
     plan = StftPlan(config, samples.size)
     spec = plan.forward(samples)
-    _, _, mask = median_filter_hpss(spec, mc)
+    mask = median_filter_hpss(spec, mc)
     x_h = plan.adjoint(mask * spec)
     return SignalPair(Signal(x_h, rate), Signal(samples - x_h, rate))
 

@@ -25,7 +25,7 @@ from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 from scipy.signal import oaconvolve
 
-from .audio_io import Signal, as_samples
+from .audio_io import Signal, _caller_stacklevel, as_samples
 
 _DB_FLOOR_RATIO = 1e-30
 _DB_CAP = 300.0  # -10 log10(_DB_FLOOR_RATIO): every score lies in [-300, 300] dB
@@ -106,7 +106,7 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         for _ in range(1 if rhs.ndim == 1 else rhs.shape[1]):
             warnings.warn(
                 "singular projection system; regularizing with a tiny ridge",
-                stacklevel=4,  # _solve <- _eval_sources <- public function <- caller
+                stacklevel=_caller_stacklevel(),
             )
         return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
 
@@ -129,10 +129,6 @@ def bss_eval_sources(refs, ests, filter_len: int = 512):
     projection onto reference j alone solves its j-th diagonal block.
     Signal inputs must share one sample rate.
     """
-    return _eval_sources(refs, ests, filter_len)
-
-
-def _eval_sources(refs, ests, filter_len):
     refs, ests = list(refs), list(ests)
     rates = {s.sample_rate for s in refs + ests if isinstance(s, Signal)}
     if len(rates) > 1:
@@ -186,5 +182,5 @@ def _eval_sources(refs, ests, filter_len):
 
 def bss_eval(ref_h, ref_p, est_h, est_p, filter_len: int = 512) -> EvalResult:
     """Evaluate a harmonic/percussive pair against reference stems."""
-    scores_h, scores_p = _eval_sources([ref_h, ref_p], [est_h, est_p], filter_len)
+    scores_h, scores_p = bss_eval_sources([ref_h, ref_p], [est_h, est_p], filter_len)
     return EvalResult(*scores_h, *scores_p)

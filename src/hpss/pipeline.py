@@ -104,7 +104,7 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
         oracle = oracle * gain
         v = if_from_spectra(plan.forward(oracle), plan.forward(oracle, config.deriv_window))
 
-    _, _, mask = median_filter_hpss(spec, cfg.median)
+    mask = median_filter_hpss(spec, cfg.median)
     x_h0 = plan.adjoint(mask * spec)
     weight = compute_weight(mask * np.abs(spec), cfg.kappa)
     del plan, spec, mask, oracle  # the solver's working set need not stack on these

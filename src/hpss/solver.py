@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import as_samples
+from .audio_io import _caller_stacklevel, as_samples
 from .phase import IfMap
 from .stft import StftPlan
 
@@ -79,13 +78,16 @@ class SolverTrace:
     the x_h that ``run`` returns.
     """
 
-    total: np.ndarray
     smooth: np.ndarray
     sparse: np.ndarray
     primal_increment: np.ndarray
 
+    @property
+    def total(self) -> np.ndarray:
+        return self.smooth + self.sparse
+
     def __len__(self) -> int:
-        return self.total.size
+        return self.smooth.size
 
     def write_csv(self, path) -> None:
         columns = (self.total, self.smooth, self.sparse, self.primal_increment)
@@ -136,17 +138,6 @@ def _check_step_sizes(problem: HpssProblem) -> None:
         )
 
 
-def _caller_stacklevel() -> int:
-    """The ``stacklevel`` at which a warning raised by the calling function names
-    the first frame outside the package, whichever public function led there
-    (``warnings.warn``'s ``skip_file_prefixes`` needs Python 3.12)."""
-    package = os.path.dirname(__file__) + os.sep
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_code.co_filename.startswith(package):
-        frame, level = frame.f_back, level + 1
-    return level
-
-
 def _frame_norms(data: np.ndarray) -> np.ndarray:
     """Per-frame l2 norms of a frame-major complex array."""
     return np.sqrt(np.einsum("ij,ij->i", data.view(np.float64), data.view(np.float64)))
@@ -168,7 +159,7 @@ def run(problem: HpssProblem, x_h0):
     x_h = as_samples(x_h0)
     if x_h.shape != problem.mixture.shape:
         raise ValueError("initial x_h length does not match the mixture")
-    rows = np.empty((p.n_iters if p.record_trace else 0, 4))
+    rows = np.empty((p.n_iters if p.record_trace else 0, 3))
     if p.n_iters > 0:
         _check_step_sizes(problem)
         x_h = _iterate(problem, x_h, rows if p.record_trace else None)
@@ -290,6 +281,6 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
             smooth = 0.5 * smooth / c
             sparse *= p.lam
             step = np.sqrt(2.0) * np.linalg.norm(new_h - x_h)  # x_p moves by -step
-            rows[it] = smooth + sparse, smooth, sparse, step
+            rows[it] = smooth, sparse, step
         x_h = new_h
     return x_h

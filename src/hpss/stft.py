@@ -217,10 +217,10 @@ class StftPlan:
         return self.adjoint_blocks(lambda t0, t1: data[t0:t1])
 
 
-def forward(x, config: StftConfig, window: np.ndarray | None = None) -> Spectrogram:
+def forward(x, config: StftConfig) -> Spectrogram:
     """One-sided STFT: X[tau, w] = sum_l x[l + a*tau - L/2] g[l] e^{-2pi j w l / L}."""
     samples = as_samples(x)
-    data = StftPlan(config, samples.size).forward(samples, window)
+    data = StftPlan(config, samples.size).forward(samples)
     return Spectrogram(data=data, config=config, n_samples=samples.size)
 
 

@@ -257,7 +257,7 @@ def _desk_problem():
     from hpss import compute_weight, median_filter_hpss, mf_separate
 
     spec = forward(x, config)
-    _, _, mask = median_filter_hpss(spec.data)
+    mask = median_filter_hpss(spec.data)
     weight = compute_weight(mask * np.abs(spec.data))
     init = mf_separate(x, config)
     return x, estimate_if(x, config), weight, init.harmonic.samples

@@ -127,7 +127,7 @@ class TestSeparate:
         finally:
             tracemalloc.stop()
         assert len(trace) == 3
-        assert (peak - entry) / 1e6 / mixture.duration <= 11.52  # measured 11.41
+        assert (peak - entry) / 1e6 / mixture.duration <= 10.80  # measured 10.70
 
     def test_oracle_if_source(self):
         track = bench_track(np.random.default_rng(3), sample_rate=8000, duration=1.0)
@@ -341,17 +341,36 @@ class TestSetUpStructure:
         assert counts == {"plans": 1, "spectrograms": 0}
 
     def test_setup_plan_released_before_run(self, monkeypatch):
+        # at run entry set-up holds no plan and, beside the mixture and x_h0,
+        # only the IF map and the weight: half a T x K complex128 unit each
         import gc
+        import tracemalloc
 
-        live = []
+        from hpss.synth import criterion_mixture
+
+        live, held = [], []
 
         def probe(problem, x_h0):
+            held.append(tracemalloc.get_traced_memory()[0])
             live.append(sum(isinstance(o, StftPlan) for o in gc.get_objects()))
             return run(problem, x_h0)
 
         monkeypatch.setattr(hpss.pipeline, "run", probe)
         separate(small_mixture()[0], SMALL)
         assert live == [0]
+        mixture = criterion_mixture().mixture  # at the default 4096/1024
+        cfg = HpssConfig(solver=SolverParams(n_iters=0))
+        config = cfg.stft()
+        unit = config.n_bins * config.n_frames(mixture.samples.size) * 16
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            separate(mixture, cfg)
+        finally:
+            tracemalloc.stop()
+        assert live == [0, 0]
+        # v and the weight are 0.5 units each, the two signals 0.25 each
+        assert (held[1] - entry) / unit <= 1.6
 
 
 def test_spectrogram_sized_arrays_are_frame_major(monkeypatch):
@@ -367,12 +386,10 @@ def test_spectrogram_sized_arrays_are_frame_major(monkeypatch):
     separate(mixture, SMALL)
     config = SMALL.stft()
     spec = forward(mixture, config).data
-    h_mag, p_mag, mask = median_filter_hpss(spec)
+    mask = median_filter_hpss(spec)
     arrays = {
         "forward": spec,
         "estimate_if": estimate_if(mixture, config).v,
-        "harmonic median": h_mag,
-        "percussive median": p_mag,
         "mask": mask,
         "compute_weight": compute_weight(mask * np.abs(spec)),
         "problem weight": problems[0].weight,
