@@ -33,21 +33,35 @@ class MedianConfig:
             raise ValueError(f"mask_power must be finite and >= 1, got {self.mask_power}")
 
 
-@lru_cache(maxsize=None)
-def _median_network(kernel: int) -> tuple:
-    """Merge exchange (Knuth, TAOCP 5.2.2M) pruned to the middle lane: (i, j,
-    use_min, use_max) with i < j, where a flag marks an output read later."""
-    t = (kernel - 1).bit_length()
-    comps, p = [], 1 << (t - 1)
+def _selection_network(n: int, lanes: tuple, presorted: tuple = ()) -> tuple:
+    """Merge exchange (Knuth, TAOCP 5.2.2M) on n lanes pruned to ``lanes``:
+    (i, j, use_min, use_max) with i < j, where a flag marks an output read
+    later. Inputs on the ``presorted`` lanes arrive in ascending order, so
+    every comparator that no such 0/1 input makes swap is dropped first."""
+    t = (n - 1).bit_length()
+    comps, p = [], (1 << t) >> 1
     while p:
         q, r, d = 1 << (t - 1), 0, p
         while True:
-            comps += [(i, i + d) for i in range(kernel - d) if i & p == r]
+            comps += [(i, i + d) for i in range(n - d) if i & p == r]
             if q == p:
                 break
             q, r, d = q >> 1, p, q - p
         p >>= 1
-    live, kept = {kernel // 2}, []
+    if presorted:  # every 0/1 input, column z holding z zeros on the presorted lanes
+        free = [i for i in range(n) if i not in presorted]
+        bits = (np.arange(1 << len(free)) >> np.arange(len(free))[:, None]) & 1
+        x = np.zeros((n, len(presorted) + 1, bits.shape[1]), dtype=bool)
+        for rank, i in enumerate(presorted):
+            x[i, :rank + 1] = True
+        x[free] = bits[:, None].astype(bool)
+        x, swapping = x.reshape(n, -1), []
+        for i, j in comps:
+            if np.any(x[i] > x[j]):
+                swapping.append((i, j))
+                x[i], x[j] = x[i] & x[j], x[i] | x[j]
+        comps = swapping
+    live, kept = set(lanes), []
     for i, j in reversed(comps):
         if i in live or j in live:
             kept.append((i, j, i in live, j in live))
@@ -55,27 +69,87 @@ def _median_network(kernel: int) -> tuple:
     return tuple(reversed(kept))
 
 
+def _passes(net: tuple) -> int:
+    """np.minimum/np.maximum calls that a network makes per output lane."""
+    return sum(use_min + use_max for _, _, use_min, use_max in net)
+
+
+@lru_cache(maxsize=None)
+def _group_networks(kernel: int, g: int) -> tuple:
+    """The networks of g neighbouring windows' medians: the core pruned to the
+    g middle ranks of the kernel - g + 1 samples the windows share, then per
+    window the median of those ranks (even lanes, ascending) and its g - 1
+    other samples (odd lanes)."""
+    half = kernel // 2
+    core = _selection_network(kernel - g + 1, tuple(range(half - g + 1, half + 1)))
+    select = _selection_network(2 * g - 1, (g - 1,), tuple(range(0, 2 * g - 1, 2)))
+    return core, select
+
+
+@lru_cache(maxsize=None)
+def _group_size(kernel: int) -> int:
+    """The g of fewest passes per output, searched up from 1 until it stops falling."""
+    best, best_g = np.inf, 1
+    for g in range(1, kernel // 2 + 2):
+        core, select = _group_networks.__wrapped__(kernel, g)  # cache only the g in use
+        cost = (_passes(core) + g * _passes(select)) / g
+        if cost >= best:
+            break
+        best, best_g = cost, g
+    return best_g
+
+
+def _run_network(net: tuple, x: list) -> None:
+    """Apply a network to the list of lanes x in place."""
+    for i, j, use_min, use_max in net:
+        a, b = x[i], x[j]
+        x[i] = np.minimum(a, b) if use_min else None
+        x[j] = np.maximum(a, b) if use_max else None
+
+
+def _group_medians(sample, kernel: int, g: int):
+    """Yield the medians of g neighbouring windows in turn, where sample(i)
+    is the i-th of the kernel + g - 1 samples that the windows span."""
+    half = kernel // 2
+    core, select = _group_networks(kernel, g)
+    x = [sample(i) for i in range(g - 1, kernel)]  # the samples all g windows hold
+    _run_network(core, x)
+    for j in range(g):
+        y = [None] * (2 * g - 1)
+        y[::2] = x[half - g + 1:half + 1]
+        y[1::2] = [sample(i) for i in (*range(j, g - 1), *range(kernel, kernel + j))]
+        _run_network(select, y)
+        yield y[g - 1]
+
+
 def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
-    """Running median along one axis with shrinking windows at the edges."""
+    """Running median along one axis with shrinking windows at the edges.
+
+    The m full windows go through the selection networks in groups of g
+    neighbours that share one core (Adams 2021), the m mod g left over one
+    window at a time; edge windows go through np.median.
+    """
     out = np.empty_like(mag)
     half = kernel // 2
     n = mag.shape[axis]
-    m = n - 2 * half  # full windows go through the network, edge windows np.median
-    if m > 0:
-        width, rows = (m, mag.shape[0]) if axis == 1 else (mag.shape[1], m)
+    m = max(n - 2 * half, 0)
+    g = _group_size(kernel)
+    for size, start, count in ((g, 0, m // g), (1, m - m % g, m % g)):
+        if count == 0:
+            continue
+        width, rows = (count, mag.shape[0]) if axis == 1 else (mag.shape[1], count)
         step = max(1, (1 << 14) // max(width, 1))  # 2 MB of lanes at kernel 17: in cache
 
-        def lane(a, r0, r1, k):  # element k of the full windows in block rows r0:r1
-            return a[r0:r1, k:k + m] if axis == 1 else a[r0 + k:r1 + k]
+        def lane(a, r0, r1, i):  # sample i of each group's windows in block rows r0:r1
+            if axis == 1:
+                return a[r0:r1, start + i:start + i + size * count:size]
+            return a[start + i + size * r0:start + i + size * r1:size]
 
         for r0 in range(0, rows, step):
             r1 = min(r0 + step, rows)
-            x = [lane(mag, r0, r1, k) for k in range(kernel)]
-            for i, j, use_min, use_max in _median_network(kernel):
-                a, b = x[i], x[j]
-                x[i] = np.minimum(a, b) if use_min else None
-                x[j] = np.maximum(a, b) if use_max else None
-            lane(out, r0, r1, half)[...] = x[half]
+            medians = _group_medians(lambda i: lane(mag, r0, r1, i), kernel, size)
+            for j, median in enumerate(medians):
+                lane(out, r0, r1, half + j)[...] = median
     a, o = (mag, out) if axis == 1 else (mag.T, out.T)
     for i in range(min(half, n)):
         o[:, i] = np.median(a[:, : i + half + 1], axis=1)

@@ -5,7 +5,9 @@ module keeps the textbook form beside it as an oracle: the weighted
 spectrogram inner product, the correction matrix E and the phase-corrected
 transform, the time difference, the smoothness operator L_h, the proximity
 operators, the sum projection, the objective, and the paper's iteration over
-the pair (x_h, x_p). Tests import it as ``from reference import ...``.
+the pair (x_h, x_p). It also keeps the running median that the shared-core
+networks replaced, one selection network per window. Tests import it as
+``from reference import ...``.
 
 The model computes on K x T arrays, one column per frame, as the paper writes
 them. The package's arrays are T x K; the model transposes them on entry
@@ -213,3 +215,53 @@ def two_variable_reference(problem, init):
         y_p = p.alpha * yt_p + (1.0 - p.alpha) * y_p
         rows.append((smooth + sparse, smooth, sparse, inc))
     return x_h, x_p, np.array(rows)
+
+
+def reference_median_network(kernel: int) -> tuple:
+    """Merge exchange (Knuth, TAOCP 5.2.2M) pruned to the middle lane: (i, j,
+    use_min, use_max) with i < j, where a flag marks an output read later."""
+    t = (kernel - 1).bit_length()
+    comps, p = [], 1 << (t - 1)
+    while p:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            comps += [(i, i + d) for i in range(kernel - d) if i & p == r]
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    live, kept = {kernel // 2}, []
+    for i, j in reversed(comps):
+        if i in live or j in live:
+            kept.append((i, j, i in live, j in live))
+            live |= {i, j}
+    return tuple(reversed(kept))
+
+
+def reference_median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
+    """Running median along one axis with shrinking windows at the edges, each
+    full window through its own network."""
+    out = np.empty_like(mag)
+    half = kernel // 2
+    n = mag.shape[axis]
+    m = n - 2 * half
+    if m > 0:
+        width, rows = (m, mag.shape[0]) if axis == 1 else (mag.shape[1], m)
+        step = max(1, (1 << 14) // max(width, 1))
+
+        def lane(a, r0, r1, k):  # element k of the full windows in block rows r0:r1
+            return a[r0:r1, k:k + m] if axis == 1 else a[r0 + k:r1 + k]
+
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            x = [lane(mag, r0, r1, k) for k in range(kernel)]
+            for i, j, use_min, use_max in reference_median_network(kernel):
+                a, b = x[i], x[j]
+                x[i] = np.minimum(a, b) if use_min else None
+                x[j] = np.maximum(a, b) if use_max else None
+            lane(out, r0, r1, half)[...] = x[half]
+    a, o = (mag, out) if axis == 1 else (mag.T, out.T)
+    for i in range(min(half, n)):
+        o[:, i] = np.median(a[:, : i + half + 1], axis=1)
+        o[:, n - 1 - i] = np.median(a[:, max(n - 1 - i - half, 0) :], axis=1)
+    return out

@@ -16,10 +16,12 @@ from hpss import (
     median_filter_hpss,
     mf_separate,
 )
-from hpss.baseline import _median_network, _median_shrink
+from hpss import baseline
+from hpss.baseline import _group_medians, _group_networks, _group_size, _median_shrink, _passes
 from hpss.synth import bench_corpus, criterion_mixture
 
 from conftest import sine_signal
+from reference import reference_median_shrink
 
 
 def shrink_median_oracle(mag, kernel, axis):
@@ -109,21 +111,46 @@ class TestMedianFilter:
 
     @pytest.mark.parametrize("kernel", range(3, 18, 2))
     def test_network_selects_median_of_every_01_input(self, kernel):
-        # by the 0-1 principle, a comparator network that selects the median
-        # of every 0/1 input selects it for every input
-        bits = (np.arange(1 << kernel)[:, None] >> np.arange(kernel)) & 1
-        lanes = list(bits.T.astype(np.uint8))
-        for i, j, use_min, use_max in _median_network(kernel):
-            a, b = lanes[i], lanes[j]
-            lanes[i] = np.minimum(a, b) if use_min else None
-            lanes[j] = np.maximum(a, b) if use_max else None
-        np.testing.assert_array_equal(lanes[kernel // 2], bits.sum(axis=1) > kernel // 2)
+        # by the 0-1 principle, comparator networks that select the median of
+        # every 0/1 input select it for every input: here every window of a
+        # group of g, for each g up to the one the kernel takes (g = 1 is the
+        # network of the m mod g windows left over)
+        for g in range(1, _group_size(kernel) + 1):
+            n = kernel + g - 1
+            samples = [(np.arange(1 << n) >> i & 1).astype(np.uint8) for i in range(n)]
+            for j, median in enumerate(_group_medians(samples.__getitem__, kernel, g)):
+                ones = sum(samples[j:j + kernel])
+                np.testing.assert_array_equal(median, ones > kernel // 2, err_msg=f"g={g} j={j}")
 
     def test_network_size_at_kernel_17(self):
+        # four windows share 14 samples, sorted down to their 4 middle ranks;
+        # each window takes its median of those and its own 3 samples: 33
+        # min/max passes per median, against 106 for one window alone
+        assert _group_size(17) == 4
+        core, select = _group_networks(17, 4)
+        assert (len(core), _passes(core)) == (47, 84)
+        assert (len(select), _passes(select)) == (9, 12)
+        assert (_passes(core) + 4 * _passes(select)) / 4 == 33
         # merge exchange on 17 lanes has 74 comparators; 61 reach the middle
-        net = _median_network(17)
-        assert len(net) == 61
-        assert sum(not (use_min and use_max) for _, _, use_min, use_max in net) == 16
+        single, _ = _group_networks(17, 1)
+        assert (len(single), _passes(single)) == (61, 106)
+
+    @pytest.mark.parametrize("kernel", [3, 5, 17, 101])
+    def test_shrink_equals_per_window_reference(self, kernel, rng):
+        # m full windows from none to two groups and every remainder
+        g = _group_size(kernel)
+        for m in range(2 * g + 2):
+            n = m + 2 * (kernel // 2)
+            for mag in (rng.uniform(size=(n, 6)), rng.integers(0, 3, size=(n, 6)).astype(float)):
+                for axis, a in ((0, mag), (1, np.ascontiguousarray(mag.T))):
+                    assert np.array_equal(_median_shrink(a, kernel, axis),
+                                          reference_median_shrink(a, kernel, axis)), (m, axis)
+
+    def test_mask_bytes_equal_per_window_reference(self, monkeypatch):
+        spec = forward(criterion_mixture().mixture.samples, HpssConfig().stft()).data
+        mask = median_filter_hpss(spec)
+        monkeypatch.setattr(baseline, "_median_shrink", reference_median_shrink)
+        assert median_filter_hpss(spec).tobytes() == mask.tobytes()
 
     def test_returns_the_mask_alone(self, small_config, rng):
         shape = (small_config.n_frames(400), small_config.n_bins)
