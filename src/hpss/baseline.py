@@ -86,11 +86,17 @@ def _group_networks(kernel: int, g: int) -> tuple:
     return core, select
 
 
+# pruning the select network of g windows lists (g + 1) * 2^(g - 1) 0/1
+# inputs on 2g - 1 lanes: 1.4 MB at g = 13, doubling with each further g
+_MAX_GROUP = 13
+
+
 @lru_cache(maxsize=None)
 def _group_size(kernel: int) -> int:
-    """The g of fewest passes per output, searched up from 1 until it stops falling."""
+    """The g of fewest passes per output, searched up from 1 until it stops
+    falling or reaches _MAX_GROUP."""
     best, best_g = np.inf, 1
-    for g in range(1, kernel // 2 + 2):
+    for g in range(1, min(kernel // 2 + 2, _MAX_GROUP + 1)):
         core, select = _group_networks.__wrapped__(kernel, g)  # cache only the g in use
         cost = (_passes(core) + g * _passes(select)) / g
         if cost >= best:
@@ -133,7 +139,7 @@ def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     half = kernel // 2
     n = mag.shape[axis]
     m = max(n - 2 * half, 0)
-    g = _group_size(kernel)
+    g = _group_size(kernel) if m > 1 else 1
     for size, start, count in ((g, 0, m // g), (1, m - m % g, m % g)):
         if count == 0:
             continue

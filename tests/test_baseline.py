@@ -146,6 +146,27 @@ class TestMedianFilter:
                     assert np.array_equal(_median_shrink(a, kernel, axis),
                                           reference_median_shrink(a, kernel, axis)), (m, axis)
 
+    def test_large_kernel_group_is_bounded(self, rng, monkeypatch):
+        # the group size stops at _MAX_GROUP however long the kernel, so its
+        # 0/1 pruning stays small; a 501-sample kernel with one group, two and
+        # a remainder still equals the per-window reference on both axes
+        for kernel in (111, 201, 501, 1001):
+            assert _group_size(kernel) <= baseline._MAX_GROUP
+        g = _group_size(501)
+        for m in (2, g, g + 1, 2 * g + 1):
+            mag = rng.uniform(size=(500 + m, 3))
+            for axis, a in ((0, mag), (1, np.ascontiguousarray(mag.T))):
+                assert np.array_equal(_median_shrink(a, 501, axis),
+                                      reference_median_shrink(a, 501, axis)), (m, axis)
+        # fewer than two full windows, a kernel longer than the input
+        # among them, take no group and so search for none
+        monkeypatch.setattr(baseline, "_group_size", None)
+        for n in (10, 500, 501):
+            mag = rng.uniform(size=(n, 3))
+            for axis, a in ((0, mag), (1, np.ascontiguousarray(mag.T))):
+                assert np.array_equal(_median_shrink(a, 501, axis),
+                                      reference_median_shrink(a, 501, axis)), (n, axis)
+
     def test_mask_bytes_equal_per_window_reference(self, monkeypatch):
         spec = forward(criterion_mixture().mixture.samples, HpssConfig().stft()).data
         mask = median_filter_hpss(spec)
