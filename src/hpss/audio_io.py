@@ -134,7 +134,14 @@ def read_wav(path) -> Signal:
             raise ValueError(f"{path}: float samples must be finite")
         raw = raw.astype(np.float64)
 
-    mono = raw.reshape(n_frames, n_channels).mean(axis=1)
+    frames = raw.reshape(n_frames, n_channels)
+    if n_channels < 8:  # np.mean adds fewer than 8 terms one by one onto +0.0
+        mono = frames[:, 0] + 0.0
+        for c in range(1, n_channels):
+            mono += frames[:, c]
+        mono /= n_channels
+    else:  # numpy sums 8 or more terms pairwise
+        mono = frames.mean(axis=1)
     try:
         return Signal(mono, sample_rate)
     except ValueError as exc:  # a zero sample rate
@@ -153,16 +160,17 @@ def write_wav(path, s: Signal, bit_depth=16) -> None:
     if depth not in ("16", "24", "float32"):
         raise ValueError(f"unsupported bit depth: {bit_depth!r}")
 
-    if np.any(np.abs(samples) > 1.0):
-        n_clip = int(np.sum(np.abs(samples) > 1.0))
+    if samples.max() > 1.0 or samples.min() < -1.0:
+        n_clip = np.count_nonzero(np.abs(samples) > 1.0)
         warnings.warn(f"{path}: clipping {n_clip} out-of-range samples to [-1, 1]",
                       stacklevel=_caller_stacklevel())
         samples = np.clip(samples, -1.0, 1.0)
 
     if depth == "16":
-        ints = np.round(samples * 32768.0).astype(np.int64)
-        ints = np.clip(ints, -32768, 32767).astype("<i2")
-        payload = ints.tobytes()
+        scaled = samples * 32768.0
+        np.rint(scaled, out=scaled)  # within [-32768, 32768]: only the top needs clipping
+        np.minimum(scaled, 32767.0, out=scaled)
+        payload = scaled.astype("<i2")
         codec, bits = _FMT_PCM, 16
     elif depth == "24":
         ints = np.round(samples * 8388608.0).astype(np.int64)
@@ -172,10 +180,10 @@ def write_wav(path, s: Signal, bit_depth=16) -> None:
         b[:, 0] = u & 0xFF
         b[:, 1] = (u >> 8) & 0xFF
         b[:, 2] = (u >> 16) & 0xFF
-        payload = b.tobytes()
+        payload = b
         codec, bits = _FMT_PCM, 24
     else:
-        payload = samples.astype("<f4").tobytes()
+        payload = samples.astype("<f4")
         codec, bits = _FMT_IEEE_FLOAT, 32
 
     n_channels = 1
@@ -184,7 +192,7 @@ def write_wav(path, s: Signal, bit_depth=16) -> None:
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(payload),
+        36 + payload.nbytes,
         b"WAVE",
         b"fmt ",
         16,
@@ -195,7 +203,8 @@ def write_wav(path, s: Signal, bit_depth=16) -> None:
         block_align,
         bits,
         b"data",
-        len(payload),
+        payload.nbytes,
     )
     with open(path, "wb") as fh:
-        fh.write(header + payload)
+        fh.write(header)
+        fh.write(payload)

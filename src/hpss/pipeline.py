@@ -104,10 +104,13 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
         oracle = oracle * gain
         v = if_from_spectra(plan.forward(oracle), plan.forward(oracle, config.deriv_window))
 
-    mask = median_filter_hpss(spec, cfg.median)
-    x_h0 = plan.adjoint(mask * spec)
-    weight = compute_weight(mask * np.abs(spec), cfg.kappa)
-    del plan, spec, mask, oracle  # the solver's working set need not stack on these
+    mag = np.abs(spec)  # |X| once: the median filter's abs of it is a copy
+    mask = median_filter_hpss(mag, cfg.median)
+    spec *= mask
+    x_h0 = plan.adjoint(spec)
+    mag *= mask
+    weight = compute_weight(mag, cfg.kappa)
+    del plan, spec, mag, mask, oracle  # the solver's working set need not stack on these
 
     problem = HpssProblem(
         mixture=xs,

@@ -6,13 +6,16 @@ spectrogram inner product, the correction matrix E and the phase-corrected
 transform, the time difference, the smoothness operator L_h, the proximity
 operators, the sum projection, the objective, and the paper's iteration over
 the pair (x_h, x_p). It also keeps the running median that the shared-core
-networks replaced, one selection network per window. Tests import it as
-``from reference import ...``.
+networks replaced, one selection network per window and np.median at the
+edges, and the WAV encoder that rounded and clipped through int64 arrays.
+Tests import it as ``from reference import ...``.
 
 The model computes on K x T arrays, one column per frame, as the paper writes
 them. The package's arrays are T x K; the model transposes them on entry
 (``model_layout``) and hands spectrograms back in the package's layout.
 """
+
+import struct
 
 import numpy as np
 
@@ -265,3 +268,23 @@ def reference_median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarr
         o[:, i] = np.median(a[:, : i + half + 1], axis=1)
         o[:, n - 1 - i] = np.median(a[:, max(n - 1 - i - half, 0) :], axis=1)
     return out
+
+
+def reference_wav_bytes(samples: np.ndarray, rate: int, bit_depth) -> bytes:
+    """The WAV file that ``write_wav`` writes for these samples: clipped to
+    [-1, 1], rounded half to even through int64 and clipped again."""
+    codec, bits = (3, 32) if bit_depth == "float32" else (1, int(bit_depth))
+    samples = np.clip(samples, -1.0, 1.0)
+    if bits == 16:
+        ints = np.round(samples * 32768.0).astype(np.int64)
+        payload = np.clip(ints, -32768, 32767).astype("<i2").tobytes()
+    elif bits == 24:
+        ints = np.round(samples * 8388608.0).astype(np.int64)
+        ints = np.clip(ints, -8388608, 8388607).astype(np.int32)
+        payload = (ints & 0xFFFFFF).astype("<u4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    else:
+        payload = samples.astype("<f4").tobytes()
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE", b"fmt ",
+                         16, codec, 1, rate, rate * bits // 8, bits // 8, bits,
+                         b"data", len(payload))
+    return header + payload

@@ -21,6 +21,8 @@ from hpss import (
 )
 from hpss.pipeline import IF_SOURCE_ORACLE
 
+from reference import reference_wav_bytes
+
 
 def test_signal_validation():
     with pytest.raises(ValueError):
@@ -113,6 +115,53 @@ def test_downmix_linearity(tmp_path, rng):
     mixed = read_wav(stereo).samples
     mean = (read_wav(mono0).samples + read_wav(mono1).samples) / 2
     np.testing.assert_allclose(mixed, mean)
+
+
+@pytest.mark.parametrize("channels", range(1, 10))
+@pytest.mark.parametrize("codec, bits", [(1, 16), (1, 24), (3, 32)], ids=["16", "24", "float32"])
+def test_downmix_bytes_equal_numpy_mean(tmp_path, rng, codec, bits, channels):
+    # fewer than 8 channels are summed one after another, from +0.0 as
+    # np.mean does, so a frame of -0.0 reads as +0.0; float32 frames span
+    # 16 decades, so sums in another order round differently, and also
+    # hold subnormals
+    n = 301
+    if bits == 16:
+        ints = rng.integers(-32768, 32768, n * channels)
+        payload, raw = ints.astype("<i2").tobytes(), ints / 32768.0
+    elif bits == 24:
+        ints = rng.integers(-(1 << 23), 1 << 23, n * channels)
+        payload = ints.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        raw = ints / 8388608.0
+    else:
+        scale = 10.0 ** rng.integers(-8, 9, size=(n, channels))
+        floats = (rng.normal(size=(n, channels)) * scale).astype("<f4")
+        floats[::4] = -0.0
+        floats[1::4, ::2] = -0.0
+        floats[2::4] = np.float32(1e-40)
+        floats[3::8, ::3] = -np.float32(1e-45)
+        payload, raw = floats.tobytes(), floats.astype(np.float64).ravel()
+    path = tmp_path / "c.wav"
+    _write_raw_wav(path, codec, bits, 8000, channels, payload)
+    want = raw.reshape(n, channels).mean(axis=1)
+    assert read_wav(path).samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("clip", [False, True], ids=["in-range", "clipping"])
+@pytest.mark.parametrize("depth", [16, 24, "float32"])
+def test_write_bytes_equal_reference_encoder(tmp_path, depth, clip):
+    # ties k.5 / 32768 round half to even; -0.0 and +-1e-300 round to 0
+    ties = (np.arange(-32768, 32768, 7) + 0.5) / 32768.0
+    edges = [1.0, -1.0, -0.0, 0.0, 1e-300, -1e-300, 32767.5 / 32768.0, -32767.5 / 32768.0]
+    beyond = [np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 1.0 + 2.0**-15,
+              -32768.5 / 32768.0, 1.5, -2.0]
+    samples = np.concatenate([ties, edges, beyond if clip else []])
+    path = tmp_path / "w.wav"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        write_wav(path, Signal(samples, 44100), depth)
+    assert path.read_bytes() == reference_wav_bytes(samples, 44100, depth)
+    messages = [f"{path}: clipping {len(beyond)} out-of-range samples to [-1, 1]"] if clip else []
+    assert [str(w.message) for w in caught] == messages
 
 
 def test_float32_round_trip_exact(tmp_path, rng):
