@@ -135,12 +135,15 @@ def read_wav(path) -> Signal:
         raw = raw.astype(np.float64)
 
     frames = raw.reshape(n_frames, n_channels)
-    if n_channels < 8:  # np.mean adds fewer than 8 terms one by one onto +0.0
+    # np.mean sums by numpy's pairwise_sum: under 8 terms one by one onto +0.0,
+    # which adding the columns in order repeats bit for bit; from 8 terms on in
+    # unrolled partial sums, so wider files keep np.mean
+    if n_channels < 8:
         mono = frames[:, 0] + 0.0
         for c in range(1, n_channels):
             mono += frames[:, c]
         mono /= n_channels
-    else:  # numpy sums 8 or more terms pairwise
+    else:
         mono = frames.mean(axis=1)
     try:
         return Signal(mono, sample_rate)

@@ -140,30 +140,24 @@ def _edge_medians(sample, kernel: int, n: int):
     in turn, where window i holds samples 0 .. min(i + kernel // 2, n - 1)
     counted from that end and sample(i) is the i-th of them.
 
-    One network sorts the outermost window; each further sample enters only
-    the ranks that later medians read, rank r becoming max(x[r - 1],
-    min(x[r], new)). An even window takes (lo + hi) / 2 of its middle ranks,
-    as np.median does.
+    One network sorts the outermost window into the rows of one array; each
+    further sample enters only the ranks that later medians read, rank r
+    becoming max(x[r - 1], min(x[r], new)) for all of them in two passes. An
+    even window takes (lo + hi) / 2 of its middle ranks, as np.median does.
     """
     half = kernel // 2
     x = [sample(i) for i in range(min(half + 1, n))]
     # a lane past the input would hold +inf, which no comparator moves
     _run_network([c for c in _edge_network(kernel) if c[1] < n], x)
-    size = len(x)  # from 2 lanes on, every one is the network's own array
+    x = np.stack(x)
+    size = len(x)
     for i in range(min(half, n)):
         if 0 < i < n - half:  # window i holds one sample more than window i - 1
             new, size = sample(half + i), size + 1
-            for r in range(half, i - 1, -1):  # ranks i .. half, read before written
-                np.minimum(x[r], new, out=x[r])
-                np.maximum(x[r], x[r - 1], out=x[r])
-        lo, hi = x[(size - 1) // 2], x[size // 2]
-        yield lo if lo is hi else (lo + hi) / 2
-
-
-# the edge networks make about (kernel // 2)^2 numpy calls at each end against
-# kernel // 2 calls of np.median: on rows of 40 samples or more they are faster
-# at every kernel up to 501, but above this one np.median wins on 10 rows or fewer
-_MAX_EDGE_KERNEL = 129
+            ranks = np.minimum(x[i:half + 1], new)
+            np.maximum(ranks, x[i - 1:half], out=x[i:half + 1])  # numpy buffers the overlap
+        mid = size // 2
+        yield x[mid] if size % 2 else (x[mid - 1] + x[mid]) / 2
 
 
 def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
@@ -172,7 +166,7 @@ def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     The m full windows go through the selection networks in groups of g
     neighbours that share one core (Adams 2021), the m mod g left over one
     window at a time. The kernel // 2 edge windows at each end go through
-    the edge networks, or through np.median above _MAX_EDGE_KERNEL.
+    the edge networks.
     """
     out = np.empty_like(mag)
     half = kernel // 2
@@ -196,11 +190,6 @@ def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
             for j, median in enumerate(medians):
                 lane(out, r0, r1, half + j)[...] = median
     a, o = (mag, out) if axis == 1 else (mag.T, out.T)
-    if kernel > _MAX_EDGE_KERNEL:
-        for i in range(min(half, n)):
-            o[:, i] = np.median(a[:, : i + half + 1], axis=1)
-            o[:, n - 1 - i] = np.median(a[:, max(n - 1 - i - half, 0) :], axis=1)
-        return out
     for i, median in enumerate(_edge_medians(lambda j: a[:, j], kernel, n)):
         o[:, i] = median
     for i, median in enumerate(_edge_medians(lambda j: a[:, n - 1 - j], kernel, n)):

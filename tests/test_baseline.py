@@ -146,14 +146,18 @@ class TestMedianFilter:
                     assert np.array_equal(_median_shrink(a, kernel, axis),
                                           reference_median_shrink(a, kernel, axis)), (m, axis)
 
-    @pytest.mark.parametrize("kernel", [3, 5, 17, 31, baseline._MAX_EDGE_KERNEL + 2])
+    @pytest.mark.parametrize("kernel", [3, 5, 17, 31, 131])
     def test_edge_windows_equal_np_median_reference(self, kernel, rng):
         # every length from 1 to 2k + 1: inputs shorter than half a kernel,
         # edge windows that overlap, and the first full windows; magnitudes
-        # with ties, zeros and +inf. Above the bound np.median takes the edges
-        # again, so its lengths are sampled
-        step = 1 if kernel <= baseline._MAX_EDGE_KERNEL else 13
-        for n in range(1, 2 * kernel + 2, step):
+        # with ties, zeros and +inf. The long kernel's lengths are sampled,
+        # keeping those where the edges start to overlap or to leave a gap
+        half = kernel // 2
+        lengths = range(1, 2 * kernel + 2)
+        if kernel > 31:
+            lengths = sorted({*lengths[::13], half, half + 1, half + 2, kernel - 1,
+                              kernel, kernel + 1, 2 * kernel + 1})
+        for n in lengths:
             ties = rng.integers(0, 3, size=(n, 3)).astype(float)
             ties[ties == 2.0] = np.inf
             for mag in (rng.uniform(size=(n, 3)), ties, np.zeros((n, 3))):
