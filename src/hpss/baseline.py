@@ -33,11 +33,10 @@ class MedianConfig:
             raise ValueError(f"mask_power must be finite and >= 1, got {self.mask_power}")
 
 
-def _selection_network(n: int, lanes: tuple, presorted: tuple = ()) -> tuple:
+def _selection_network(n: int, lanes: tuple) -> tuple:
     """Merge exchange (Knuth, TAOCP 5.2.2M) on n lanes pruned to ``lanes``:
     (i, j, use_min, use_max) with i < j, where a flag marks an output read
-    later. Inputs on the ``presorted`` lanes arrive in ascending order, so
-    every comparator that no such 0/1 input makes swap is dropped first."""
+    later."""
     t = (n - 1).bit_length()
     comps, p = [], (1 << t) >> 1
     while p:
@@ -48,19 +47,6 @@ def _selection_network(n: int, lanes: tuple, presorted: tuple = ()) -> tuple:
                 break
             q, r, d = q >> 1, p, q - p
         p >>= 1
-    if presorted:  # every 0/1 input, column z holding z zeros on the presorted lanes
-        free = [i for i in range(n) if i not in presorted]
-        bits = (np.arange(1 << len(free)) >> np.arange(len(free))[:, None]) & 1
-        x = np.zeros((n, len(presorted) + 1, bits.shape[1]), dtype=bool)
-        for rank, i in enumerate(presorted):
-            x[i, :rank + 1] = True
-        x[free] = bits[:, None].astype(bool)
-        x, swapping = x.reshape(n, -1), []
-        for i, j in comps:
-            if np.any(x[i] > x[j]):
-                swapping.append((i, j))
-                x[i], x[j] = x[i] & x[j], x[i] | x[j]
-        comps = swapping
     live, kept = set(lanes), []
     for i, j in reversed(comps):
         if i in live or j in live:
@@ -75,30 +61,28 @@ def _passes(net: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
-def _group_networks(kernel: int, g: int) -> tuple:
-    """The networks of g neighbouring windows' medians: the core pruned to the
-    g middle ranks of the kernel - g + 1 samples the windows share, then per
-    window the median of those ranks (even lanes, ascending) and its g - 1
-    other samples (odd lanes)."""
+def _sort_network(n: int) -> tuple:
+    """The network that sorts n lanes."""
+    return _selection_network(n, tuple(range(n)))
+
+
+@lru_cache(maxsize=None)
+def _core_network(kernel: int, g: int) -> tuple:
+    """The network that sorts the kernel - g + 1 samples that g neighbouring
+    windows share down to their g middle ranks."""
     half = kernel // 2
-    core = _selection_network(kernel - g + 1, tuple(range(half - g + 1, half + 1)))
-    select = _selection_network(2 * g - 1, (g - 1,), tuple(range(0, 2 * g - 1, 2)))
-    return core, select
-
-
-# pruning the select network of g windows lists (g + 1) * 2^(g - 1) 0/1
-# inputs on 2g - 1 lanes: 1.4 MB at g = 13, doubling with each further g
-_MAX_GROUP = 13
+    return _selection_network(kernel - g + 1, tuple(range(half - g + 1, half + 1)))
 
 
 @lru_cache(maxsize=None)
 def _group_size(kernel: int) -> int:
     """The g of fewest passes per output, searched up from 1 until it stops
-    falling or reaches _MAX_GROUP."""
+    falling: one core per group, then per window a sort of its g - 1 other
+    samples and a merge of 2(g - 1) passes."""
     best, best_g = np.inf, 1
-    for g in range(1, min(kernel // 2 + 2, _MAX_GROUP + 1)):
-        core, select = _group_networks.__wrapped__(kernel, g)  # cache only the g in use
-        cost = (_passes(core) + g * _passes(select)) / g
+    for g in range(1, kernel // 2 + 2):
+        core = _core_network.__wrapped__(kernel, g)  # cache only the g in use
+        cost = (_passes(core) + g * (_passes(_sort_network(g - 1)) + 2 * (g - 1))) / g
         if cost >= best:
             break
         best, best_g = cost, g
@@ -115,24 +99,23 @@ def _run_network(net: tuple, x: list) -> None:
 
 def _group_medians(sample, kernel: int, g: int):
     """Yield the medians of g neighbouring windows in turn, where sample(i)
-    is the i-th of the kernel + g - 1 samples that the windows span."""
+    is the i-th of the kernel + g - 1 samples that the windows span.
+
+    Each median is rank g - 1 of the core's g middle ranks a and the window's
+    g - 1 other samples b, both ascending: the least of a[g - 1] and
+    max(a[i - 1], b[g - 1 - i]) for i in 1 .. g - 1.
+    """
     half = kernel // 2
-    core, select = _group_networks(kernel, g)
     x = [sample(i) for i in range(g - 1, kernel)]  # the samples all g windows hold
-    _run_network(core, x)
+    _run_network(_core_network(kernel, g), x)
+    a = x[half - g + 1:half + 1]
     for j in range(g):
-        y = [None] * (2 * g - 1)
-        y[::2] = x[half - g + 1:half + 1]
-        y[1::2] = [sample(i) for i in (*range(j, g - 1), *range(kernel, kernel + j))]
-        _run_network(select, y)
-        yield y[g - 1]
-
-
-@lru_cache(maxsize=None)
-def _edge_network(kernel: int) -> tuple:
-    """The network that sorts the kernel // 2 + 1 samples of an outermost window."""
-    n = kernel // 2 + 1
-    return _selection_network(n, tuple(range(n)))
+        b = [sample(i) for i in (*range(j, g - 1), *range(kernel, kernel + j))]
+        _run_network(_sort_network(g - 1), b)
+        median = a[g - 1]
+        for i in range(1, g):
+            median = np.minimum(median, np.maximum(a[i - 1], b[g - 1 - i]))
+        yield median
 
 
 def _edge_medians(sample, kernel: int, n: int):
@@ -147,8 +130,7 @@ def _edge_medians(sample, kernel: int, n: int):
     """
     half = kernel // 2
     x = [sample(i) for i in range(min(half + 1, n))]
-    # a lane past the input would hold +inf, which no comparator moves
-    _run_network([c for c in _edge_network(kernel) if c[1] < n], x)
+    _run_network(_sort_network(len(x)), x)
     x = np.stack(x)
     size = len(x)
     for i in range(min(half, n)):
@@ -163,10 +145,9 @@ def _edge_medians(sample, kernel: int, n: int):
 def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     """Running median along one axis with shrinking windows at the edges.
 
-    The m full windows go through the selection networks in groups of g
-    neighbours that share one core (Adams 2021), the m mod g left over one
-    window at a time. The kernel // 2 edge windows at each end go through
-    the edge networks.
+    The m full windows go in groups of g neighbours that share one core
+    (Adams 2021), the m mod g left over one window at a time. The
+    kernel // 2 edge windows at each end start from one sort network.
     """
     out = np.empty_like(mag)
     half = kernel // 2
@@ -197,15 +178,16 @@ def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     return out
 
 
-def median_filter_hpss(spec: np.ndarray, mc: MedianConfig = MedianConfig()) -> np.ndarray:
-    """Soft harmonic mask of the T x K mixture coefficients X, a T x K array.
+def median_filter_hpss(mag: np.ndarray, mc: MedianConfig = MedianConfig()) -> np.ndarray:
+    """Soft harmonic mask of the T x K mixture magnitudes |X|, a real T x K array.
 
     H is the time-directional median of |X|, P the frequency-directional
     median; the mask is H^p / (H^p + P^p), computed on magnitudes divided by
     max|X| in the two medians' own buffers, with the 0/0 case mapped to 0.5.
     The soft-masked harmonic spectrogram is mask * X.
     """
-    mag = np.abs(spec)
+    if np.iscomplexobj(mag):
+        raise ValueError("median_filter_hpss takes the magnitudes |X|, not complex coefficients")
     if mag.size == 0:
         raise ValueError("empty spectrogram")
     num = _median_shrink(mag, mc.harm_kernel, axis=0)
@@ -213,7 +195,6 @@ def median_filter_hpss(spec: np.ndarray, mc: MedianConfig = MedianConfig()) -> n
     # no median exceeds the peak, so the scaled powers neither overflow nor
     # depend on the input's gain; silence keeps scale 1
     scale = mag.max() or 1.0
-    del mag  # the mask is built in the medians' own buffers below
     for a in (num, den):
         a /= scale
         a **= mc.mask_power
@@ -229,26 +210,27 @@ def mf_separate(x, config: StftConfig, mc: MedianConfig = MedianConfig()) -> Sig
     rate = x.sample_rate if isinstance(x, Signal) else 1
     plan = StftPlan(config, samples.size)
     spec = plan.forward(samples)
-    spec *= median_filter_hpss(spec, mc)
+    spec *= median_filter_hpss(np.abs(spec), mc)
     x_h = plan.adjoint(spec)
     return SignalPair(Signal(x_h, rate), Signal(samples - x_h, rate))
 
 
-def compute_weight(pre_h, kappa: float = 0.001) -> np.ndarray:
+def compute_weight(mag: np.ndarray, kappa: float = 0.001) -> np.ndarray:
     """Smoothness weight kappa / max(kappa, normalized harmonic amplitude).
 
-    Magnitudes of the pre-estimated harmonic T x K array are normalized
-    by their global maximum, so entries lie in (0, 1] and strong
+    The pre-estimated harmonic magnitudes, a real T x K array, are
+    normalized by their global maximum, so entries lie in (0, 1] and strong
     harmonic bins receive the smallest smoothing weight. An all-zero
     pre-estimate degenerates to a uniform weight of one.
     """
     if not 0.0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    mag = np.abs(pre_h, dtype=np.float64)  # a new array: scaled in place below
+    if np.iscomplexobj(mag):
+        raise ValueError("compute_weight takes harmonic magnitudes, not complex coefficients")
     peak = mag.max() if mag.size else 0.0
     if not np.isfinite(peak):  # a NaN or inf entry would spread to every weight
         raise ValueError(f"pre-estimate magnitudes must be finite, got a peak of {peak}")
     if peak == 0.0:
-        return np.ones_like(mag)
-    mag /= peak
+        return np.ones(mag.shape)
+    mag = np.divide(mag, peak, dtype=np.float64)
     return np.divide(kappa, np.maximum(kappa, mag, out=mag), out=mag)

@@ -25,6 +25,8 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
     EvalResult. When out_dir is given, writes bench_results.csv plus
     per-run solver trace CSVs; traces are recorded only then.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if n_tracks < 1:
         raise ValueError(f"the benchmark needs at least one track, got {n_tracks}")
     if not math.isfinite(duration):

@@ -125,6 +125,8 @@ def _cmd_separate(args) -> int:
         oracle_path = args.if_source.split(":", 1)[1]
     elif args.if_source != "mix":
         raise _ArgumentError(f"bad --if-source value: {args.if_source!r}")
+    if args.trace and args.method == "mf":
+        raise _ArgumentError("--trace needs --method prop; mf runs no solver")
     cfg = _separate_config(args)
     cfg = replace(
         cfg,
@@ -134,14 +136,13 @@ def _cmd_separate(args) -> int:
     oracle = None if oracle_path is None else read_wav(oracle_path)
 
     mixture = read_wav(args.input)
-    trace = None
     if args.method == "mf":
         pair = mf_separate(mixture, cfg.stft(), cfg.median)
     else:
         pair, trace = separate(mixture, cfg, oracle_h=oracle)
     write_wav(args.out_h, pair.harmonic, args.bit_depth)
     write_wav(args.out_p, pair.percussive, args.bit_depth)
-    if args.trace and trace is not None:
+    if args.trace:
         trace.write_csv(args.trace)
     return EXIT_OK
 

@@ -104,7 +104,7 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
         oracle = oracle * gain
         v = if_from_spectra(plan.forward(oracle), plan.forward(oracle, config.deriv_window))
 
-    mag = np.abs(spec)  # also the weight's |X|; the median filter's abs of it is a copy
+    mag = np.abs(spec)  # the median filter's |X|, then the weight's
     mask = median_filter_hpss(mag, cfg.median)
     spec *= mask
     x_h0 = plan.adjoint(spec)

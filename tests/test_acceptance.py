@@ -256,9 +256,9 @@ def _desk_problem():
 
     from hpss import compute_weight, median_filter_hpss, mf_separate
 
-    spec = forward(x, config)
-    mask = median_filter_hpss(spec.data)
-    weight = compute_weight(mask * np.abs(spec.data))
+    mag = np.abs(forward(x, config).data)
+    mask = median_filter_hpss(mag)
+    weight = compute_weight(mask * mag)
     init = mf_separate(x, config)
     return x, estimate_if(x, config), weight, init.harmonic.samples
 

@@ -17,7 +17,14 @@ from hpss import (
     mf_separate,
 )
 from hpss import baseline
-from hpss.baseline import _group_medians, _group_networks, _group_size, _median_shrink, _passes
+from hpss.baseline import (
+    _core_network,
+    _group_medians,
+    _group_size,
+    _median_shrink,
+    _passes,
+    _sort_network,
+)
 from hpss.synth import bench_corpus, criterion_mixture
 
 from conftest import sine_signal
@@ -60,6 +67,13 @@ def scipy_median_shrink(mag, kernel, axis):
 def medians(mag, mc):
     """The harmonic (time) and percussive (frequency) medians of ``mag``."""
     return _median_shrink(mag, mc.harm_kernel, axis=0), _median_shrink(mag, mc.perc_kernel, axis=1)
+
+
+def passes_per_output(kernel, g):
+    """Min/max passes per median in groups of g: one core per group, then per
+    window a sort of its g - 1 other samples and a 2(g - 1)-pass merge."""
+    extras = _passes(_sort_network(g - 1)) + 2 * (g - 1)
+    return (_passes(_core_network(kernel, g)) + g * extras) / g
 
 
 def wiener_mask_formula(h_mag, p_mag, peak, power):
@@ -111,7 +125,7 @@ class TestMedianFilter:
 
     @pytest.mark.parametrize("kernel", range(3, 18, 2))
     def test_network_selects_median_of_every_01_input(self, kernel):
-        # by the 0-1 principle, comparator networks that select the median of
+        # by the 0-1 principle, min/max circuits that select the median of
         # every 0/1 input select it for every input: here every window of a
         # group of g, for each g up to the one the kernel takes (g = 1 is the
         # network of the m mod g windows left over)
@@ -124,15 +138,17 @@ class TestMedianFilter:
 
     def test_network_size_at_kernel_17(self):
         # four windows share 14 samples, sorted down to their 4 middle ranks;
-        # each window takes its median of those and its own 3 samples: 33
-        # min/max passes per median, against 106 for one window alone
+        # each window sorts its own 3 samples and merges them with those ranks
+        # in 6 passes: 33 min/max passes per median, against 106 for one
+        # window alone
         assert _group_size(17) == 4
-        core, select = _group_networks(17, 4)
+        core = _core_network(17, 4)
         assert (len(core), _passes(core)) == (47, 84)
-        assert (len(select), _passes(select)) == (9, 12)
-        assert (_passes(core) + 4 * _passes(select)) / 4 == 33
+        extras = _sort_network(3)
+        assert (len(extras), _passes(extras)) == (3, 6)
+        assert passes_per_output(17, 4) == (84 + 4 * (6 + 6)) / 4 == 33
         # merge exchange on 17 lanes has 74 comparators; 61 reach the middle
-        single, _ = _group_networks(17, 1)
+        single = _core_network(17, 1)
         assert (len(single), _passes(single)) == (61, 106)
 
     @pytest.mark.parametrize("kernel", [3, 5, 17, 101])
@@ -179,11 +195,12 @@ class TestMedianFilter:
             mf_separate(x[:n], bench_config)
 
     def test_large_kernel_group_is_bounded(self, rng, monkeypatch):
-        # the group size stops at _MAX_GROUP however long the kernel, so its
-        # 0/1 pruning stays small; a 501-sample kernel with one group, two and
-        # a remainder still equals the per-window reference on both axes
-        for kernel in (111, 201, 501, 1001):
-            assert _group_size(kernel) <= baseline._MAX_GROUP
+        # the group size grows with the kernel past 13, each at fewer passes
+        # per output than g = 13 takes; a 501-sample kernel with one group,
+        # two and a remainder still equals the per-window reference on both axes
+        for kernel, g in ((201, 17), (501, 29), (1001, 37)):
+            assert _group_size(kernel) == g
+            assert passes_per_output(kernel, g) < passes_per_output(kernel, 13)
         g = _group_size(501)
         for m in (2, g, g + 1, 2 * g + 1):
             mag = rng.uniform(size=(500 + m, 3))
@@ -201,14 +218,15 @@ class TestMedianFilter:
 
     def test_mask_bytes_equal_per_window_reference(self, monkeypatch):
         spec = forward(criterion_mixture().mixture.samples, HpssConfig().stft()).data
-        mask = median_filter_hpss(spec)
+        mag = np.abs(spec)
+        mask = median_filter_hpss(mag)
         monkeypatch.setattr(baseline, "_median_shrink", reference_median_shrink)
-        assert median_filter_hpss(spec).tobytes() == mask.tobytes()
+        assert median_filter_hpss(mag).tobytes() == mask.tobytes()
 
     def test_returns_the_mask_alone(self, small_config, rng):
         shape = (small_config.n_frames(400), small_config.n_bins)
         data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        mask = median_filter_hpss(data)
+        mask = median_filter_hpss(np.abs(data))
         assert isinstance(mask, np.ndarray)
         assert mask.shape == shape and mask.dtype == np.float64
         assert mask.flags.c_contiguous
@@ -219,7 +237,7 @@ class TestMedianFilter:
         mc = MedianConfig()
         for median in medians(np.abs(data), mc):
             np.testing.assert_allclose(median, 2.0)
-        np.testing.assert_allclose(median_filter_hpss(data, mc), 0.5)
+        np.testing.assert_allclose(median_filter_hpss(np.abs(data), mc), 0.5)
 
     def test_horizontal_line_marked_harmonic(self, small_config):
         # single active bin across all frames on a 9x9-ish grid
@@ -230,7 +248,7 @@ class TestMedianFilter:
         mc = MedianConfig(harm_kernel=9, perc_kernel=9)
         mag = np.abs(data)
         np.testing.assert_allclose(_median_shrink(mag, 9, axis=0), shrink_median_oracle(mag, 9, 0))
-        mask = median_filter_hpss(data, mc)
+        mask = median_filter_hpss(mag, mc)
         assert np.all(mask[:, 12] >= 0.99)
 
     def test_vertical_line_marked_percussive(self, small_config):
@@ -241,7 +259,7 @@ class TestMedianFilter:
         mc = MedianConfig(harm_kernel=9, perc_kernel=9)
         mag = np.abs(data)
         np.testing.assert_allclose(_median_shrink(mag, 9, axis=1), shrink_median_oracle(mag, 9, 1))
-        mask = median_filter_hpss(data, mc)
+        mask = median_filter_hpss(mag, mc)
         assert np.all(mask[4, :] <= 0.01)
 
     def test_transposition_symmetry(self, rng):
@@ -266,7 +284,7 @@ class TestMedianFilter:
         np.testing.assert_array_equal(h_mag, h_ref)
         np.testing.assert_array_equal(p_mag, p_ref)
         mask_ref = wiener_mask_formula(h_ref, p_ref, mag.max(), mc.mask_power)
-        assert median_filter_hpss(spec.data, mc).tobytes() == mask_ref.tobytes()
+        assert median_filter_hpss(mag, mc).tobytes() == mask_ref.tobytes()
 
     @pytest.mark.parametrize("density", [0.0, 0.02, 0.3])
     def test_mask_formula_with_zero_denominators(self, small_config, rng, density):
@@ -277,7 +295,7 @@ class TestMedianFilter:
         data[rng.uniform(size=shape) >= density] = 0.0
         mc = MedianConfig(harm_kernel=5, perc_kernel=7, mask_power=1.5)
         mag = np.abs(data)
-        mask = median_filter_hpss(data, mc)
+        mask = median_filter_hpss(mag, mc)
         mask_ref = wiener_mask_formula(*medians(mag, mc), mag.max(), mc.mask_power)
         assert mask.tobytes() == mask_ref.tobytes()
         assert np.any(mask == 0.5)
@@ -287,8 +305,9 @@ class TestMedianFilter:
         shape = (small_config.n_frames(n), small_config.n_bins)
         data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         mc = MedianConfig()
-        h_mag, p_mag = medians(np.abs(data), mc)
-        mask = median_filter_hpss(data, mc)
+        mag = np.abs(data)
+        h_mag, p_mag = medians(mag, mc)
+        mask = median_filter_hpss(mag, mc)
         assert np.all(mask >= 0.0) and np.all(mask <= 1.0)
         num = h_mag**2
         den = num + p_mag**2
@@ -373,6 +392,15 @@ def test_non_finite_parameters_rejected_by_name(value):
         compute_weight(np.ones((2, 2)), kappa=value)
 
 
+def test_complex_input_rejected():
+    # both take magnitudes: numpy would order complex entries lexicographically
+    spec = np.ones((4, 5), dtype=complex)
+    with pytest.raises(ValueError, match="not complex coefficients$"):
+        median_filter_hpss(spec)
+    with pytest.raises(ValueError, match="not complex coefficients$"):
+        compute_weight(spec)
+
+
 class TestComputeWeight:
     def test_peak_bin_gets_kappa(self, rng):
         mag = rng.uniform(0.1, 0.9, size=(6, 6))
@@ -416,4 +444,4 @@ class TestComputeWeight:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^pre-estimate magnitudes must be finite"):
-                compute_weight(pre_h)
+                compute_weight(np.abs(pre_h))

@@ -174,6 +174,19 @@ class TestSeparate:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not (tmp_path / "h.wav").exists()
 
+    def test_mf_with_trace_gives_args_exit(self, wav_dir, tmp_path, capsys):
+        # mf runs no solver, so it has no trace to write; rejected before any
+        # file is read, so a missing input is not an I/O error
+        code, _ = run_cli(
+            ["separate", str(wav_dir / "missing.wav"),
+             "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav"),
+             "--method", "mf", "--trace", str(tmp_path / "t.csv")] + SEP_FLAGS
+        )
+        assert code == EXIT_BAD_ARGS
+        err = capsys.readouterr().err
+        assert err.startswith("error: --trace needs --method prop") and len(err.splitlines()) == 1
+        assert not (tmp_path / "h.wav").exists() and not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("with_trace", [False, True])
     def test_trace_recorded_iff_trace_flag(self, wav_dir, tmp_path, monkeypatch, with_trace):
         seen = record_trace_calls(monkeypatch, hpss.cli)
@@ -440,6 +453,7 @@ class TestBench:
     @pytest.mark.parametrize(
         "flags, message",
         [
+            pytest.param(["--seed", "-1"], "seed must be non-negative, got -1", id="seed-neg"),
             pytest.param(["--tracks", "0"], "at least one track, got 0", id="tracks-0"),
             pytest.param(["--tracks", "-2"], "at least one track, got -2", id="tracks-neg"),
             pytest.param(["--duration", "0"],
