@@ -33,31 +33,50 @@ class MedianConfig:
             raise ValueError(f"mask_power must be finite and >= 1, got {self.mask_power}")
 
 
-def _selection_network(n: int, lanes: tuple) -> tuple:
-    """Merge exchange (Knuth, TAOCP 5.2.2M) on n lanes pruned to ``lanes``:
-    (i, j, use_min, use_max) with i < j, where a flag marks an output read
-    later."""
+def _merge_exchange(n: int):
+    """Merge exchange (Knuth, TAOCP 5.2.2M) on n lanes, one round at a time:
+    (i, d) compares lanes i and i + d for every entry of the index array i,
+    and no lane appears twice in a round."""
     t = (n - 1).bit_length()
-    comps, p = [], (1 << t) >> 1
+    p = (1 << t) >> 1
     while p:
         q, r, d = 1 << (t - 1), 0, p
         while True:
-            comps += [(i, i + d) for i in range(n - d) if i & p == r]
+            i = np.arange(n - d)
+            yield i[i & p == r], d
             if q == p:
                 break
             q, r, d = q >> 1, p, q - p
         p >>= 1
+
+
+def _selection_network(n: int, lanes: tuple) -> tuple:
+    """Merge exchange on n lanes pruned to ``lanes``: (i, j, use_min, use_max)
+    with i < j, where a flag marks an output read later."""
     live, kept = set(lanes), []
-    for i, j in reversed(comps):
-        if i in live or j in live:
-            kept.append((i, j, i in live, j in live))
-            live |= {i, j}
+    for lo, d in reversed(list(_merge_exchange(n))):
+        for i in reversed(lo.tolist()):
+            j = i + d
+            if i in live or j in live:
+                kept.append((i, j, i in live, j in live))
+                live |= {i, j}
     return tuple(reversed(kept))
 
 
-def _passes(net: tuple) -> int:
-    """np.minimum/np.maximum calls that a network makes per output lane."""
-    return sum(use_min + use_max for _, _, use_min, use_max in net)
+def _pruned_passes(n: int, lanes) -> int:
+    """np.minimum/np.maximum calls per output lane of _selection_network(n,
+    lanes), without building it: a round's comparators touch disjoint lanes,
+    so the round prunes all of them at once on boolean lanes."""
+    live = np.zeros(n, dtype=bool)
+    live[list(lanes)] = True
+    passes = 0
+    for i, d in reversed(list(_merge_exchange(n))):
+        use_min, use_max = live[i], live[i + d]
+        passes += int(np.count_nonzero(use_min)) + int(np.count_nonzero(use_max))
+        kept = use_min | use_max  # a kept comparator reads both its lanes
+        live[i] = kept
+        live[i + d] = kept
+    return passes
 
 
 @lru_cache(maxsize=None)
@@ -70,8 +89,13 @@ def _sort_network(n: int) -> tuple:
 def _core_network(kernel: int, g: int) -> tuple:
     """The network that sorts the kernel - g + 1 samples that g neighbouring
     windows share down to their g middle ranks."""
+    return _selection_network(kernel - g + 1, _core_lanes(kernel, g))
+
+
+def _core_lanes(kernel: int, g: int) -> tuple:
+    """The g middle ranks of the kernel - g + 1 samples that g windows share."""
     half = kernel // 2
-    return _selection_network(kernel - g + 1, tuple(range(half - g + 1, half + 1)))
+    return tuple(range(half - g + 1, half + 1))
 
 
 @lru_cache(maxsize=None)
@@ -81,8 +105,8 @@ def _group_size(kernel: int) -> int:
     samples and a merge of 2(g - 1) passes."""
     best, best_g = np.inf, 1
     for g in range(1, kernel // 2 + 2):
-        core = _core_network.__wrapped__(kernel, g)  # cache only the g in use
-        cost = (_passes(core) + g * (_passes(_sort_network(g - 1)) + 2 * (g - 1))) / g
+        core = _pruned_passes(kernel - g + 1, _core_lanes(kernel, g))
+        cost = (core + g * (_pruned_passes(g - 1, range(g - 1)) + 2 * (g - 1))) / g
         if cost >= best:
             break
         best, best_g = cost, g

@@ -5,12 +5,20 @@ by least-squares projection onto delayed copies of the references
 (projection filters of a configurable length, computed over the full
 signals). Follows the classic sources-style evaluation.
 
-The correlations that set up the projections come from one real FFT of
-each signal at the smallest 5-smooth length of at least
-``n + filter_len - 1``, so that no lag wraps around. The projections
-themselves are short-block (overlap-add) convolutions of each reference
-with its filter. Every score is a power ratio clamped to [1e-30, 1e30],
-so it lies in [-300, 300] dB: a silent estimate reads -300.
+The correlations that set up the projections come from one streamed pass
+over short blocks: every block is transformed at a power-of-two length m
+(16 samples per tap, at least 1024) that holds it and its
+``filter_len - 1`` neighbours on each side, the products are summed over
+the blocks, and one batched inverse transform reads off every lag, none of
+which wraps. The Gram matrix G of the delayed copies is then exact, so the
+energies of the target, interference and artifact parts are quadratic
+forms of G, with no convolution. Two of them are differences of large
+terms (the estimate's energy less twice its projection's correlation with
+it, plus the projection's energy), which rounding resolves to about 1e-16
+of those terms: a difference below a small multiple of that reads as 0.
+Every score is a power ratio clamped to [1e-30, 1e30], so it lies in
+[-300, 300] dB: a silent estimate reads -300, and an artifact below the
+rounding of its terms reads as the +300 dB cap.
 """
 
 from __future__ import annotations
@@ -21,14 +29,15 @@ from dataclasses import astuple, dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.fft import next_fast_len
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import toeplitz
-from scipy.signal import oaconvolve
 
 from .audio_io import Signal, _caller_stacklevel, as_samples
 
 _DB_FLOOR_RATIO = 1e-30
 _DB_CAP = 300.0  # -10 log10(_DB_FLOOR_RATIO): every score lies in [-300, 300] dB
+_CHUNK_SAMPLES = 1 << 16  # frame samples per signal transformed at once
+_GAP_EPS = 64 * np.finfo(float).eps  # residual energies below this share of their terms read 0
 
 
 @dataclass(frozen=True)
@@ -83,17 +92,44 @@ def _safe_db(num: float, den: float) -> float:
     return 10.0 * math.log10(num / den)
 
 
-def _xcorr(a_fft, b_fft, prod, cc, flen: int):
-    """Cross-correlation of a and b at lags 0, -1, ..., 1 - flen (the
-    Toeplitz column) and at lags 0, 1, ..., flen - 1 (its row).
+def _block_len(flen: int, n: int) -> int:
+    """Transform length of the correlation blocks: the power of two of at least
+    16 flen and 1024 samples, or of one block that covers all n samples if
+    that is shorter. Each block holds m - 2 (flen - 1) samples."""
+    return 1 << (min(max(16 * flen, 1024), n + 2 * (flen - 1)) - 1).bit_length()
 
-    The product goes through the buffer prod and the inverse transform
-    into the buffer cc; the row is a view of cc, valid until the next call.
+
+def _block_correlations(refs: list, sigs: list, flen: int) -> np.ndarray:
+    """cc[i, s, flen - 1 + d] = sum_t refs[i][t] sigs[s][t + d] for |d| < flen,
+    with samples outside the signals taken as zero.
+
+    The signals are cut into blocks of hop = m - 2 (flen - 1) samples. Each
+    block's full frame holds them and flen - 1 neighbours on each side; a
+    reference's own frame holds its block's samples alone, at the frame's
+    start, so lag d of their circular correlation sits at flen - 1 + d. The
+    products conj(own_i) full_s are summed over the blocks, a chunk of blocks
+    at a time, and one batched inverse transform reads every lag off: a
+    block's samples meet no sample more than hop + 2 (flen - 1) <= m away,
+    so no lag wraps.
     """
-    np.conjugate(b_fft, out=prod)
-    prod *= a_fft
-    np.fft.irfft(prod, n=cc.size, out=cc)
-    return np.concatenate((cc[:1], cc[-1:-flen:-1])), cc[:flen]
+    n, edge = sigs[0].size, flen - 1
+    m = _block_len(flen, n)
+    hop = m - 2 * edge
+    n_blocks = -(-n // hop)
+    chunk = max(1, _CHUNK_SAMPLES // m)
+    acc = np.zeros((len(refs), len(sigs), m // 2 + 1), dtype=complex)
+    for b0 in range(0, n_blocks, chunk):
+        nb = min(chunk, n_blocks - b0)
+        lo = b0 * hop - edge  # the first sample of the chunk's first frame
+        seg = np.zeros((len(sigs), nb * hop + 2 * edge))
+        a, b = max(lo, 0), min(lo + seg.shape[1], n)
+        for row, sig in zip(seg, sigs):
+            row[a - lo:b - lo] = sig[a:b]
+        frames = sliding_window_view(seg, hop + 2 * edge, axis=1)[:, ::hop]
+        full = np.fft.rfft(frames, n=m)
+        own = np.fft.rfft(seg[:len(refs), edge:edge + nb * hop].reshape(len(refs), nb, hop), n=m)
+        acc += np.einsum("ibk,sbk->isk", own.conj(), full)
+    return np.fft.irfft(acc, n=m)[..., :2 * flen - 1]
 
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -111,23 +147,24 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
 
 
-def _scores(s_target, e_interf, e_artif):
-    sdr = _safe_db(s_target @ s_target, (e_interf + e_artif) @ (e_interf + e_artif))
-    sir = _safe_db(s_target @ s_target, e_interf @ e_interf)
-    st_i = s_target + e_interf
-    sar = _safe_db(st_i @ st_i, e_artif @ e_artif)
-    return sdr, sir, sar
+def _residual(energy: float, cross: float, proj: float) -> float:
+    """||est - p||^2 = energy - 2 cross + proj for a projection p with
+    ||p||^2 = proj and <est, p> = cross, read as 0 below the rounding of its
+    terms."""
+    gap = energy - 2.0 * cross + proj
+    return gap if gap > _GAP_EPS * (energy + 2.0 * abs(cross) + proj) else 0.0
 
 
 def bss_eval_sources(refs, ests, filter_len: int = 512):
     """Score each estimate against its matching reference.
 
     Returns a list of (SDR, SIR, SAR) triples, one per source, using
-    filter_len-tap projection filters. Every signal is transformed once,
-    and the joint Gram matrix of all the references' delayed copies is
-    built and solved once, with one right-hand side per estimate; the
-    projection onto reference j alone solves its j-th diagonal block.
-    Signal inputs must share one sample rate.
+    filter_len-tap projection filters. One streamed pass over short blocks
+    gives the joint Gram matrix G of all the references' delayed copies and
+    one right-hand side per estimate; G is built and solved once, and the
+    projection onto reference j alone solves its j-th diagonal block. Every
+    energy is then a quadratic form of G, with no convolution. Signal inputs
+    must share one sample rate.
     """
     refs, ests = list(refs), list(ests)
     rates = {s.sample_rate for s in refs + ests if isinstance(s, Signal)}
@@ -148,35 +185,30 @@ def bss_eval_sources(refs, ests, filter_len: int = 512):
     flen = filter_len
     n_src = len(refs)
     blocks = [slice(i * flen, (i + 1) * flen) for i in range(n_src)]
-    # long enough that no lag below flen wraps around
-    n_fft = next_fast_len(n + flen - 1, real=True)
-    spectra = np.empty((2 * n_src, n_fft // 2 + 1), dtype=complex)
-    for sig, out in zip(refs + ests, spectra):
-        np.fft.rfft(sig, n=n_fft, out=out)
-    ref_f, est_f = spectra[:n_src], spectra[n_src:]
-    prod, cc = np.empty_like(spectra[0]), np.empty(n_fft)
-
-    gram = np.zeros((n_src * flen,) * 2)
+    cc = _block_correlations(refs, refs + ests, flen)
+    gram = np.empty((n_src * flen,) * 2)
     for i, bi in enumerate(blocks):
         for j, bj in enumerate(blocks[: i + 1]):
-            block = toeplitz(*_xcorr(ref_f[i], ref_f[j], prod, cc, flen))
+            block = toeplitz(cc[i, j, flen - 1:], cc[i, j, flen - 1::-1])
             gram[bi, bj] = block
             gram[bj, bi] = block.T
-    rhs = np.empty((n_src * flen, n_src))
-    for i, bi in enumerate(blocks):
-        for j, e_f in enumerate(est_f):
-            rhs[bi, j] = _xcorr(ref_f[i], e_f, prod, cc, flen)[0]
+    # rhs[i flen + k, e] = <ref_i delayed by k, est_e>
+    rhs = cc[:, n_src:, flen - 1:].transpose(0, 2, 1).reshape(n_src * flen, n_src)
     joint = _solve(gram, rhs) if n_src > 1 else None
 
     scores = []
     for j, (bj, est) in enumerate(zip(blocks, ests)):
-        s_target = oaconvolve(refs[j], _solve(gram[bj, bj], rhs[bj, j]))
-        p_all = s_target
-        if joint is not None:
-            p_all = sum(oaconvolve(r, joint[bi, j]) for r, bi in zip(refs, blocks))
-        e_artif = -p_all
-        e_artif[:n] += est
-        scores.append(_scores(s_target, p_all - s_target, e_artif))
+        c = np.zeros(n_src * flen)  # the target-only filter
+        c[bj] = _solve(gram[bj, bj], rhs[bj, j])
+        a = c if joint is None else joint[:, j]
+        energy = est @ est
+        target = c[bj] @ gram[bj, bj] @ c[bj]
+        both = a @ gram @ a
+        interf = max((a - c) @ gram @ (a - c), 0.0)
+        distort = _residual(energy, c @ rhs[:, j], target)
+        artif = _residual(energy, a @ rhs[:, j], both)
+        scores.append((_safe_db(target, distort), _safe_db(target, interf),
+                       _safe_db(both, artif)))
     return scores
 
 

@@ -22,7 +22,9 @@ from hpss.baseline import (
     _group_medians,
     _group_size,
     _median_shrink,
-    _passes,
+    _merge_exchange,
+    _pruned_passes,
+    _selection_network,
     _sort_network,
 )
 from hpss.synth import bench_corpus, criterion_mixture
@@ -67,6 +69,11 @@ def scipy_median_shrink(mag, kernel, axis):
 def medians(mag, mc):
     """The harmonic (time) and percussive (frequency) medians of ``mag``."""
     return _median_shrink(mag, mc.harm_kernel, axis=0), _median_shrink(mag, mc.perc_kernel, axis=1)
+
+
+def _passes(net):
+    """np.minimum/np.maximum calls that a built network makes per output lane."""
+    return sum(use_min + use_max for _, _, use_min, use_max in net)
 
 
 def passes_per_output(kernel, g):
@@ -150,6 +157,25 @@ class TestMedianFilter:
         # merge exchange on 17 lanes has 74 comparators; 61 reach the middle
         single = _core_network(17, 1)
         assert (len(single), _passes(single)) == (61, 106)
+
+    def test_group_sizes(self):
+        assert {k: _group_size(k) for k in (3, 17, 101, 111, 121, 139, 141, 201, 501, 1001)} == {
+            3: 2, 17: 4, 101: 11, 111: 13, 121: 13, 139: 13, 141: 14, 201: 17, 501: 29, 1001: 37}
+
+    def test_merge_exchange_rounds_touch_disjoint_lanes(self):
+        # which lets _pruned_passes settle a whole round at once
+        for n in (*range(2, 300), 511, 512, 513, 999, 1000):
+            for i, d in _merge_exchange(n):
+                lanes = np.concatenate((i, i + d))
+                assert np.unique(lanes).size == lanes.size, (n, d)
+
+    @pytest.mark.parametrize("n", [*range(0, 40), 64, 65, 100, 257])
+    def test_pruned_passes_count_the_built_network(self, n):
+        # counted round by round, the passes equal those of the network built
+        # comparator by comparator: sorting, the middle ranks, and one lane
+        half = n // 2
+        for lanes in (range(n), range(max(half - 3, 0), min(half + 1, n)), [half] if n else []):
+            assert _pruned_passes(n, lanes) == _passes(_selection_network(n, tuple(lanes)))
 
     @pytest.mark.parametrize("kernel", [3, 5, 17, 101])
     def test_shrink_equals_per_window_reference(self, kernel, rng):

@@ -1,7 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 import hpss.metrics
@@ -123,6 +126,17 @@ def _reference_project(refs, est, flen):
     return proj
 
 
+def _scores(s_target, e_interf, e_artif):
+    """SDR, SIR and SAR from the decomposition's arrays: the reference for
+    the energies that the scorer reads off quadratic forms."""
+    _safe_db = hpss.metrics._safe_db
+    sdr = _safe_db(s_target @ s_target, (e_interf + e_artif) @ (e_interf + e_artif))
+    sir = _safe_db(s_target @ s_target, e_interf @ e_interf)
+    st_i = s_target + e_interf
+    sar = _safe_db(st_i @ st_i, e_artif @ e_artif)
+    return sdr, sir, sar
+
+
 def _reference_scores(refs, ests, flen):
     out = []
     for j, est in enumerate(ests):
@@ -130,7 +144,7 @@ def _reference_scores(refs, ests, flen):
         p_all = _reference_project(refs, est, flen) if len(refs) > 1 else s_target
         e_artif = -p_all
         e_artif[:est.size] += est
-        out.append(hpss.metrics._scores(s_target, p_all - s_target, e_artif))
+        out.append(_scores(s_target, p_all - s_target, e_artif))
     return out
 
 
@@ -161,29 +175,49 @@ class TestSingleGram:
         assert len(calls) == 3  # n_src (n_src + 1) / 2
 
     def test_transform_budget(self, rng, monkeypatch):
-        # two references and two estimates: one rfft per signal (4) and one
-        # irfft per Gram block (3) and per reference-estimate pair (4); the
-        # projections convolve in short blocks, with no full-length transform
-        lengths = []
+        # 4000 samples at 32 taps: blocks of 962 samples in 1024-sample
+        # frames, so no forward transform is longer than 1024, and one
+        # batched inverse turns the summed products of every reference with
+        # every signal into all the Gram blocks and right-hand sides
+        calls = {"rfft": [], "irfft": []}
 
-        def counted(fn):
+        def counted(name, fn):
             def wrapper(a, n=None, **kwargs):
-                lengths.append(n)
+                calls[name].append((np.shape(a), n))
                 return fn(a, n=n, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
-        monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
-        n, flen = 2000, 32
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        n, flen = 4000, 32
         ref_h, ref_p = orthogonal_stems(rng, n=n)
         bss_eval(ref_h, ref_p, ref_h + 0.1 * ref_p, ref_p, filter_len=flen)
-        assert len(lengths) == 11
-        (n_fft,) = set(lengths)
-        assert n_fft >= n + flen - 1
-        for p in (2, 3, 5):
-            while n_fft % p == 0:
-                n_fft //= p
-        assert n_fft == 1  # 5-smooth
+        m = hpss.metrics._block_len(flen, n)
+        assert m == 1024
+        assert calls["rfft"] and {n_fft for _, n_fft in calls["rfft"]} == {m}
+        assert calls["irfft"] == [((2, 4, m // 2 + 1), m)]
+
+    @pytest.mark.parametrize("flen, n, m", [
+        (1, 10**6, 1024), (8, 10**6, 1024), (64, 10**6, 1024), (65, 10**6, 2048),
+        (512, 10**6, 8192), (512, 3000, 4096), (8, 20, 64), (1, 1, 1),
+    ])
+    def test_block_len(self, flen, n, m):
+        # a power of two of 16 samples per tap and at least 1024, unless a
+        # shorter one covers the whole signal and its 2 (flen - 1) neighbours
+        assert hpss.metrics._block_len(flen, n) == m
+
+    def test_scratch_memory_does_not_grow_with_length(self, rng):
+        # the blocks go through the transforms a chunk at a time, so four
+        # times the samples keep the traced peak within a tenth
+        peaks = []
+        for n in (150_000, 600_000):
+            refs = [rng.normal(size=n) for _ in range(2)]
+            ests = [r + 0.5 * rng.normal(size=n) for r in refs]
+            tracemalloc.start()
+            bss_eval_sources(refs, ests, 8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_singular_system_warns_per_solve(self):
         # a zero reference makes every Gram containing it singular: the
@@ -237,18 +271,62 @@ def _lstsq_scores(refs, ests, flen):
     return out
 
 
+def edge_burst_pair(rng, n, n_src, gain=1.0):
+    """References and estimates with loud bursts at both ends: a transform
+    shorter than n + flen - 1 would wrap the last samples' lags onto the first
+    ones, and a block that dropped its neighbours would miss the lags across
+    its edges."""
+    edges = np.ones(n)
+    edges[:40] = edges[-40:] = 20.0
+    refs = [edges * rng.normal(size=n) for _ in range(n_src)]
+    mix = sum(refs)
+    ests = [gain * (r + 0.3 * mix + 0.5 * edges * rng.normal(size=n)) for r in refs]
+    return refs, ests
+
+
 class TestLstsqReference:
     @pytest.mark.parametrize("n_src", [1, 2])
     @pytest.mark.parametrize("flen", [1, 8, 32])
     @pytest.mark.parametrize("n", [301, 480, 600])
     def test_scores_match(self, rng, n_src, flen, n):
-        # loud bursts at both ends: a transform shorter than n + flen - 1
-        # would wrap the last samples' lags onto the first ones
-        edges = np.ones(n)
-        edges[:40] = edges[-40:] = 20.0
-        refs = [edges * rng.normal(size=n) for _ in range(n_src)]
-        mix = sum(refs)
-        ests = [r + 0.3 * mix + 0.5 * edges * rng.normal(size=n) for r in refs]
+        refs, ests = edge_burst_pair(rng, n, n_src)
+        np.testing.assert_allclose(
+            bss_eval_sources(refs, ests, flen), _lstsq_scores(refs, ests, flen),
+            rtol=0, atol=1e-8,
+        )
+
+    @pytest.mark.parametrize("n_src", [1, 2])
+    @pytest.mark.parametrize("n", [500, 1010, 1011, 2020, 2021, 3500])
+    @pytest.mark.parametrize("chunk", [None, 3 * 1024])
+    def test_scores_match_across_blocks(self, rng, monkeypatch, n_src, n, chunk):
+        # at 8 taps each 1024-sample frame holds a block of 1010 samples:
+        # shorter than one block, one block and one sample past it, two
+        # blocks and one past, and four blocks; a chunk of 3 blocks splits
+        # the four into chunks of 3 and 1
+        flen = 8
+        assert hpss.metrics._block_len(flen, n) - 2 * (flen - 1) == 1010
+        if chunk is not None:
+            monkeypatch.setattr(hpss.metrics, "_CHUNK_SAMPLES", chunk)
+        refs, ests = edge_burst_pair(rng, n, n_src)
+        np.testing.assert_allclose(
+            bss_eval_sources(refs, ests, flen), _lstsq_scores(refs, ests, flen),
+            rtol=0, atol=1e-8,
+        )
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        flen=st.integers(1, 40),
+        n_src=st.sampled_from([1, 2]),
+        extra=st.integers(0, 3000),
+        log_gain=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scores_match_sweep(self, flen, n_src, extra, log_gain, seed):
+        # lengths from a few filters' worth to three blocks, where the
+        # projection system stays well posed, and estimate gains over 12
+        # decades, which no score may notice
+        n = 4 * n_src * flen + extra
+        refs, ests = edge_burst_pair(np.random.default_rng(seed), n, n_src, 10.0 ** log_gain)
         np.testing.assert_allclose(
             bss_eval_sources(refs, ests, flen), _lstsq_scores(refs, ests, flen),
             rtol=0, atol=1e-8,
@@ -263,6 +341,16 @@ class TestDbRange:
             res = bss_eval(ref_h, ref_p, np.zeros(2000), ref_h + ref_p, 8)
         assert (res.sdr_h, res.sir_h, res.sar_h) == (-300.0, -300.0, -300.0)
         assert res.sar_p == 300.0  # the existing cap, at the other end
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, flen", [(2000, 8), (20000, 64), (44100, 512)])
+    def test_estimates_in_the_span_score_the_sar_cap(self, seed, n, flen):
+        # an estimate that the references' delayed copies reproduce leaves an
+        # artifact energy of a difference of its terms' rounding, about 1e-16
+        # of them (150 dB), which reads as no artifact at all
+        ref_h, ref_p = np.random.default_rng(seed).normal(size=(2, n))
+        res = bss_eval(ref_h, ref_p, ref_h + 0.1 * ref_p, ref_h + ref_p, flen)
+        assert (res.sar_h, res.sar_p) == (300.0, 300.0)
 
     @pytest.mark.parametrize("num, den, expected", [
         (0.0, 0.0, -300.0), (0.0, 1.0, -300.0), (1.0, 0.0, 300.0),
