@@ -18,7 +18,7 @@ from .phase import IfMap, estimate_if
 from .pipeline import HpssConfig, load_config, parse_config_text, separate
 from .prox import SignalPair
 from .solver import HpssProblem, SolverDivergenceError, SolverParams, SolverTrace, run
-from .stft import Spectrogram, StftConfig, adjoint, forward, make_config
+from .stft import Spectrogram, StftConfig, forward, make_config
 
 __all__ = [
     "EvalResult",
@@ -33,7 +33,6 @@ __all__ = [
     "SolverTrace",
     "Spectrogram",
     "StftConfig",
-    "adjoint",
     "bss_eval",
     "bss_eval_sources",
     "compute_weight",

@@ -117,22 +117,19 @@ def read_wav(path) -> Signal:
         raise ValueError(f"{path}: zero-length audio")
     payload = payload[: n_frames * width * n_channels]
 
-    if width == 2:
-        raw = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    elif width == 3:
-        b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-        vals = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int32) << 16)
-        )
-        vals = (vals ^ 0x800000) - 0x800000  # sign-extend 24 -> 32 bits
-        raw = vals.astype(np.float64) / 8388608.0
-    else:
+    if codec == _FMT_IEEE_FLOAT:
         raw = np.frombuffer(payload, dtype="<f4")
         if not np.all(np.isfinite(raw)):  # before the cast, which warns on a signaling NaN
             raise ValueError(f"{path}: float samples must be finite")
         raw = raw.astype(np.float64)
+    else:
+        if width == 2:
+            ints = np.frombuffer(payload, dtype="<i2")
+        else:  # the three bytes fill the top of an int32 word; >> 8 sign-extends
+            words = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+            words[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+            ints = words.view("<i4")[:, 0] >> 8
+        raw = ints.astype(np.float64) / float(1 << (bits - 1))
 
     frames = raw.reshape(n_frames, n_channels)
     # np.mean sums by numpy's pairwise_sum: under 8 terms one by one onto +0.0,
@@ -162,6 +159,14 @@ def write_wav(path, s: Signal, bit_depth=16) -> None:
     depth = str(bit_depth).lower()
     if depth not in ("16", "24", "float32"):
         raise ValueError(f"unsupported bit depth: {bit_depth!r}")
+    codec, bits = (_FMT_IEEE_FLOAT, 32) if depth == "float32" else (_FMT_PCM, int(depth))
+    n_channels = 1
+    block_align = n_channels * bits // 8
+    byte_rate = rate * block_align
+    data_size = samples.size * block_align
+    if max(byte_rate, 36 + data_size) > 0xFFFFFFFF:  # the header's 32-bit fields
+        raise ValueError(f"{path}: a WAV header cannot hold {samples.size} samples at "
+                         f"{rate} Hz and {bits} bits (byte rate {byte_rate})")
 
     if samples.max() > 1.0 or samples.min() < -1.0:
         n_clip = np.count_nonzero(np.abs(samples) > 1.0)
@@ -169,33 +174,23 @@ def write_wav(path, s: Signal, bit_depth=16) -> None:
                       stacklevel=_caller_stacklevel())
         samples = np.clip(samples, -1.0, 1.0)
 
-    if depth == "16":
-        scaled = samples * 32768.0
-        np.rint(scaled, out=scaled)  # within [-32768, 32768]: only the top needs clipping
-        np.minimum(scaled, 32767.0, out=scaled)
-        payload = scaled.astype("<i2")
-        codec, bits = _FMT_PCM, 16
-    elif depth == "24":
-        ints = np.round(samples * 8388608.0).astype(np.int64)
-        ints = np.clip(ints, -8388608, 8388607).astype(np.int32)
-        u = (ints & 0xFFFFFF).astype(np.uint32)
-        b = np.empty((u.size, 3), dtype=np.uint8)
-        b[:, 0] = u & 0xFF
-        b[:, 1] = (u >> 8) & 0xFF
-        b[:, 2] = (u >> 16) & 0xFF
-        payload = b
-        codec, bits = _FMT_PCM, 24
-    else:
+    if codec == _FMT_IEEE_FLOAT:
         payload = samples.astype("<f4")
-        codec, bits = _FMT_IEEE_FLOAT, 32
+    else:
+        full = float(1 << (bits - 1))
+        scaled = samples * full
+        np.rint(scaled, out=scaled)  # within [-full, full]: only the top needs clipping
+        np.minimum(scaled, full - 1.0, out=scaled)
+        if bits == 16:
+            payload = scaled.astype("<i2")
+        else:  # the low three bytes of each little-endian int32 word
+            words = scaled.astype("<i4").view(np.uint8).reshape(-1, 4)
+            payload = np.ascontiguousarray(words[:, :3])
 
-    n_channels = 1
-    block_align = n_channels * bits // 8
-    byte_rate = rate * block_align
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + payload.nbytes,
+        36 + data_size,
         b"WAVE",
         b"fmt ",
         16,
@@ -206,7 +201,7 @@ def write_wav(path, s: Signal, bit_depth=16) -> None:
         block_align,
         bits,
         b"data",
-        payload.nbytes,
+        data_size,
     )
     with open(path, "wb") as fh:
         fh.write(header)

@@ -19,18 +19,15 @@ from .stft import StftConfig, StftPlan
 
 @dataclass(frozen=True)
 class MedianConfig:
-    """Median kernel lengths (odd) and the Wiener mask exponent."""
+    """Median kernel lengths (odd)."""
 
     harm_kernel: int = 17
     perc_kernel: int = 17
-    mask_power: float = 2.0
 
     def __post_init__(self):
         for k in (self.harm_kernel, self.perc_kernel):
             if k < 3 or k % 2 == 0:
                 raise ValueError("median kernels must be odd and >= 3")
-        if not 1.0 <= self.mask_power < np.inf:  # NaN fails every comparison
-            raise ValueError(f"mask_power must be finite and >= 1, got {self.mask_power}")
 
 
 def _merge_exchange(n: int):
@@ -50,46 +47,47 @@ def _merge_exchange(n: int):
         p >>= 1
 
 
-def _selection_network(n: int, lanes: tuple) -> tuple:
-    """Merge exchange on n lanes pruned to ``lanes``: (i, j, use_min, use_max)
-    with i < j, where a flag marks an output read later."""
-    live, kept = set(lanes), []
-    for lo, d in reversed(list(_merge_exchange(n))):
-        for i in reversed(lo.tolist()):
-            j = i + d
-            if i in live or j in live:
-                kept.append((i, j, i in live, j in live))
-                live |= {i, j}
-    return tuple(reversed(kept))
+def _pruned_rounds(n: int, lanes) -> list:
+    """Merge exchange on n lanes pruned to ``lanes``, round by round: (i, d,
+    use_min, use_max) for the comparators kept, where a flag marks an output
+    read later. A round's comparators touch disjoint lanes, so pruning from
+    the last round back settles a whole round at once on boolean lanes."""
+    live = np.zeros(n, dtype=bool)
+    live[list(lanes)] = True
+    rounds = []
+    for i, d in reversed(list(_merge_exchange(n))):
+        use_min, use_max = live[i], live[i + d]
+        kept = use_min | use_max  # a kept comparator reads both its lanes
+        rounds.append((i[kept], d, use_min[kept], use_max[kept]))
+        live[i] = kept
+        live[i + d] = kept
+    return rounds[::-1]
+
+
+def _network(n: int, lanes) -> tuple:
+    """The pruned rounds flattened: (i, j, use_min, use_max) with i < j."""
+    return tuple((i, i + d, use_min, use_max) for lo, d, mins, maxs in _pruned_rounds(n, lanes)
+                 for i, use_min, use_max in zip(lo.tolist(), mins.tolist(), maxs.tolist()))
 
 
 def _pruned_passes(n: int, lanes) -> int:
-    """np.minimum/np.maximum calls per output lane of _selection_network(n,
-    lanes), without building it: a round's comparators touch disjoint lanes,
-    so the round prunes all of them at once on boolean lanes."""
-    live = np.zeros(n, dtype=bool)
-    live[list(lanes)] = True
-    passes = 0
-    for i, d in reversed(list(_merge_exchange(n))):
-        use_min, use_max = live[i], live[i + d]
-        passes += int(np.count_nonzero(use_min)) + int(np.count_nonzero(use_max))
-        kept = use_min | use_max  # a kept comparator reads both its lanes
-        live[i] = kept
-        live[i + d] = kept
-    return passes
+    """np.minimum/np.maximum calls per output lane of _network(n, lanes),
+    counted without building it."""
+    return sum(int(np.count_nonzero(mins)) + int(np.count_nonzero(maxs))
+               for _, _, mins, maxs in _pruned_rounds(n, lanes))
 
 
 @lru_cache(maxsize=None)
 def _sort_network(n: int) -> tuple:
     """The network that sorts n lanes."""
-    return _selection_network(n, tuple(range(n)))
+    return _network(n, range(n))
 
 
 @lru_cache(maxsize=None)
 def _core_network(kernel: int, g: int) -> tuple:
     """The network that sorts the kernel - g + 1 samples that g neighbouring
     windows share down to their g middle ranks."""
-    return _selection_network(kernel - g + 1, _core_lanes(kernel, g))
+    return _network(kernel - g + 1, _core_lanes(kernel, g))
 
 
 def _core_lanes(kernel: int, g: int) -> tuple:
@@ -206,7 +204,7 @@ def median_filter_hpss(mag: np.ndarray, mc: MedianConfig = MedianConfig()) -> np
     """Soft harmonic mask of the T x K mixture magnitudes |X|, a real T x K array.
 
     H is the time-directional median of |X|, P the frequency-directional
-    median; the mask is H^p / (H^p + P^p), computed on magnitudes divided by
+    median; the mask is H^2 / (H^2 + P^2), computed on magnitudes divided by
     max|X| in the two medians' own buffers, with the 0/0 case mapped to 0.5.
     The soft-masked harmonic spectrogram is mask * X.
     """
@@ -216,12 +214,12 @@ def median_filter_hpss(mag: np.ndarray, mc: MedianConfig = MedianConfig()) -> np
         raise ValueError("empty spectrogram")
     num = _median_shrink(mag, mc.harm_kernel, axis=0)
     den = _median_shrink(mag, mc.perc_kernel, axis=1)
-    # no median exceeds the peak, so the scaled powers neither overflow nor
+    # no median exceeds the peak, so the scaled squares neither overflow nor
     # depend on the input's gain; silence keeps scale 1
     scale = mag.max() or 1.0
     for a in (num, den):
         a /= scale
-        a **= mc.mask_power
+        np.square(a, out=a)
     den += num
     mask = np.divide(num, den, out=num, where=den > 0.0)
     mask[den == 0.0] = 0.5  # where num = den = 0

@@ -34,6 +34,8 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
     n_samples = int(sample_rate * duration)
     if n_samples < 1:
         raise ValueError(f"a duration of {duration} s at {sample_rate} Hz holds no sample")
+    if filter_len < 1:
+        raise ValueError(f"filter_len must be >= 1, got {filter_len}")
     if filter_len > n_samples:
         raise ValueError(f"filter_len {filter_len} exceeds the track length {n_samples}")
     if cfg is None:

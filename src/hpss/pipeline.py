@@ -91,9 +91,14 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     else:
         oracle = None
 
-    rms = _rms(samples)
+    # the power of two that brings the peak into [0.5, 1) keeps the gain below
+    # finite for a subnormal mixture; it rounds only samples it takes below
+    # the normal range
+    exp = int(np.frexp(np.max(np.abs(samples)))[1])
+    xs = np.ldexp(samples, -exp)
+    rms = _rms(xs)
     gain = REFERENCE_RMS / rms if rms > 0.0 else 1.0
-    xs = samples * gain
+    xs *= gain
 
     config = cfg.stft()
     plan = StftPlan(config, xs.size)
@@ -101,7 +106,8 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     if oracle is None:
         v = if_from_spectra(spec, plan.forward(xs, config.deriv_window))
     else:
-        oracle = oracle * gain
+        oracle = np.ldexp(oracle, -exp)
+        oracle *= gain
         v = if_from_spectra(plan.forward(oracle), plan.forward(oracle, config.deriv_window))
 
     mag = np.abs(spec)  # the median filter's |X|, then the weight's
@@ -120,6 +126,7 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     )
     x_h, trace = run(problem, x_h0)
     x_h = x_h / gain
+    np.ldexp(x_h, exp, out=x_h)
     x_p = samples - x_h
     return SignalPair(Signal(x_h, rate), Signal(x_p, rate)), trace
 
@@ -136,7 +143,6 @@ CONFIG_KEYS = {
     "iters": ("solver", "n_iters", int),
     "harm_kernel": ("median", "harm_kernel", int),
     "perc_kernel": ("median", "perc_kernel", int),
-    "mask_power": ("median", "mask_power", float),
 }
 
 

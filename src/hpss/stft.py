@@ -3,8 +3,9 @@
 The transform uses a canonical tight window, frames centered at multiples
 of the hop, and circular extension of the (hop-aligned zero-padded)
 signal. Under the spectrogram inner product that weights the one-sided
-bins by [1, 2, ..., 2, 1] / L, the adjoint is an exact inverse:
-``adjoint(forward(x)) == x`` to machine precision for any signal length.
+bins by [1, 2, ..., 2, 1] / L, a plan's adjoint is an exact inverse:
+``plan.adjoint(plan.forward(x)) == x`` to machine precision for any signal
+length.
 Coefficients are T x K, a row per frame; only dump files hold them K x T.
 """
 
@@ -222,11 +223,6 @@ def forward(x, config: StftConfig) -> Spectrogram:
     samples = as_samples(x)
     data = StftPlan(config, samples.size).forward(samples)
     return Spectrogram(data=data, config=config, n_samples=samples.size)
-
-
-def adjoint(spec: Spectrogram) -> np.ndarray:
-    """Exact adjoint of ``forward`` under the bin-weighted inner product."""
-    return StftPlan(spec.config, spec.n_samples).adjoint(spec.data)
 
 
 def write_dump(path, data: np.ndarray, config: StftConfig) -> None:

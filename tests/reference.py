@@ -24,10 +24,10 @@ from hpss import (
     IfMap,
     Spectrogram,
     StftConfig,
-    adjoint,
     forward,
 )
 from hpss.audio_io import as_samples
+from hpss.stft import StftPlan
 
 
 def model_layout(data) -> np.ndarray:
@@ -95,7 +95,7 @@ def ipc_adjoint(spec: Spectrogram, if_map: IfMap) -> np.ndarray:
     if if_map.v.shape != spec.shape:
         raise ValueError("IF map shape does not match the spectrogram")
     data = np.conj(correction_matrix(if_map)) * model_layout(spec.data)
-    return adjoint(package_spec(data, spec.config, spec.n_samples))
+    return StftPlan(spec.config, spec.n_samples).adjoint(data.T)
 
 
 def time_diff(data: np.ndarray) -> np.ndarray:
@@ -200,7 +200,7 @@ def two_variable_reference(problem, init):
     rows = []
     for _ in range(p.n_iters):
         g_h = x_h - p.mu1 * apply_Lh_adj(package_spec(y_h, config, x.size), problem)
-        g_p = x_p - p.mu1 * adjoint(package_spec(y_p, config, x.size))
+        g_p = x_p - p.mu1 * StftPlan(config, x.size).adjoint(y_p.T)
         t_h, t_p = split_sum_arrays(x, g_h, g_p)
         l_h = model_layout(apply_Lh(2.0 * t_h - x_h, problem).data)
         f_p = model_forward(2.0 * t_p - x_p, config)
@@ -220,20 +220,21 @@ def two_variable_reference(problem, init):
     return x_h, x_p, np.array(rows)
 
 
-def reference_median_network(kernel: int) -> tuple:
-    """Merge exchange (Knuth, TAOCP 5.2.2M) pruned to the middle lane: (i, j,
-    use_min, use_max) with i < j, where a flag marks an output read later."""
-    t = (kernel - 1).bit_length()
-    comps, p = [], 1 << (t - 1)
+def reference_selection_network(n: int, lanes) -> tuple:
+    """Merge exchange (Knuth, TAOCP 5.2.2M) on n lanes, pruned comparator by
+    comparator to ``lanes``: (i, j, use_min, use_max) with i < j, where a flag
+    marks an output read later."""
+    t = (n - 1).bit_length()
+    comps, p = [], (1 << t) >> 1
     while p:
         q, r, d = 1 << (t - 1), 0, p
         while True:
-            comps += [(i, i + d) for i in range(kernel - d) if i & p == r]
+            comps += [(i, i + d) for i in range(n - d) if i & p == r]
             if q == p:
                 break
             q, r, d = q >> 1, p, q - p
         p >>= 1
-    live, kept = {kernel // 2}, []
+    live, kept = set(lanes), []
     for i, j in reversed(comps):
         if i in live or j in live:
             kept.append((i, j, i in live, j in live))
@@ -258,7 +259,7 @@ def reference_median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarr
         for r0 in range(0, rows, step):
             r1 = min(r0 + step, rows)
             x = [lane(mag, r0, r1, k) for k in range(kernel)]
-            for i, j, use_min, use_max in reference_median_network(kernel):
+            for i, j, use_min, use_max in reference_selection_network(kernel, [half]):
                 a, b = x[i], x[j]
                 x[i] = np.minimum(a, b) if use_min else None
                 x[j] = np.maximum(a, b) if use_max else None

@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 from dataclasses import replace
@@ -258,6 +259,21 @@ def test_not_riff_errors(tmp_path):
     path.write_bytes(b"NOTAWAVEFILE")
     with pytest.raises(ValueError, match="RIFF"):
         read_wav(path)
+
+
+@pytest.mark.parametrize("depth, rate", [(16, 2**31), (24, 2**32 // 3 + 1), ("float32", 2**30)])
+def test_rate_beyond_the_header_errors_before_writing(tmp_path, depth, rate):
+    # the byte rate fills a 32-bit header field; an out-of-range sample shows
+    # that the check comes before the clipping warning
+    path = tmp_path / "x.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*byte rate"):
+            write_wav(path, Signal([0.1, 2.0], rate), depth)
+    assert not path.exists()
+    bits = 32 if depth == "float32" else depth
+    write_wav(path, Signal([0.1], (2**32 - 1) // (bits // 8)), depth)
+    assert read_wav(path).sample_rate == (2**32 - 1) // (bits // 8)
 
 
 def test_bad_depth_errors(tmp_path):

@@ -23,14 +23,14 @@ from hpss.baseline import (
     _group_size,
     _median_shrink,
     _merge_exchange,
+    _network,
     _pruned_passes,
-    _selection_network,
     _sort_network,
 )
 from hpss.synth import bench_corpus, criterion_mixture
 
 from conftest import sine_signal
-from reference import reference_median_shrink
+from reference import reference_median_shrink, reference_selection_network
 
 
 def shrink_median_oracle(mag, kernel, axis):
@@ -83,11 +83,11 @@ def passes_per_output(kernel, g):
     return (_passes(_core_network(kernel, g)) + g * extras) / g
 
 
-def wiener_mask_formula(h_mag, p_mag, peak, power):
-    """(h/s)^p / ((h/s)^p + (p/s)^p) for s = peak (1 for silence), 0.5 where 0/0."""
+def wiener_mask_formula(h_mag, p_mag, peak):
+    """(h/s)^2 / ((h/s)^2 + (p/s)^2) for s = peak (1 for silence), 0.5 where 0/0."""
     s = peak if peak > 0.0 else 1.0
-    num = (h_mag / s) ** power
-    den = num + (p_mag / s) ** power
+    num = (h_mag / s) ** 2.0
+    den = num + (p_mag / s) ** 2.0
     return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.5)
 
 
@@ -111,7 +111,7 @@ class TestMedianFilter:
         with pytest.raises(ValueError):
             MedianConfig(harm_kernel=4)
         with pytest.raises(ValueError):
-            MedianConfig(mask_power=0.5)
+            MedianConfig(perc_kernel=1)
 
     def test_shrink_window_matches_oracle(self, rng):
         for shape, kernel in (((12, 15), 5), ((3, 2), 17)):
@@ -163,7 +163,7 @@ class TestMedianFilter:
             3: 2, 17: 4, 101: 11, 111: 13, 121: 13, 139: 13, 141: 14, 201: 17, 501: 29, 1001: 37}
 
     def test_merge_exchange_rounds_touch_disjoint_lanes(self):
-        # which lets _pruned_passes settle a whole round at once
+        # which lets _pruned_rounds settle a whole round at once
         for n in (*range(2, 300), 511, 512, 513, 999, 1000):
             for i, d in _merge_exchange(n):
                 lanes = np.concatenate((i, i + d))
@@ -171,11 +171,14 @@ class TestMedianFilter:
 
     @pytest.mark.parametrize("n", [*range(0, 40), 64, 65, 100, 257])
     def test_pruned_passes_count_the_built_network(self, n):
-        # counted round by round, the passes equal those of the network built
-        # comparator by comparator: sorting, the middle ranks, and one lane
+        # pruned round by round, the network equals the one pruned comparator
+        # by comparator, and the passes counted equal those it makes: sorting,
+        # the middle ranks, and one lane
         half = n // 2
         for lanes in (range(n), range(max(half - 3, 0), min(half + 1, n)), [half] if n else []):
-            assert _pruned_passes(n, lanes) == _passes(_selection_network(n, tuple(lanes)))
+            net = _network(n, lanes)
+            assert net == reference_selection_network(n, lanes)
+            assert _pruned_passes(n, lanes) == _passes(net)
 
     @pytest.mark.parametrize("kernel", [3, 5, 17, 101])
     def test_shrink_equals_per_window_reference(self, kernel, rng):
@@ -309,7 +312,7 @@ class TestMedianFilter:
         h_mag, p_mag = medians(mag, mc)
         np.testing.assert_array_equal(h_mag, h_ref)
         np.testing.assert_array_equal(p_mag, p_ref)
-        mask_ref = wiener_mask_formula(h_ref, p_ref, mag.max(), mc.mask_power)
+        mask_ref = wiener_mask_formula(h_ref, p_ref, mag.max())
         assert median_filter_hpss(mag, mc).tobytes() == mask_ref.tobytes()
 
     @pytest.mark.parametrize("density", [0.0, 0.02, 0.3])
@@ -319,10 +322,10 @@ class TestMedianFilter:
         shape = (small_config.n_frames(n), small_config.n_bins)
         data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         data[rng.uniform(size=shape) >= density] = 0.0
-        mc = MedianConfig(harm_kernel=5, perc_kernel=7, mask_power=1.5)
+        mc = MedianConfig(harm_kernel=5, perc_kernel=7)
         mag = np.abs(data)
         mask = median_filter_hpss(mag, mc)
-        mask_ref = wiener_mask_formula(*medians(mag, mc), mag.max(), mc.mask_power)
+        mask_ref = wiener_mask_formula(*medians(mag, mc), mag.max())
         assert mask.tobytes() == mask_ref.tobytes()
         assert np.any(mask == 0.5)
 
@@ -412,8 +415,6 @@ def test_mf_gain_equivariance_extreme_gains(corpus_mf_reference, exponent):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
 def test_non_finite_parameters_rejected_by_name(value):
-    with pytest.raises(ValueError, match="^mask_power must be finite"):
-        MedianConfig(mask_power=value)
     with pytest.raises(ValueError, match="^kappa must be positive and finite"):
         compute_weight(np.ones((2, 2)), kappa=value)
 

@@ -148,7 +148,8 @@ class TestSeparate:
         assert code == EXIT_OK
         assert len(trace.read_text().strip().splitlines()) == 4  # config wins
 
-    @pytest.mark.parametrize("line", ["if_source = oracle-file", "record_trace = false"])
+    @pytest.mark.parametrize("line", ["if_source = oracle-file", "record_trace = false",
+                                      "mask_power = 2.0"])
     def test_run_mode_keys_in_config_give_args_exit(self, wav_dir, tmp_path, capsys, line):
         cfg = tmp_path / "hpss.cfg"
         cfg.write_text(line + "\n")
@@ -240,8 +241,8 @@ class TestSeparate:
                          id="mu2-inf"),
             pytest.param(["--mu2", "inf", "--trace", "TRACE"], None, "mu2 must",
                          id="mu2-inf-trace"),
-            pytest.param([], "mask_power = nan", "mask_power must be finite and >= 1, got nan",
-                         id="mask_power-nan-in-config"),
+            pytest.param([], "lambda = nan", "lam must be positive and finite, got nan",
+                         id="lambda-nan-in-config"),
             pytest.param(["--kappa", "nan"], None, "kappa must be positive and finite, got nan",
                          id="kappa-nan"),
         ],
@@ -263,6 +264,25 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert err.startswith("error: " + message) and len(err.splitlines()) == 1
         assert list(tmp_path.glob("*.wav")) == [] and not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("depth, rate", [("16", 2**31), ("float32", 2**30)])
+    def test_rate_beyond_the_wav_header_gives_args_exit(self, tmp_path, capsys, depth, rate):
+        # the input declares a rate whose byte rate overflows the output
+        # header's 32-bit field: one error line after the separation, no stem
+        payload = np.arange(-2000, 2000, dtype="<i2").tobytes()
+        header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE",
+                             b"fmt ", 16, 1, 1, rate, (2 * rate) % 2**32, 2, 16,
+                             b"data", len(payload))
+        (tmp_path / "fast.wav").write_bytes(header + payload)
+        code, _ = run_cli(
+            ["separate", str(tmp_path / "fast.wav"), "--method", "mf", "--bit-depth", depth,
+             "--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav"),
+             "--win", "256", "--hop", "64"]
+        )
+        assert code == EXIT_BAD_ARGS
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'h.wav'}: ") and len(err.splitlines()) == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["fast.wav"]
 
     def test_divergence_gives_diverged_exit_and_one_error_line(self, wav_dir, tmp_path):
         proc = run_cli_process(
@@ -492,11 +512,14 @@ class TestBench:
         monkeypatch.setattr(hpss.bench, "separate", counted("separate", separate))
         monkeypatch.setattr(hpss.bench, "mf_separate",
                             counted("mf_separate", hpss.bench.mf_separate))
-        with pytest.raises(ValueError, match="filter_len 100000 exceeds"):
-            hpss.bench.run_bench(n_tracks=1, sample_rate=8000, duration=0.5,
-                                 filter_len=100000,
-                                 cfg=HpssConfig(win_len=256, hop=64,
-                                                solver=SolverParams(n_iters=2)))
+        for filter_len, message in ((100000, "filter_len 100000 exceeds"),
+                                    (0, "filter_len must be >= 1, got 0"),
+                                    (-1, "filter_len must be >= 1, got -1")):
+            with pytest.raises(ValueError, match=message):
+                hpss.bench.run_bench(n_tracks=1, sample_rate=8000, duration=0.5,
+                                     filter_len=filter_len,
+                                     cfg=HpssConfig(win_len=256, hop=64,
+                                                    solver=SolverParams(n_iters=2)))
         assert calls == []
 
 

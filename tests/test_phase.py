@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hpss import IfMap, adjoint, estimate_if, forward, make_config
+from hpss import IfMap, estimate_if, forward, make_config
 from hpss.phase import _IF_EPS, if_from_spectra
-from hpss.stft import read_dump, write_dump
+from hpss.stft import StftPlan, read_dump, write_dump
 
 from conftest import sine_signal
 from reference import (
@@ -187,7 +187,8 @@ class TestIpcOperators:
         still = IfMap(np.zeros(spec.shape), small_config)  # every step is 1
         np.testing.assert_array_equal(ipc_forward(x, still).data, spec.data)
         y = replace(spec, data=rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
-        np.testing.assert_allclose(ipc_adjoint(y, still), adjoint(y), atol=1e-14)
+        adjoint = StftPlan(small_config, x.size).adjoint
+        np.testing.assert_allclose(ipc_adjoint(y, still), adjoint(y.data), atol=1e-14)
 
     def test_round_trip_identity(self, small_config, rng):
         x = rng.normal(size=700)

@@ -208,6 +208,27 @@ def test_gain_equivariance_extreme_gains(tiny_reference, exponent):
     )
 
 
+@pytest.mark.parametrize("peak", [1e-308, 1e-310, 1e-320, 5e-324], ids=str)
+def test_subnormal_levels_separate_like_normal_ones(peak):
+    # the mixture's RMS (at 5e-324 even its square mean) underflows, so separate
+    # prescales by the power of two that brings the peak into [0.5, 1): the
+    # harmonic stem equals that of the mixture at a normal level, scaled back.
+    # The percussive stem is the mixture minus it, exactly, which can differ
+    # from the scaled-back one by the one rounding to the subnormal grid
+    track = bench_track(np.random.default_rng(0), 8000, 0.5)
+    cfg = HpssConfig(win_len=256, hop=64, solver=SolverParams(n_iters=3))
+    x = track.mixture.samples * (peak / np.max(np.abs(track.mixture.samples)))
+    k = 3 - int(np.frexp(np.max(np.abs(x)))[1])
+    pair, _ = separate(x, cfg)
+    ref, _ = separate(np.ldexp(x, k), cfg)
+    h, p = pair.harmonic.samples, pair.percussive.samples
+    assert h.tobytes() == np.ldexp(ref.harmonic.samples, -k).tobytes()
+    assert p.tobytes() == (x - h).tobytes() and np.array_equal(h + p, x)
+    assert np.max(np.abs(p - np.ldexp(ref.percussive.samples, -k))) <= 5e-324
+    # a stem at 1/8 of the peak is below the grid only at the smallest level
+    assert np.any(h != 0.0) == (peak > 5e-324)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=3 * 64),
@@ -258,7 +279,8 @@ class TestConfigParsing:
         assert cfg.kappa == 0.001
 
     def test_parse_rejects_unknown_key(self):
-        for text in ("bogus = 3", "if_eps = 1e-6"):  # the IF floor is a constant
+        # the IF floor is a constant, and the mask is always the squared one
+        for text in ("bogus = 3", "if_eps = 1e-6", "mask_power = 2.0"):
             with pytest.raises(ValueError, match="unknown key"):
                 parse_config_text(text)
 
@@ -408,7 +430,7 @@ def test_public_names():
     assert sorted(hpss.__all__) == [
         "EvalResult", "HpssConfig", "HpssProblem", "IfMap", "MedianConfig", "Signal",
         "SignalPair", "SolverDivergenceError", "SolverParams", "SolverTrace",
-        "Spectrogram", "StftConfig", "adjoint", "bss_eval", "bss_eval_sources",
+        "Spectrogram", "StftConfig", "bss_eval", "bss_eval_sources",
         "compute_weight", "estimate_if", "forward", "load_config", "make_config",
         "median_filter_hpss", "mf_separate", "parse_config_text", "read_wav", "run",
         "separate", "write_wav",

@@ -8,7 +8,6 @@ from hpss import (
     IfMap,
     SolverDivergenceError,
     SolverParams,
-    adjoint,
     estimate_if,
     forward,
     make_config,
@@ -163,7 +162,8 @@ class TestOpnorm:
         n = 96
         shape = (config.n_frames(n), config.n_bins)
         eye = np.eye(n)
-        normal_p = np.column_stack([adjoint(forward(e, config)) for e in eye])
+        plan = StftPlan(config, n)
+        normal_p = np.column_stack([plan.adjoint(plan.forward(e)) for e in eye])
         assert np.linalg.eigvalsh(normal_p)[-1] <= 1.0 + 1e-12  # F is a tight frame
         for w_max in (1.0, 0.8, 0.3, 0.05):
             prob = make_problem(rng.normal(size=n), config,
