@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .audio_io import Signal, read_wav, write_wav
 from .baseline import MedianConfig, compute_weight, median_filter_hpss, mf_separate
 from .metrics import EvalResult, bss_eval, bss_eval_sources
-from .phase import IfMap, estimate_if
+from .phase import estimate_if
 from .pipeline import HpssConfig, load_config, parse_config_text, separate
 from .prox import SignalPair
 from .solver import HpssProblem, SolverDivergenceError, SolverParams, SolverTrace, run
@@ -24,7 +24,6 @@ __all__ = [
     "EvalResult",
     "HpssConfig",
     "HpssProblem",
-    "IfMap",
     "MedianConfig",
     "Signal",
     "SignalPair",

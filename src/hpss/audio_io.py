@@ -7,6 +7,7 @@ downmixed to mono by averaging.
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 import sys
@@ -36,9 +37,12 @@ class Signal:
             raise ValueError("Signal requires a non-empty 1-D sample array")
         if not np.all(np.isfinite(samples)):
             raise ValueError("Signal samples must be finite")
-        if int(self.sample_rate) <= 0:
-            raise ValueError("sample_rate must be positive")
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        rate = self.sample_rate
+        integral = isinstance(rate, numbers.Integral) or (
+            isinstance(rate, numbers.Real) and float(rate).is_integer())
+        if not integral or isinstance(rate, bool) or rate < 1:
+            raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
+        object.__setattr__(self, "sample_rate", int(rate))
 
     def __len__(self) -> int:
         return self.samples.size

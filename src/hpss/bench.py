@@ -29,6 +29,8 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
         raise ValueError(f"seed must be non-negative, got {seed}")
     if n_tracks < 1:
         raise ValueError(f"the benchmark needs at least one track, got {n_tracks}")
+    if sample_rate < 1:
+        raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration}")
     n_samples = int(sample_rate * duration)

@@ -218,7 +218,7 @@ def _cmd_dump(args) -> int:
     if args.kind == "spec":
         data = forward(signal, config).data
     else:
-        data = estimate_if(signal, config).v
+        data = estimate_if(signal, config)
     write_dump(args.out, data, config)
     return EXIT_OK
 
@@ -240,8 +240,11 @@ def main(argv=None, out=None) -> int:
         if args.command == "dump-spec":
             return _cmd_dump(args)
         raise _ArgumentError(f"unknown command {args.command!r}")
-    except (_ArgumentError, ValueError) as exc:
+    except (_ArgumentError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
+    except MemoryError as exc:  # a request too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except SolverDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio_io import Signal, as_samples
 from .baseline import MedianConfig, compute_weight, median_filter_hpss
-from .phase import IfMap, if_from_spectra
+from .phase import estimate_if, if_from_spectra
 from .prox import SignalPair
 from .solver import HpssProblem, SolverParams, run
 from .stft import StftConfig, StftPlan, make_config
@@ -46,15 +46,6 @@ class HpssConfig:
 
     def stft(self) -> StftConfig:
         return make_config(self.win_len, self.hop)
-
-
-def _rms(samples: np.ndarray) -> float:
-    """Root mean square, scaled by the peak so no square overflows or underflows."""
-    peak = float(np.max(np.abs(samples)))
-    if peak == 0.0:
-        return 0.0
-    scaled = samples / peak
-    return peak * float(np.sqrt(np.mean(scaled * scaled)))
 
 
 def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
@@ -92,25 +83,22 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
         oracle = None
 
     # the power of two that brings the peak into [0.5, 1) keeps the gain below
-    # finite for a subnormal mixture; it rounds only samples it takes below
-    # the normal range
+    # finite for a subnormal mixture and the mean square from overflowing; it
+    # rounds only samples it takes below the normal range
     exp = int(np.frexp(np.max(np.abs(samples)))[1])
     xs = np.ldexp(samples, -exp)
-    rms = _rms(xs)
+    rms = float(np.sqrt(np.mean(xs * xs)))
     gain = REFERENCE_RMS / rms if rms > 0.0 else 1.0
     xs *= gain
 
     config = cfg.stft()
+    if oracle is not None:  # at the mixture's scaling
+        v = estimate_if(np.ldexp(oracle, -exp) * gain, config)
     plan = StftPlan(config, xs.size)
     spec = plan.forward(xs)
+    mag = np.abs(spec)  # the IF's, the median filter's, then the weight's |X|
     if oracle is None:
-        v = if_from_spectra(spec, plan.forward(xs, config.deriv_window))
-    else:
-        oracle = np.ldexp(oracle, -exp)
-        oracle *= gain
-        v = if_from_spectra(plan.forward(oracle), plan.forward(oracle, config.deriv_window))
-
-    mag = np.abs(spec)  # the median filter's |X|, then the weight's
+        v = if_from_spectra(mag, spec, plan.forward(xs, config.deriv_window))
     mask = median_filter_hpss(mag, cfg.median)
     spec *= mask
     x_h0 = plan.adjoint(spec)
@@ -118,12 +106,7 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     weight = compute_weight(mag, cfg.kappa)
     del plan, spec, mag, mask, oracle  # the solver's working set need not stack on these
 
-    problem = HpssProblem(
-        mixture=xs,
-        if_map=IfMap(v, config),
-        weight=weight,
-        params=cfg.solver,
-    )
+    problem = HpssProblem(xs, config, v, weight, cfg.solver)
     x_h, trace = run(problem, x_h0)
     x_h = x_h / gain
     np.ldexp(x_h, exp, out=x_h)

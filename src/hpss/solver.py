@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import _caller_stacklevel, as_samples
-from .phase import IfMap
-from .stft import StftPlan
+from .stft import StftConfig, StftPlan
 
 
 class SolverDivergenceError(RuntimeError):
@@ -102,20 +101,25 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class HpssProblem:
-    """Mixture, IF map (phase correction and geometry), T x K weight, params."""
+    """Mixture, STFT geometry, T x K IF map ``v`` (in bin units, the phase
+    correction), T x K weight, params."""
 
     mixture: np.ndarray
-    if_map: IfMap
+    config: StftConfig
+    v: np.ndarray
     weight: np.ndarray
     params: SolverParams = field(default_factory=SolverParams)
 
     def __post_init__(self):
         x = as_samples(self.mixture)
         object.__setattr__(self, "mixture", x)
-        config = self.if_map.config
-        shape = (config.n_frames(x.size), config.n_bins)
-        if self.if_map.v.shape != shape:
-            raise ValueError("IF map shape does not match the mixture")
+        shape = (self.config.n_frames(x.size), self.config.n_bins)
+        v = np.asarray(self.v, dtype=np.float64)
+        object.__setattr__(self, "v", v)
+        if v.shape != shape:
+            raise ValueError("v (the IF map) shape does not match the mixture")
+        if not (0.0 <= v.min() and v.max() <= self.config.win_len / 2):  # NaN fails both
+            raise ValueError("v (the IF map) entries must lie in [0, L/2]")
         w = np.asarray(self.weight, dtype=np.float64)
         object.__setattr__(self, "weight", w)
         if w.shape != shape:
@@ -221,7 +225,7 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     """The loop on frame-major (T x K) arrays, one sweep over the plan's frame
     blocks per transform; fills the trace rows, returns x_h."""
     p = problem.params
-    plan = StftPlan(problem.if_map.config, x_h.size)
+    plan = StftPlan(problem.config, x_h.size)
     # the relaxed smooth-dual step is y_h <- (1 - alpha + c) y_h + c W P(F u); the
     # loop holds y_h / sqrt(c) and w = sqrt(c) W, so neither it nor W y_h scales
     c = p.alpha / (1.0 + p.mu2)
@@ -231,7 +235,7 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     # 2018); the loop holds g[t] = conj(s[t-1]), built in place, and never reads g[0]
     g = np.zeros_like(fx)
     phase = 2 * np.pi * (plan.config.hop / plan.config.win_len)
-    np.multiply(problem.if_map.v[:-1], phase, out=g[1:].imag)
+    np.multiply(problem.v[:-1], phase, out=g[1:].imag)
     np.exp(g, out=g)
     y_h, y_p = np.zeros_like(fx), np.zeros_like(fx)
     # block scratch with one frame of look-ahead, and the carried frame of P

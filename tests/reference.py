@@ -21,7 +21,6 @@ import numpy as np
 
 from hpss import (
     HpssProblem,
-    IfMap,
     Spectrogram,
     StftConfig,
     forward,
@@ -65,36 +64,35 @@ def spec_norm(a, config: StftConfig) -> float:
     return float(np.sqrt(max(spec_inner(a, a, config), 0.0)))
 
 
-def phase_steps(if_map: IfMap) -> np.ndarray:
-    """The per-frame phase steps s = exp(-2 pi j a v / L), K x T, as cosine and
-    sine of the phase a bin at IF v advances over one hop a; the last column
-    is unused."""
-    config = if_map.config
-    advance = 2 * np.pi * config.hop * model_layout(if_map.v) / config.win_len
+def phase_steps(v, config: StftConfig) -> np.ndarray:
+    """The per-frame phase steps s = exp(-2 pi j a v / L), K x T, of the T x K
+    IF map v, as cosine and sine of the phase a bin at IF v advances over one
+    hop a; the last column is unused."""
+    advance = 2 * np.pi * config.hop * model_layout(v) / config.win_len
     return np.cos(advance) - 1j * np.sin(advance)
 
 
-def correction_matrix(if_map: IfMap) -> np.ndarray:
+def correction_matrix(v, config: StftConfig) -> np.ndarray:
     """E[:, 0] = 1, E[:, t] = E[:, t-1] s[:, t-1] for the map's steps s,
     renormalized to unit modulus."""
-    e = np.cumprod(np.insert(phase_steps(if_map)[:, :-1], 0, 1.0, axis=1), axis=1)
+    e = np.cumprod(np.insert(phase_steps(v, config)[:, :-1], 0, 1.0, axis=1), axis=1)
     return np.divide(e, np.abs(e), out=e)
 
 
-def ipc_forward(x, if_map: IfMap) -> Spectrogram:
+def ipc_forward(x, v, config: StftConfig) -> Spectrogram:
     """Phase-corrected STFT: E applied elementwise to the plain transform."""
     x = as_samples(x)
-    data = model_forward(x, if_map.config)
-    if if_map.v.shape != data.shape[::-1]:
+    data = model_forward(x, config)
+    if np.shape(v) != data.shape[::-1]:
         raise ValueError("IF map shape does not match the spectrogram")
-    return package_spec(correction_matrix(if_map) * data, if_map.config, x.size)
+    return package_spec(correction_matrix(v, config) * data, config, x.size)
 
 
-def ipc_adjoint(spec: Spectrogram, if_map: IfMap) -> np.ndarray:
+def ipc_adjoint(spec: Spectrogram, v, config: StftConfig) -> np.ndarray:
     """Adjoint of ``ipc_forward``: conjugate correction, then the STFT adjoint."""
-    if if_map.v.shape != spec.shape:
+    if np.shape(v) != spec.shape:
         raise ValueError("IF map shape does not match the spectrogram")
-    data = np.conj(correction_matrix(if_map)) * model_layout(spec.data)
+    data = np.conj(correction_matrix(v, config)) * model_layout(spec.data)
     return StftPlan(spec.config, spec.n_samples).adjoint(data.T)
 
 
@@ -156,7 +154,7 @@ def l21_norm(data: np.ndarray) -> float:
 
 def apply_Lh(x_h, problem: HpssProblem) -> Spectrogram:
     """Smoothness operator: W o D_t(F_ipc(x_h))."""
-    spec = ipc_forward(as_samples(x_h), problem.if_map)
+    spec = ipc_forward(as_samples(x_h), problem.v, problem.config)
     data = model_layout(problem.weight) * time_diff(model_layout(spec.data))
     return package_spec(data, spec.config, spec.n_samples)
 
@@ -164,7 +162,8 @@ def apply_Lh(x_h, problem: HpssProblem) -> Spectrogram:
 def apply_Lh_adj(spec: Spectrogram, problem: HpssProblem) -> np.ndarray:
     """Adjoint of ``apply_Lh``: F_ipc^* ( D_t^* (W o Y) )."""
     data = time_diff_adj(model_layout(problem.weight) * model_layout(spec.data))
-    return ipc_adjoint(package_spec(data, spec.config, spec.n_samples), problem.if_map)
+    return ipc_adjoint(package_spec(data, spec.config, spec.n_samples), problem.v,
+                       problem.config)
 
 
 def objective(pair, problem: HpssProblem):
@@ -175,7 +174,7 @@ def objective(pair, problem: HpssProblem):
     if gap > 1e-9 * max(np.linalg.norm(x), 1.0):
         raise ValueError("pair violates the exact-sum constraint")
     smooth = 0.5 * float(np.sum(np.abs(model_layout(apply_Lh(x_h, problem).data)) ** 2))
-    sparse = problem.params.lam * l21_norm(model_forward(x_p, problem.if_map.config))
+    sparse = problem.params.lam * l21_norm(model_forward(x_p, problem.config))
     return smooth + sparse, smooth, sparse
 
 
@@ -192,7 +191,7 @@ def two_variable_reference(problem, init):
     """
     p = problem.params
     x = problem.mixture
-    config = problem.if_map.config
+    config = problem.config
     x_h, x_p = split_sum_arrays(x, *init)
     y_h = model_layout(apply_Lh(np.zeros(x.size), problem).data)
     y_p = model_forward(np.zeros(x.size), config)

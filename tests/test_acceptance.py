@@ -74,10 +74,11 @@ def test_criterion_02_adjoint_identities():
     shape = (n_frames, config.n_bins)
 
     mix = rng.standard_normal(n)
-    if_map = estimate_if(mix, config)
+    v = estimate_if(mix, config)
     problem = HpssProblem(
         mixture=mix,
-        if_map=if_map,
+        config=config,
+        v=v,
         weight=rng.uniform(0.001, 1.0, size=shape),
     )
 
@@ -100,8 +101,8 @@ def test_criterion_02_adjoint_identities():
         "stft": rel_gap(lambda x: forward(x, config),
                         lambda y: StftPlan(config, y.n_samples).adjoint(y.data)),
         "ipc": rel_gap(
-            lambda x: ipc_forward(x, if_map),
-            lambda y: ipc_adjoint(y, if_map),
+            lambda x: ipc_forward(x, v, config),
+            lambda y: ipc_adjoint(y, v, config),
         ),
         "smooth-op": rel_gap(
             lambda x: apply_Lh(x, problem), lambda y: apply_Lh_adj(y, problem)
@@ -176,12 +177,12 @@ def test_criterion_04_if_estimator():
     config = make_config(4096, 1024)
     n = 3 * 44100
     on = sine_tone(100.0 * 44100 / 4096, n, 44100, 0.4)
-    v_on = estimate_if(on, config).v
+    v_on = estimate_if(on, config)
     interior = slice(8, v_on.shape[0] - 8)
     err_on = float(np.max(np.abs(v_on[interior, 100] - 100.0)))
 
     off = sine_tone(100.37 * 44100 / 4096, n, 44100, 1.1)
-    v_off = estimate_if(off, config).v
+    v_off = estimate_if(off, config)
     err_off = max(
         float(np.max(np.abs(v_off[interior, col] - 100.37))) for col in (99, 100, 101)
     )
@@ -196,7 +197,7 @@ def test_criterion_05_ipc_smoothness():
     config = make_config(4096, 1024)
     n = 3 * 44100
     s = sine_tone(100.0 * 44100 / 4096, n, 44100, 0.3)
-    spec = ipc_forward(s, estimate_if(s, config))
+    spec = ipc_forward(s, estimate_if(s, config), config)
     peak = spec.data[8:-8, 100]
     resid = float(np.max(np.abs(np.diff(peak)) / np.abs(peak[:-1])))
     report(
@@ -220,7 +221,7 @@ def test_criterion_06_constraint_invariant():
         )
         x *= RHO0 / np.sqrt(np.mean(x**2))
         shape = (config.n_frames(n), config.n_bins)
-        if_map = estimate_if(x, config)
+        v = estimate_if(x, config)
         weight = rng.uniform(0.001, 1.0, size=shape)
         pair = (rng.standard_normal(n), rng.standard_normal(n))  # infeasible
         init, _ = split_sum_arrays(x, *pair)
@@ -228,7 +229,8 @@ def test_criterion_06_constraint_invariant():
         for k in range(1, 13):
             problem = HpssProblem(
                 mixture=x,
-                if_map=if_map,
+                config=config,
+                v=v,
                 weight=weight,
                 params=SolverParams(n_iters=k, record_trace=False),
             )
@@ -262,14 +264,15 @@ def _desk_problem():
     mask = median_filter_hpss(mag)
     weight = compute_weight(mask * mag)
     init = mf_separate(x, config)
-    return x, estimate_if(x, config), weight, init.harmonic.samples
+    return x, config, estimate_if(x, config), weight, init.harmonic.samples
 
 
 def test_criterion_07_convergence():
-    x, if_map, weight, init = _desk_problem()
+    x, config, v, weight, init = _desk_problem()
     problem = HpssProblem(
         mixture=x,
-        if_map=if_map,
+        config=config,
+        v=v,
         weight=weight,
         params=SolverParams(n_iters=2000),
     )

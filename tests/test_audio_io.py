@@ -36,6 +36,20 @@ def test_signal_validation():
     assert len(s) == 2 and s.duration == pytest.approx(2 / 8000)
 
 
+@pytest.mark.parametrize("rate", [8000.7, 0.5, float("inf"), float("nan"), "8000", True, -8000],
+                         ids=repr)
+def test_sample_rate_must_be_a_positive_integral_number(rate):
+    # no rounding, truncation or parsing: the rate is taken as given or refused
+    with pytest.raises(ValueError, match=r"^sample_rate must be a positive integer, got "):
+        Signal([0.0, 0.5], rate)
+
+
+@pytest.mark.parametrize("rate", [8000, np.int64(8000), 8000.0, np.float64(8000.0)], ids=repr)
+def test_integral_sample_rates_are_accepted_as_int(rate):
+    s = Signal([0.0, 0.5], rate)
+    assert s.sample_rate == 8000 and type(s.sample_rate) is int
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
 @pytest.mark.parametrize("where", [0, 500, -1], ids=["first", "middle", "last"])
 @pytest.mark.parametrize(

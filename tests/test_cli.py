@@ -484,6 +484,10 @@ class TestBench:
                          id="duration-inf"),
             pytest.param(["--duration", "nan"], "duration must be finite, got nan",
                          id="duration-nan"),
+            pytest.param(["--sample-rate", "-8000", "--duration", "-1"],
+                         "sample_rate must be >= 1, got -8000", id="rate-and-duration-neg"),
+            pytest.param(["--sample-rate", "0"], "sample_rate must be >= 1, got 0",
+                         id="rate-0"),
             pytest.param(["--tracks", "1", "--duration", "0.2", "--sample-rate", "8000",
                           "--iters", "2"],
                          "more than 1920 samples (0.24 s at 8000 Hz), got 1600",
@@ -553,7 +557,7 @@ class TestDumpSpec:
         assert data.shape[1] == meta[0] == 129
         assert not np.iscomplexobj(data)
         np.testing.assert_array_equal(
-            data, estimate_if(read_wav(wav_dir / "mix.wav"), make_config(256, 64)).v
+            data, estimate_if(read_wav(wav_dir / "mix.wav"), make_config(256, 64))
         )
 
 
@@ -561,6 +565,28 @@ class TestArgErrors:
     def test_unknown_command(self):
         code, _ = run_cli(["frobnicate"])
         assert code == EXIT_BAD_ARGS
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["bench", "--tracks", "1", "--duration", "1e12"],
+                         "Unable to allocate ", id="bench-duration"),
+            pytest.param(["separate", "mix.wav", "--method", "mf",
+                          "--win", str(2**50), "--hop", str(2**48)],
+                         "Unable to allocate ", id="separate-win"),
+            pytest.param(["bench", "--tracks", "1", "--sample-rate", str(10**400)],
+                         "int too large to convert to float", id="bench-rate"),
+        ],
+    )
+    def test_request_too_large_gives_args_exit(self, wav_dir, tmp_path, capsys, argv, message):
+        # sizes beyond any address space, so numpy refuses them without allocating
+        argv = [str(wav_dir / a) if a == "mix.wav" else a for a in argv]
+        outputs = ["--out-h", str(tmp_path / "h.wav"), "--out-p", str(tmp_path / "p.wav")]
+        code, out = run_cli(argv + (outputs if argv[0] == "separate" else []))
+        assert code == EXIT_BAD_ARGS and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_separate_requires_outputs(self, wav_dir):
         code, _ = run_cli(["separate", str(wav_dir / "mix.wav")])

@@ -5,7 +5,6 @@ import pytest
 
 from hpss import (
     HpssProblem,
-    IfMap,
     SolverDivergenceError,
     SolverParams,
     estimate_if,
@@ -38,7 +37,7 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 def make_problem(x, config, rng=None, weight=None, params=None, if_source=None):
     n_frames = config.n_frames(len(x))
     shape = (n_frames, config.n_bins)
-    if_map = estimate_if(x if if_source is None else if_source, config)
+    v = estimate_if(x if if_source is None else if_source, config)
     if weight is None:
         if rng is None:
             weight = np.ones(shape)
@@ -46,7 +45,8 @@ def make_problem(x, config, rng=None, weight=None, params=None, if_source=None):
             weight = rng.uniform(0.001, 1.0, size=shape)
     return HpssProblem(
         mixture=np.asarray(x, dtype=float),
-        if_map=if_map,
+        config=config,
+        v=v,
         weight=weight,
         params=params or SolverParams(),
     )
@@ -84,14 +84,36 @@ class TestParams:
 
 
 class TestProblem:
+    """``HpssProblem`` checks its two T x K inputs alike: shape against the
+    mixture, then one comparison pair on the range that a NaN fails."""
+
     def test_rejects_if_map_of_other_frame_count(self, small_config):
         x = desk_mixture()
         shape = (small_config.n_frames(x.size), small_config.n_bins)
-        short = IfMap(np.zeros((shape[0] - 1, shape[1])), small_config)
-        with pytest.raises(ValueError, match="IF map shape"):
-            HpssProblem(mixture=x, if_map=short, weight=np.ones(shape))
+        with pytest.raises(ValueError, match=r"v \(the IF map\) shape"):
+            HpssProblem(mixture=x, config=small_config,
+                        v=np.zeros((shape[0] - 1, shape[1])), weight=np.ones(shape))
 
-    @pytest.mark.parametrize("value", [*NON_FINITE, 0.0, 1.5], ids=str)
+    def test_if_map_validation(self, small_config):
+        x = desk_mixture()
+        shape = (small_config.n_frames(x.size), small_config.n_bins)
+        with pytest.raises(ValueError, match=r"v \(the IF map\) shape"):
+            HpssProblem(mixture=x, config=small_config,
+                        v=np.zeros((shape[0], shape[1] + 1)), weight=np.ones(shape))
+        v = np.zeros(shape)  # both ends of [0, L/2] are in range
+        v[0, -1] = small_config.win_len / 2
+        assert HpssProblem(x, small_config, v, np.ones(shape)).v.max() == 32.0
+
+    @pytest.mark.parametrize("value", [*NON_FINITE, -1.0, "L/2 + 1"], ids=str)
+    def test_rejects_if_map_outside_zero_to_half_window(self, small_config, value):
+        x = desk_mixture()
+        shape = (small_config.n_frames(x.size), small_config.n_bins)
+        v = np.zeros(shape)
+        v[3, 5] = small_config.win_len / 2 + 1 if value == "L/2 + 1" else value
+        with pytest.raises(ValueError, match=r"v \(the IF map\) entries must lie in \[0, L/2\]"):
+            HpssProblem(mixture=x, config=small_config, v=v, weight=np.ones(shape))
+
+    @pytest.mark.parametrize("value", [*NON_FINITE, 0.0, -1.0, 1.5], ids=str)
     def test_rejects_weight_outside_the_unit_interval(self, small_config, value):
         # a NaN fails both range comparisons, so it is named here rather than
         # surfacing as divergence at iteration 1
@@ -100,8 +122,7 @@ class TestProblem:
         weight = np.ones(shape)
         weight[3, 5] = value
         with pytest.raises(ValueError, match=r"weight entries must lie in \(0, 1\]"):
-            HpssProblem(mixture=x, if_map=IfMap(np.zeros(shape), small_config),
-                        weight=weight)
+            HpssProblem(mixture=x, config=small_config, v=np.zeros(shape), weight=weight)
 
 
 class TestApplyLh:
@@ -118,7 +139,8 @@ class TestApplyLh:
         shape = (small_config.n_frames(n), small_config.n_bins)
         prob = HpssProblem(
             mixture=x,
-            if_map=IfMap(np.zeros(shape), small_config),
+            config=small_config,
+            v=np.zeros(shape),
             weight=np.ones(shape),
         )
         out = np.abs(apply_Lh(x, prob).data)
@@ -129,7 +151,8 @@ class TestApplyLh:
         prob = make_problem(desk_mixture(), small_config, rng)
         tiny = HpssProblem(
             mixture=prob.mixture,
-            if_map=prob.if_map,
+            config=prob.config,
+            v=prob.v,
             weight=np.full_like(prob.weight, 1e-300),
         )
         y = forward(rng.normal(size=1000), small_config)
@@ -191,7 +214,8 @@ class TestOpnorm:
         shape = (small_config.n_frames(x.size), small_config.n_bins)
         prob = HpssProblem(
             mixture=x,
-            if_map=IfMap(np.zeros(shape), small_config),
+            config=small_config,
+            v=np.zeros(shape),
             weight=np.full(shape, weight),
             params=SolverParams(mu1=1.0, mu2=product, n_iters=1, record_trace=False),
         )
@@ -236,8 +260,8 @@ class TestCorrectedDiff:
     def test_matches_e_form(self, rng, n_frames):
         config = make_config(16, 4)  # K = 9; v up to L/2 turns a step twice round
         shape = (n_frames, config.n_bins)
-        if_map = IfMap(rng.uniform(0, 8, size=shape), config)
-        steps, e = phase_steps(if_map), correction_matrix(if_map)  # K x T, the model's
+        v = rng.uniform(0, 8, size=shape)
+        steps, e = phase_steps(v, config), correction_matrix(v, config)  # K x T, the model's
         w = rng.uniform(0.001, 1.0, size=shape)
         c = 0.4
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -278,7 +302,8 @@ class TestRun:
         shape = (small_config.n_frames(n), small_config.n_bins)
         prob = HpssProblem(
             mixture=np.zeros(n),
-            if_map=IfMap(np.zeros(shape), small_config),
+            config=small_config,
+            v=np.zeros(shape),
             weight=np.ones(shape),
             params=SolverParams(n_iters=20),
         )
@@ -299,7 +324,8 @@ class TestRun:
             for k in range(1, 26, 4):
                 prob = HpssProblem(
                     mixture=prob_base.mixture,
-                    if_map=prob_base.if_map,
+                    config=prob_base.config,
+                    v=prob_base.v,
                     weight=prob_base.weight,
                     params=SolverParams(n_iters=k, record_trace=False),
                 )
@@ -357,8 +383,8 @@ class TestRun:
         run(prob, np.zeros(x.size))
         assert len(built) == builds
         for g in built:  # frame-major, g[t] = conj(s[t-1])
-            assert g.shape == prob.if_map.v.shape
-            np.testing.assert_allclose(g[1:], np.conj(phase_steps(prob.if_map)[:, :-1].T),
+            assert g.shape == prob.v.shape
+            np.testing.assert_allclose(g[1:], np.conj(phase_steps(prob.v, small_config)[:, :-1].T),
                                        rtol=0, atol=1e-15)
 
     def test_extreme_sparsity_collapses_percussive(self):
@@ -372,7 +398,8 @@ class TestRun:
         weight = 0.001 / np.maximum(0.001, mag / mag.max())
         prob = HpssProblem(
             mixture=x,
-            if_map=estimate_if(x, config),
+            config=config,
+            v=estimate_if(x, config),
             weight=weight,
             params=SolverParams(lam=1e6, n_iters=300, record_trace=False),
         )
@@ -395,7 +422,8 @@ class TestRun:
         weight = 0.001 / np.maximum(0.001, mag / mag.max())
         prob = HpssProblem(
             mixture=x,
-            if_map=estimate_if(x, config),
+            config=config,
+            v=estimate_if(x, config),
             weight=weight,
             params=SolverParams(record_trace=False),
         )
@@ -409,7 +437,8 @@ class TestRun:
         shape = (small_config.n_frames(n), small_config.n_bins)
         prob = HpssProblem(
             mixture=x,
-            if_map=estimate_if(x, small_config),
+            config=small_config,
+            v=estimate_if(x, small_config),
             weight=np.ones(shape),
             params=SolverParams(mu1=40.0, n_iters=3, record_trace=False),
         )
@@ -469,8 +498,8 @@ class TestRun:
         mag = np.abs(forward(x, config).data)
         weight = 0.001 / np.maximum(0.001, mag / mag.max())
         params = SolverParams(n_iters=1, record_trace=False)
-        if_map = IfMap(np.full(shape, 8.0), config)
-        prob = HpssProblem(mixture=x, if_map=if_map, weight=weight, params=params)
+        prob = HpssProblem(mixture=x, config=config, v=np.full(shape, 8.0), weight=weight,
+                           params=params)
         x_h, _ = run(prob, x.copy())
         inc = np.linalg.norm(x_h - x)
         assert inc <= 1e-9 * np.linalg.norm(x)
@@ -554,7 +583,7 @@ class TestEquivalence:
         x_h0 = split_sum_arrays(x, *init)[0]
         for k in range(1, 13):
             params = SolverParams(n_iters=k, record_trace=k % 2 == 0)
-            prob = HpssProblem(x, base.if_map, base.weight, params)
+            prob = HpssProblem(x, base.config, base.v, base.weight, params)
             ref_h, _, ref_rows = two_variable_reference(prob, init)
             got_h, trace = run(prob, x_h0)
             assert np.max(np.abs(got_h - ref_h)) <= 1e-12 * np.max(np.abs(ref_h))
