@@ -31,12 +31,7 @@ class Signal:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or samples.size < 1:
-            raise ValueError("Signal requires a non-empty 1-D sample array")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("Signal samples must be finite")
+        object.__setattr__(self, "samples", as_samples(self.samples))
         rate = self.sample_rate
         integral = isinstance(rate, numbers.Integral) or (
             isinstance(rate, numbers.Real) and float(rate).is_integer())
@@ -53,12 +48,13 @@ class Signal:
 
 
 def as_samples(x) -> np.ndarray:
-    """Accept a Signal or a bare 1-D array of finite values; return float64 samples."""
+    """Accept a Signal or a bare non-empty 1-D array of finite values; return
+    float64 samples."""
     if isinstance(x, Signal):
         return x.samples
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D sample array")
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("expected a non-empty 1-D sample array")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
     return arr

@@ -33,7 +33,10 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
         raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration}")
-    n_samples = int(sample_rate * duration)
+    try:
+        n_samples = int(sample_rate * duration)
+    except OverflowError:  # an int rate beyond the float range, or an infinite product
+        raise ValueError("sample_rate * duration exceeds the float range") from None
     if n_samples < 1:
         raise ValueError(f"a duration of {duration} s at {sample_rate} Hz holds no sample")
     if filter_len < 1:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -210,15 +209,9 @@ def _corrected_diff_adjoint(y, g, w, t0, t1, out, scratch):
 
 def _energy_overflows(x: np.ndarray) -> bool:
     """True iff ``x`` holds a non-finite sample or ``x @ x`` exceeds the float64
-    range. Only Python floats, which overflow to inf without a warning, see a
-    product that can overflow."""
-    peak = float(np.maximum(x.max(), -x.min()))  # NaN and inf propagate
-    if peak * peak * x.size <= sys.float_info.max:
-        return False
-    if not math.isfinite(peak):
-        return True
-    z = x / peak
-    return not math.isfinite(peak * peak * float(z @ z))
+    range; an overflowing or NaN product is the answer, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not math.isfinite(x @ x)
 
 
 def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):

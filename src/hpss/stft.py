@@ -110,13 +110,16 @@ class StftPlan:
     """Frame-major (T x K) forward/adjoint pair for signals of one length.
 
     Both directions stream the frames in blocks of ``block`` rows, sized by
-    the bin count so a block holds about 2**15 coefficients. Framing reads a
-    strided view of a persistent, circularly extended buffer; the adjoint
-    overlap-adds each block's L/hop frame parts with one reshape-add each.
-    The plan holds one block x L real and one block x K complex scratch, so
-    repeated transforms of same-length signals allocate nothing but the
-    outputs they are not given. ``forward_blocks`` and ``adjoint_blocks`` are
-    the sweeps; ``forward`` and ``adjoint`` run them over whole arrays.
+    the bin count so a block holds about 2**15 coefficients. Both work on one
+    signal buffer: framing reads a strided view of it after the signal's
+    period is repeated over the frame tail, and the adjoint overlap-adds each
+    block's L/hop frame parts into it with one reshape-add each, then folds
+    the tail back onto the period. Beside that buffer the plan holds one
+    block x L real and one block x K complex scratch, so repeated transforms
+    of same-length signals allocate nothing but the outputs they are not
+    given. ``forward_blocks`` and ``adjoint_blocks`` are the sweeps, and a
+    plan runs one sweep at a time; ``forward`` and ``adjoint`` run them over
+    whole arrays.
     """
 
     def __init__(self, config: StftConfig, n_samples: int):
@@ -133,16 +136,21 @@ class StftPlan:
         self._frames = np.lib.stride_tricks.sliding_window_view(self._pad, win_len)[::hop]
         self._real = np.empty((self.block, win_len))
         self._coeffs = np.empty((self.block, config.n_bins), dtype=np.complex128)
-        if self.n_pad >= win_len:
-            self._ola = np.empty(self._pad.size)
 
     def _extend(self) -> None:
         """Repeat pad[:n_pad] periodically over the frame tail."""
-        pad, start = self._pad, self.n_pad
-        while start < pad.size:
-            stop = min(pad.size, start + self.n_pad)
-            pad[start:stop] = pad[: stop - start]
-            start = stop
+        pad = self._pad
+        for start in range(self.n_pad, pad.size, self.n_pad):
+            period = pad[start : start + self.n_pad]
+            period[...] = pad[: period.size]
+
+    def _fold(self) -> None:
+        """Add the frame tail back onto pad[:n_pad] periodically, one period at a
+        time, first to last: the adjoint of ``_extend``."""
+        pad = self._pad
+        for start in range(self.n_pad, pad.size, self.n_pad):
+            period = pad[start : start + self.n_pad]
+            pad[: period.size] += period
 
     def _blocks(self):
         """(t0, t1) of each frame block, first to last."""
@@ -156,8 +164,11 @@ class StftPlan:
         scratch, which the next block overwrites."""
         g = self.config.window if window is None else window
         s, m, n = self._shift, self._head, self.n_samples
-        self._pad[s : s + m] = x[:m]
-        self._pad[: n - m] = x[m:]
+        pad = self._pad
+        pad[s : s + m] = x[:m]
+        pad[: n - m] = x[m:]
+        pad[n - m : s] = 0.0  # the zero padding, which an adjoint may have written
+        pad[s + m : self.n_pad] = 0.0
         self._extend()
         for t0, t1 in self._blocks():
             real = self._real[: t1 - t0]
@@ -178,33 +189,23 @@ class StftPlan:
 
         The blocks are asked for from the last to the first, each read before
         the next is asked for, so every sample adds its frames in decreasing
-        order, as a whole-array overlap-add does. When frames overlap
-        themselves (n_pad < L) they are scatter-added first to last, which is
-        the order of one ``np.add.at`` over all frames.
+        order, as a whole-array overlap-add does.
         """
         win_len, hop = self.config.win_len, self.config.hop
-        n_pad = self.n_pad
-        if n_pad >= win_len:
-            buf = self._ola
-            buf[n_pad:] = 0.0
-            for t0, t1 in reversed(self._blocks()):
-                u = self._inverse(coeffs(t0, t1))
-                buf[t0 * hop : t1 * hop].reshape(t1 - t0, hop)[...] = u[:, :hop]
-                for j in range(1, win_len // hop):
-                    buf[(t0 + j) * hop : (t1 + j) * hop].reshape(t1 - t0, hop)[...] += u[
-                        :, j * hop : (j + 1) * hop
-                    ]
-            buf[: buf.size - n_pad] += buf[n_pad:]
-        else:
-            buf = np.zeros(n_pad)
-            for t0, t1 in self._blocks():
-                u = self._inverse(coeffs(t0, t1))
-                tau = hop * np.arange(t0, t1)[:, None]
-                np.add.at(buf, (tau + np.arange(win_len)[None, :]) % n_pad, u)
+        pad = self._pad
+        pad[self.n_pad :] = 0.0
+        for t0, t1 in reversed(self._blocks()):
+            u = self._inverse(coeffs(t0, t1))
+            pad[t0 * hop : t1 * hop].reshape(t1 - t0, hop)[...] = u[:, :hop]
+            for j in range(1, win_len // hop):
+                pad[(t0 + j) * hop : (t1 + j) * hop].reshape(t1 - t0, hop)[...] += u[
+                    :, j * hop : (j + 1) * hop
+                ]
+        self._fold()
         s, m, n = self._shift, self._head, self.n_samples
         out = np.empty(n)
-        out[:m] = buf[s : s + m]
-        out[m:] = buf[: n - m]
+        out[:m] = pad[s : s + m]
+        out[m:] = pad[: n - m]
         return out
 
     def _inverse(self, coeffs: np.ndarray) -> np.ndarray:

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from hpss import (
     HpssConfig,
+    HpssProblem,
     Signal,
     SolverParams,
+    bss_eval,
     estimate_if,
     forward,
     make_config,
     mf_separate,
     read_wav,
+    run,
     separate,
     write_wav,
 )
@@ -75,6 +78,30 @@ def test_non_finite_samples_rejected_at_the_boundary(entry, where, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^samples must be finite$"):
             call()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["separate", "separate-oracle", "mf_separate", "estimate_if", "forward", "bss_eval", "run"],
+)
+def test_empty_samples_rejected_at_the_boundary(entry):
+    # as_samples names an empty array before any transform divides by its length
+    empty, finite = np.zeros(0), np.random.default_rng(0).normal(size=100)
+    config = make_config(64, 16)
+    cfg = HpssConfig(win_len=64, hop=16, solver=SolverParams(n_iters=2))
+    shape = (config.n_frames(finite.size), config.n_bins)
+    call = {
+        "separate": lambda: separate(empty, cfg),
+        "separate-oracle": lambda: separate(
+            finite, replace(cfg, if_source=IF_SOURCE_ORACLE), oracle_h=empty),
+        "mf_separate": lambda: mf_separate(empty, config),
+        "estimate_if": lambda: estimate_if(empty, config),
+        "forward": lambda: forward(empty, config),
+        "bss_eval": lambda: bss_eval(empty, finite, finite, finite),
+        "run": lambda: run(HpssProblem(finite, config, np.zeros(shape), np.ones(shape)), empty),
+    }[entry]
+    with pytest.raises(ValueError, match="^expected a non-empty 1-D sample array$"):
+        call()
 
 
 def _raw_wav(codec, bits, rate, channels, payload):

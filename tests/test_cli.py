@@ -575,7 +575,7 @@ class TestArgErrors:
                           "--win", str(2**50), "--hop", str(2**48)],
                          "Unable to allocate ", id="separate-win"),
             pytest.param(["bench", "--tracks", "1", "--sample-rate", str(10**400)],
-                         "int too large to convert to float", id="bench-rate"),
+                         "sample_rate * duration exceeds the float range", id="bench-rate"),
         ],
     )
     def test_request_too_large_gives_args_exit(self, wav_dir, tmp_path, capsys, argv, message):

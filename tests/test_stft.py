@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpss import Signal, Spectrogram, forward, make_config
@@ -49,23 +49,19 @@ def reference_forward(x, config, window):
 
 
 def reference_adjoint(data, config, n):
-    """irfft per frame, overlap-add (a scatter-add when frames self-overlap), unroll."""
+    """irfft per frame, overlap-add, fold the tail back periodically, unroll."""
     win_len, hop = config.win_len, config.hop
     n_frames = data.shape[0]
     n_pad = hop * n_frames
     u = np.fft.irfft(data, n=win_len, axis=1) * config.window[None, :]
-    if n_pad >= win_len:
-        buf = np.zeros(n_pad + win_len)
-        for j in range(win_len // hop):
-            buf[j * hop : j * hop + n_pad].reshape(n_frames, hop)[...] += u[
-                :, j * hop : (j + 1) * hop
-            ]
-        out = buf[:n_pad].copy()
-        out[:win_len] += buf[n_pad:]
-    else:
-        out = np.zeros(n_pad)
-        idx = (hop * np.arange(n_frames)[:, None] + np.arange(win_len)[None, :]) % n_pad
-        np.add.at(out, idx, u)
+    # the overlap-add spans n_pad + L - hop samples; whole periods of them,
+    # summed row by row, add each sample's periods first to last
+    buf = np.zeros(-(-(n_pad + win_len - hop) // n_pad) * n_pad)
+    for j in range(win_len // hop):
+        buf[j * hop : j * hop + n_pad].reshape(n_frames, hop)[...] += u[
+            :, j * hop : (j + 1) * hop
+        ]
+    out = buf.reshape(-1, n_pad).sum(axis=0)
     return np.roll(out, -(win_len // 2))[:n]
 
 
@@ -269,6 +265,32 @@ class TestFrameMajorKernel:
             np.testing.assert_array_equal(
                 plan.adjoint(data), reference_adjoint(data, small_config, n)
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geometry=st.sampled_from([(64, 4), (16, 2), (8, 2)]),
+        frames=st.integers(1, 48),
+        cut=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(geometry=(64, 4), frames=5, cut=0, seed=0)
+    @example(geometry=(64, 4), frames=5, cut=1, seed=0)
+    def test_plan_reuse_when_frames_overlap_themselves(self, geometry, frames, cut, seed):
+        # lengths 1..3L, a multiple of the hop at cut 0; at T < (L - hop) / hop the
+        # tail outgrows a period, so the fold takes several steps. A forward after
+        # an adjoint re-zeroes the padding the adjoint wrote
+        win_len, hop = geometry
+        config = make_config(win_len, hop)
+        n = hop * min(frames, 3 * win_len // hop) - cut % hop
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        plan = StftPlan(config, n)
+        data = rng.normal(size=(plan.n_frames, config.n_bins)) * (1 - 1j)
+        for got, fresh in ((plan.forward(x), StftPlan(config, n).forward(x)),
+                           (plan.adjoint(data), StftPlan(config, n).adjoint(data)),
+                           (plan.forward(y), StftPlan(config, n).forward(y))):
+            assert got.tobytes() == fresh.tobytes()
+        assert np.max(np.abs(plan.adjoint(plan.forward(x)) - x)) <= 1e-13
 
 
 def block_rows(config):
