@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -133,6 +134,7 @@ def _cmd_separate(args) -> int:
         if_source=IF_SOURCE_MIXTURE if oracle_path is None else IF_SOURCE_ORACLE,
         solver=replace(cfg.solver, record_trace=bool(args.trace)),
     )
+    _check_out_dirs(("--out-h", args.out_h), ("--out-p", args.out_p), ("--trace", args.trace))
     oracle = None if oracle_path is None else read_wav(oracle_path)
 
     mixture = read_wav(args.input)
@@ -145,6 +147,15 @@ def _cmd_separate(args) -> int:
     if args.trace:
         trace.write_csv(args.trace)
     return EXIT_OK
+
+
+def _check_out_dirs(*outputs) -> None:
+    """Fail before any work, not on the first write after the solve, when an
+    output path's directory does not exist."""
+    for flag, path in outputs:
+        folder = os.path.dirname(path or "") or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"{flag} {path}: directory {folder} does not exist")
 
 
 def _cmd_eval(args, out) -> int:

@@ -20,6 +20,11 @@ of its own. Each transform is one sweep over the plan's frame blocks, and
 the steps on spectrogram-sized arrays run block by block inside it, on
 blocks in cache: P^*(W y_h) - y_p just before its inverse FFT, the dual
 steps and the trace's sums just after the forward FFT, all on T x K arrays.
+The loop reads the weight in place and holds y_h unscaled, applying
+c = alpha / (1 + mu2) to each block of W P(F u) after the trace reads it. It
+keeps F(x), the steps g, the two duals, block scratch and the signals, and
+writes the relaxation's and the trace's signal-length terms into the plan's
+signal buffer, idle between sweeps.
 """
 
 from __future__ import annotations
@@ -219,10 +224,9 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     blocks per transform; fills the trace rows, returns x_h."""
     p = problem.params
     plan = StftPlan(problem.config, x_h.size)
-    # the relaxed smooth-dual step is y_h <- (1 - alpha + c) y_h + c W P(F u); the
-    # loop holds y_h / sqrt(c) and w = sqrt(c) W, so neither it nor W y_h scales
+    # the relaxed smooth-dual step is y_h <- (1 - alpha + c) y_h + c W P(F u)
     c = p.alpha / (1.0 + p.mu2)
-    w = problem.weight * np.sqrt(c)
+    w = problem.weight  # read in place, never written
     fx = plan.forward(problem.mixture)
     # the IF map v predicts the phase steps s = exp(-2pi j a v / L) (Yatabe and Oikawa,
     # 2018); the loop holds g[t] = conj(s[t-1]), built in place, and never reads g[0]
@@ -234,6 +238,9 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     # block scratch with one frame of look-ahead, and the carried frame of P
     a, scratch = (np.empty((plan.block + 1, fx.shape[1]), dtype=fx.dtype) for _ in range(2))
     carry = np.empty(fx.shape[1], dtype=fx.dtype)
+    # the plan's signal buffer, idle from the end of the forward sweep to the next
+    # adjoint, holds the relaxation's and the trace's signal-length terms
+    spare = plan.signal_scratch()
 
     def primal_residual(t0, t1):  # frames t0..t1-1 of P^*(W y_h) - y_p
         block = _corrected_diff_adjoint(y_h, g, w, t0, t1, a, scratch)
@@ -262,6 +269,7 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
             lu = _corrected_diff(fu, g[frames], w[frames], carry, t0 == 0, fu, scratch)
             if rows is not None:
                 smooth += float(np.vdot(lu, lu).real)
+            lu *= c
             yh = y_h[frames]
             yh *= 1.0 - p.alpha + c
             yh += lu
@@ -271,13 +279,13 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
         new_h += x_h
         new_h *= 0.5
         new_h *= p.alpha
-        new_h += (1.0 - p.alpha) * x_h
+        new_h += np.multiply(x_h, 1.0 - p.alpha, out=spare)
         if _energy_overflows(new_h):
             raise SolverDivergenceError(it + 1)
         if rows is not None:
-            smooth = 0.5 * smooth / c
+            smooth *= 0.5
             sparse *= p.lam
-            step = np.sqrt(2.0) * np.linalg.norm(new_h - x_h)  # x_p moves by -step
-            rows[it] = smooth, sparse, step
+            step = np.subtract(new_h, x_h, out=spare)  # x_p moves by -step
+            rows[it] = smooth, sparse, np.sqrt(2.0) * np.linalg.norm(step)
         x_h = new_h
     return x_h

@@ -222,6 +222,26 @@ class TestSeparate:
         )
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("flag", ["--out-h", "--out-p", "--trace"])
+    def test_missing_output_directory_gives_io_exit_before_any_read(
+        self, wav_dir, tmp_path, capsys, monkeypatch, flag
+    ):
+        # checked before the input is read: no solve runs and no file is written
+        reads = []
+        monkeypatch.setattr(hpss.cli, "read_wav", reads.append)
+        outputs = {"--out-h": tmp_path / "h.wav", "--out-p": tmp_path / "p.wav",
+                   "--trace": tmp_path / "t.csv"}
+        outputs[flag] = missing = tmp_path / "missing" / "out"
+        argv = ["separate", str(wav_dir / "mix.wav")]
+        for name, path in outputs.items():
+            argv += [name, str(path)]
+        code, _ = run_cli(argv + SEP_FLAGS)
+        assert code == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} {missing}: "), err
+        assert reads == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_short_fmt_chunk_gives_args_exit(self, tmp_path):
         # RIFF/WAVE with a data chunk and a trailing 8-byte fmt chunk
         chunks = struct.pack("<4sI", b"data", 4) + b"\x00" * 4
