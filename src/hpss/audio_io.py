@@ -48,10 +48,12 @@ class Signal:
 
 
 def as_samples(x) -> np.ndarray:
-    """Accept a Signal or a bare non-empty 1-D array of finite values; return
-    float64 samples."""
+    """Accept a Signal or a bare non-empty 1-D array of real finite values;
+    return float64 samples."""
     if isinstance(x, Signal):
         return x.samples
+    if np.iscomplexobj(x):
+        raise ValueError("samples must be real")
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a non-empty 1-D sample array")

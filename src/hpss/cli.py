@@ -151,9 +151,13 @@ def _cmd_separate(args) -> int:
 
 def _check_out_dirs(*outputs) -> None:
     """Fail before any work, not on the first write after the solve, when an
-    output path's directory does not exist."""
+    output path is a directory or its directory does not exist."""
     for flag, path in outputs:
-        folder = os.path.dirname(path or "") or "."
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{flag} {path}: is a directory")
+        folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise FileNotFoundError(f"{flag} {path}: directory {folder} does not exist")
 
@@ -224,6 +228,7 @@ def _cmd_bench(args, out) -> int:
 
 
 def _cmd_dump(args) -> int:
+    _check_out_dirs(("--out", args.out))
     signal = read_wav(args.input)
     config = make_config(args.win, args.hop)
     if args.kind == "spec":

@@ -12,7 +12,8 @@ P(X)[t] = X[t] - conj(s[t-1]) X[t-1] for the per-frame phase step s. With
 u = x_h - mu1 F^*(P^*(W y_h) - y_p), an iteration sets y_p from the frames of
 y_p + F(x) - F(u) projected onto the l2 ball of radius lambda, y_h from
 (y_h + W P(F u)) / (1 + mu2), and x_h from (u + x_h) / 2, each relaxed by
-alpha: one adjoint and one forward STFT, with F(x) computed once. A trace
+alpha: one adjoint and one forward STFT, with F(x) computed once. The
+relaxed x_h is x_h + (alpha / 2)(u - x_h), formed in place in u. A trace
 row scores u, the point the forward sweep transforms: its smooth term sums
 |W P(F u)|^2 and its sparse term the frame norms of F(x) - F(u) block by
 block, so the trace holds no spectrogram-sized array and takes no transform
@@ -22,9 +23,7 @@ blocks in cache: P^*(W y_h) - y_p just before its inverse FFT, the dual
 steps and the trace's sums just after the forward FFT, all on T x K arrays.
 The loop reads the weight in place and holds y_h unscaled, applying
 c = alpha / (1 + mu2) to each block of W P(F u) after the trace reads it. It
-keeps F(x), the steps g, the two duals, block scratch and the signals, and
-writes the relaxation's and the trace's signal-length terms into the plan's
-signal buffer, idle between sweeps.
+keeps F(x), the steps g, the two duals, block scratch and the signals.
 """
 
 from __future__ import annotations
@@ -238,9 +237,6 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     # block scratch with one frame of look-ahead, and the carried frame of P
     a, scratch = (np.empty((plan.block + 1, fx.shape[1]), dtype=fx.dtype) for _ in range(2))
     carry = np.empty(fx.shape[1], dtype=fx.dtype)
-    # the plan's signal buffer, idle from the end of the forward sweep to the next
-    # adjoint, holds the relaxation's and the trace's signal-length terms
-    spare = plan.signal_scratch()
 
     def primal_residual(t0, t1):  # frames t0..t1-1 of P^*(W y_h) - y_p
         block = _corrected_diff_adjoint(y_h, g, w, t0, t1, a, scratch)
@@ -274,18 +270,14 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
             yh *= 1.0 - p.alpha + c
             yh += lu
 
-        # new_h = alpha (u + x_h) / 2 + (1 - alpha) x_h, in place in u
-        new_h = u
-        new_h += x_h
-        new_h *= 0.5
-        new_h *= p.alpha
-        new_h += np.multiply(x_h, 1.0 - p.alpha, out=spare)
-        if _energy_overflows(new_h):
+        # alpha (u + x_h) / 2 + (1 - alpha) x_h = x_h + step, in place in u
+        step = u
+        step -= x_h
+        step *= 0.5 * p.alpha
+        if rows is not None:  # x_p moves by -step
+            rows[it] = 0.5 * smooth, p.lam * sparse, np.sqrt(2.0) * np.linalg.norm(step)
+        step += x_h
+        if _energy_overflows(step):
             raise SolverDivergenceError(it + 1)
-        if rows is not None:
-            smooth *= 0.5
-            sparse *= p.lam
-            step = np.subtract(new_h, x_h, out=spare)  # x_p moves by -step
-            rows[it] = smooth, sparse, np.sqrt(2.0) * np.linalg.norm(step)
-        x_h = new_h
+        x_h = step
     return x_h

@@ -119,8 +119,7 @@ class StftPlan:
     of same-length signals allocate nothing but the outputs they are not
     given. ``forward_blocks`` and ``adjoint_blocks`` are the sweeps, and a
     plan runs one sweep at a time; ``forward`` and ``adjoint`` run them over
-    whole arrays. Between sweeps the signal buffer is idle, and
-    ``signal_scratch`` lends it out.
+    whole arrays.
     """
 
     def __init__(self, config: StftConfig, n_samples: int):
@@ -152,11 +151,6 @@ class StftPlan:
         for start in range(self.n_pad, pad.size, self.n_pad):
             period = pad[start : start + self.n_pad]
             pad[: period.size] += period
-
-    def signal_scratch(self) -> np.ndarray:
-        """A length-n view of the plan's signal buffer, free for the caller from
-        the end of a sweep to the start of the next, which overwrites it."""
-        return self._pad[: self.n_samples]
 
     def _blocks(self):
         """(t0, t1) of each frame block, first to last."""

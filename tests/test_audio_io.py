@@ -80,28 +80,38 @@ def test_non_finite_samples_rejected_at_the_boundary(entry, where, value):
             call()
 
 
+ENTRY_POINTS = ["separate", "separate-oracle", "mf_separate", "estimate_if", "forward",
+                "bss_eval", "run"]
+
+
 @pytest.mark.parametrize(
-    "entry",
-    ["separate", "separate-oracle", "mf_separate", "estimate_if", "forward", "bss_eval", "run"],
+    "entry, kind",
+    [pytest.param(entry, "empty", id=entry) for entry in ENTRY_POINTS]
+    + [pytest.param(entry, "complex", id=f"{entry}-complex") for entry in ENTRY_POINTS],
 )
-def test_empty_samples_rejected_at_the_boundary(entry):
-    # as_samples names an empty array before any transform divides by its length
-    empty, finite = np.zeros(0), np.random.default_rng(0).normal(size=100)
+def test_empty_samples_rejected_at_the_boundary(entry, kind):
+    # as_samples names an empty array before any transform divides by its length,
+    # and a complex one before float64 conversion drops its imaginary part
+    finite = np.random.default_rng(0).normal(size=100)
+    bad, message = {"empty": (np.zeros(0), "^expected a non-empty 1-D sample array$"),
+                    "complex": (finite + 1j, "^samples must be real$")}[kind]
     config = make_config(64, 16)
     cfg = HpssConfig(win_len=64, hop=16, solver=SolverParams(n_iters=2))
     shape = (config.n_frames(finite.size), config.n_bins)
     call = {
-        "separate": lambda: separate(empty, cfg),
+        "separate": lambda: separate(bad, cfg),
         "separate-oracle": lambda: separate(
-            finite, replace(cfg, if_source=IF_SOURCE_ORACLE), oracle_h=empty),
-        "mf_separate": lambda: mf_separate(empty, config),
-        "estimate_if": lambda: estimate_if(empty, config),
-        "forward": lambda: forward(empty, config),
-        "bss_eval": lambda: bss_eval(empty, finite, finite, finite),
-        "run": lambda: run(HpssProblem(finite, config, np.zeros(shape), np.ones(shape)), empty),
+            finite, replace(cfg, if_source=IF_SOURCE_ORACLE), oracle_h=bad),
+        "mf_separate": lambda: mf_separate(bad, config),
+        "estimate_if": lambda: estimate_if(bad, config),
+        "forward": lambda: forward(bad, config),
+        "bss_eval": lambda: bss_eval(bad, finite, finite, finite),
+        "run": lambda: run(HpssProblem(finite, config, np.zeros(shape), np.ones(shape)), bad),
     }[entry]
-    with pytest.raises(ValueError, match="^expected a non-empty 1-D sample array$"):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def _raw_wav(codec, bits, rate, channels, payload):

@@ -222,25 +222,32 @@ class TestSeparate:
         )
         assert code == EXIT_IO
 
-    @pytest.mark.parametrize("flag", ["--out-h", "--out-p", "--trace"])
+    @pytest.mark.parametrize(
+        "flag, is_dir",
+        [pytest.param(flag, False, id=flag) for flag in ("--out-h", "--out-p", "--trace")]
+        + [pytest.param("--out-h", True, id="--out-h-is-a-directory")],
+    )
     def test_missing_output_directory_gives_io_exit_before_any_read(
-        self, wav_dir, tmp_path, capsys, monkeypatch, flag
+        self, wav_dir, tmp_path, capsys, monkeypatch, flag, is_dir
     ):
-        # checked before the input is read: no solve runs and no file is written
+        # checked before the input is read: no solve runs and no file is written;
+        # an output path that is an existing directory fails alike
         reads = []
         monkeypatch.setattr(hpss.cli, "read_wav", reads.append)
         outputs = {"--out-h": tmp_path / "h.wav", "--out-p": tmp_path / "p.wav",
                    "--trace": tmp_path / "t.csv"}
-        outputs[flag] = missing = tmp_path / "missing" / "out"
+        outputs[flag] = bad = tmp_path / "dir" if is_dir else tmp_path / "missing" / "out"
+        if is_dir:
+            bad.mkdir()
         argv = ["separate", str(wav_dir / "mix.wav")]
         for name, path in outputs.items():
             argv += [name, str(path)]
         code, _ = run_cli(argv + SEP_FLAGS)
         assert code == EXIT_IO
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {flag} {missing}: "), err
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} {bad}: "), err
         assert reads == []
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.rglob("*")) == ([bad] if is_dir else [])
 
     def test_short_fmt_chunk_gives_args_exit(self, tmp_path):
         # RIFF/WAVE with a data chunk and a trailing 8-byte fmt chunk
@@ -579,6 +586,23 @@ class TestDumpSpec:
         np.testing.assert_array_equal(
             data, estimate_if(read_wav(wav_dir / "mix.wav"), make_config(256, 64))
         )
+
+    @pytest.mark.parametrize("kind", ["spec", "if"])
+    def test_missing_output_directory_gives_io_exit_before_any_read(
+        self, wav_dir, tmp_path, capsys, monkeypatch, kind
+    ):
+        # checked before the input is read, so no transform runs
+        calls = []
+        for name in ("read_wav", "forward", "estimate_if"):
+            monkeypatch.setattr(hpss.cli, name, lambda *a, name=name: calls.append(name))
+        missing = tmp_path / "missing" / "d.bin"
+        code, _ = run_cli(["dump-spec", str(wav_dir / "mix.wav"), "--out", str(missing),
+                           "--win", "256", "--hop", "64", "--kind", kind])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --out {missing}: "), err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestArgErrors:

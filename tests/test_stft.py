@@ -278,19 +278,15 @@ class TestFrameMajorKernel:
     def test_plan_reuse_when_frames_overlap_themselves(self, geometry, frames, cut, seed):
         # lengths 1..3L, a multiple of the hop at cut 0; at T < (L - hop) / hop the
         # tail outgrows a period, so the fold takes several steps. A forward after
-        # an adjoint re-zeroes the padding the adjoint wrote. The signal scratch is
-        # the caller's between sweeps: NaN written there reaches no output
+        # an adjoint re-zeroes the padding the adjoint wrote
         win_len, hop = geometry
         config = make_config(win_len, hop)
         n = hop * min(frames, 3 * win_len // hop) - cut % hop
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=n), rng.normal(size=n)
         plan = StftPlan(config, n)
-        spare = plan.signal_scratch()
-        assert spare.shape == (n,)
         data = rng.normal(size=(plan.n_frames, config.n_bins)) * (1 - 1j)
         for sweep, arg in (("forward", x), ("adjoint", data), ("forward", y)):
-            spare[...] = np.nan
             got = getattr(plan, sweep)(arg)
             assert got.tobytes() == getattr(StftPlan(config, n), sweep)(arg).tobytes()
         assert np.max(np.abs(plan.adjoint(plan.forward(x)) - x)) <= 1e-13
