@@ -128,6 +128,10 @@ def _cmd_separate(args) -> int:
         raise _ArgumentError(f"bad --if-source value: {args.if_source!r}")
     if args.trace and args.method == "mf":
         raise _ArgumentError("--trace needs --method prop; mf runs no solver")
+    _check_same_file(
+        (("the input", args.input), ("--if-source", oracle_path), ("--config", args.config)),
+        (("--out-h", args.out_h), ("--out-p", args.out_p), ("--trace", args.trace)),
+    )
     cfg = _separate_config(args)
     cfg = replace(
         cfg,
@@ -147,6 +151,22 @@ def _cmd_separate(args) -> int:
     if args.trace:
         trace.write_csv(args.trace)
     return EXIT_OK
+
+
+def _check_same_file(inputs, outputs) -> None:
+    """Fail before any read when an output path names the same file as an
+    input or an earlier output, which its write would replace."""
+    seen = {}
+    for flag, path in inputs:
+        if path is not None:
+            seen.setdefault(os.path.realpath(path), flag)
+    for flag, path in outputs:
+        if path is None:
+            continue
+        key = os.path.realpath(path)
+        if key in seen:
+            raise _ArgumentError(f"{flag} {path}: names the same file as {seen[key]}")
+        seen[key] = flag
 
 
 def _check_out_dirs(*outputs) -> None:
@@ -228,6 +248,7 @@ def _cmd_bench(args, out) -> int:
 
 
 def _cmd_dump(args) -> int:
+    _check_same_file((("the input", args.input),), (("--out", args.out),))
     _check_out_dirs(("--out", args.out))
     signal = read_wav(args.input)
     config = make_config(args.win, args.hop)

@@ -30,7 +30,6 @@ from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import toeplitz
 
 from .audio_io import Signal, _caller_stacklevel, as_samples
 
@@ -132,6 +131,12 @@ def _block_correlations(refs: list, sigs: list, flen: int) -> np.ndarray:
     return np.fft.irfft(acc, n=m)[..., :2 * flen - 1]
 
 
+def _toeplitz(lags: np.ndarray, flen: int) -> np.ndarray:
+    """The flen x flen Toeplitz block T[r, c] = lags[flen - 1 + r - c] of the
+    2 flen - 1 lags, as a read-only view of them."""
+    return sliding_window_view(lags, flen)[:, ::-1]
+
+
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve for one right-hand side, or one per column of a 2-D rhs. A
     singular gram gets a tiny ridge and one warning per right-hand side."""
@@ -189,7 +194,7 @@ def bss_eval_sources(refs, ests, filter_len: int = 512):
     gram = np.empty((n_src * flen,) * 2)
     for i, bi in enumerate(blocks):
         for j, bj in enumerate(blocks[: i + 1]):
-            block = toeplitz(cc[i, j, flen - 1:], cc[i, j, flen - 1::-1])
+            block = _toeplitz(cc[i, j], flen)
             gram[bi, bj] = block
             gram[bj, bi] = block.T
     # rhs[i flen + k, e] = <ref_i delayed by k, est_e>

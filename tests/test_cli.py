@@ -52,15 +52,21 @@ def run_cli(args):
     return code, out.getvalue()
 
 
-def run_cli_process(args):
-    """Run ``hpss`` in a process of its own, so numpy's warnings reach
-    stderr as a user sees them."""
+def run_python(*args):
+    """Run ``python args`` in a fresh interpreter that imports this
+    checkout's package."""
     src = str(Path(hpss.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "hpss.cli", *args],
+        [sys.executable, *map(str, args)],
         capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli_process(args):
+    """Run ``hpss`` in a process of its own, so numpy's warnings reach
+    stderr as a user sees them."""
+    return run_python("-m", "hpss.cli", *args)
 
 
 SEP_FLAGS = ["--win", "256", "--hop", "64", "--iters", "10"]
@@ -603,6 +609,112 @@ class TestDumpSpec:
         assert len(err) == 1 and err[0].startswith(f"error: --out {missing}: "), err
         assert calls == []
         assert list(tmp_path.iterdir()) == []
+
+
+SEP_OUTPUTS = ("--out-h", "--out-p", "--trace")
+
+
+class TestSameFile:
+    """An output path that names the same file as an input or as another
+    output is exit 1 before any read: one error line, the inputs keep their
+    bytes and no output is written."""
+
+    @staticmethod
+    def check(argv, files, tmp_path, capsys, monkeypatch, message):
+        reads = []
+
+        def spy(path):
+            reads.append(path)
+            return read_wav(path)
+
+        monkeypatch.setattr(hpss.cli, "read_wav", spy)
+        before = {path: path.read_bytes() for path in files}
+        code, out = run_cli([str(a) for a in argv])
+        assert code == EXIT_BAD_ARGS and out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {message}"]
+        assert reads == []
+        assert {path: path.read_bytes() for path in files} == before
+        assert sorted(tmp_path.rglob("*")) == sorted(files)
+
+    @pytest.mark.parametrize("flag, other", [
+        (flag, other)
+        for i, flag in enumerate(SEP_OUTPUTS)
+        for other in ("input", "--if-source", "--config", *SEP_OUTPUTS[:i])
+    ])
+    def test_separate(self, wav_dir, tmp_path, capsys, monkeypatch, flag, other):
+        mix, oracle, cfg = tmp_path / "mix.wav", tmp_path / "ref_h.wav", tmp_path / "hpss.cfg"
+        mix.write_bytes((wav_dir / "mix.wav").read_bytes())
+        oracle.write_bytes((wav_dir / "ref_h.wav").read_bytes())
+        cfg.write_text("iters = 3\n")
+        paths = {"input": mix, "--if-source": oracle, "--config": cfg,
+                 "--out-h": tmp_path / "h.wav", "--out-p": tmp_path / "p.wav",
+                 "--trace": tmp_path / "t.csv"}
+        # the repeat is spelled apart from the path it repeats
+        paths[flag] = repeat = f"{tmp_path}/./{paths[other].name}"
+        argv = ["separate", paths["input"], "--if-source", f"oracle:{paths['--if-source']}",
+                "--win", "256", "--hop", "64"]
+        for name in ("--config", "--out-h", "--out-p", "--trace"):
+            argv += [name, paths[name]]
+        label = "the input" if other == "input" else other
+        self.check(argv, [mix, oracle, cfg], tmp_path, capsys, monkeypatch,
+                   f"{flag} {repeat}: names the same file as {label}")
+
+    @pytest.mark.parametrize("kind", ["spec", "if"])
+    @pytest.mark.parametrize("alias", ["same-path", "symlink"])
+    def test_dump_spec(self, wav_dir, tmp_path, capsys, monkeypatch, kind, alias):
+        mix = tmp_path / "mix.wav"
+        mix.write_bytes((wav_dir / "mix.wav").read_bytes())
+        files = [mix]
+        out = mix
+        if alias == "symlink":
+            out = tmp_path / "link.wav"
+            out.symlink_to(mix)
+            files.append(out)
+        self.check(["dump-spec", mix, "--out", out, "--kind", kind, "--win", "256", "--hop", "64"],
+                   files, tmp_path, capsys, monkeypatch,
+                   f"--out {out}: names the same file as the input")
+
+
+class TestNumpyOnly:
+    """The package and all five commands run with scipy unimportable."""
+
+    def test_import_loads_no_scipy(self):
+        proc = run_python(
+            "-c",
+            "import sys\n"
+            "import hpss, hpss.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_commands_run_with_scipy_blocked(self, wav_dir, tmp_path):
+        code = """
+import io
+import sys
+sys.modules["scipy"] = None  # any import of scipy raises ImportError
+from hpss.cli import main
+wavs, out = sys.argv[1:]
+mix, h, p = f"{wavs}/mix.wav", f"{out}/h.wav", f"{out}/p.wav"
+sep = ["--win", "256", "--hop", "64"]
+commands = [
+    ["separate", mix, "--out-h", h, "--out-p", p, "--method", "prop", "--iters", "3", *sep],
+    ["separate", mix, "--out-h", f"{out}/mh.wav", "--out-p", f"{out}/mp.wav",
+     "--method", "mf", *sep],
+    ["eval", "--ref-h", f"{wavs}/ref_h.wav", "--ref-p", f"{wavs}/ref_p.wav",
+     "--est-h", h, "--est-p", p, "--filter-len", "8"],
+    ["bench", "--tracks", "1", "--duration", "0.5", "--sample-rate", "8000",
+     "--iters", "2", "--filter-len", "8"],
+    ["dump-spec", mix, "--out", f"{out}/if.bin", "--kind", "if", *sep],
+]
+print([main(argv, out=io.StringIO()) for argv in commands])
+"""
+        proc = run_python("-c", code, wav_dir, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0, 0, 0]\n", proc.stderr
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "h.wav", "if.bin", "mh.wav", "mp.wav", "p.wav"]
 
 
 class TestArgErrors:

@@ -164,15 +164,43 @@ class TestSingleGram:
 
     def test_one_toeplitz_per_reference_pair(self, rng, monkeypatch):
         calls = []
+        toeplitz_view = hpss.metrics._toeplitz
 
-        def counting(*args, **kwargs):
+        def counting(lags, flen):
             calls.append(1)
-            return toeplitz(*args, **kwargs)
+            return toeplitz_view(lags, flen)
 
-        monkeypatch.setattr(hpss.metrics, "toeplitz", counting)
+        monkeypatch.setattr(hpss.metrics, "_toeplitz", counting)
         ref_h, ref_p = orthogonal_stems(rng, n=2000)
         bss_eval(ref_h, ref_p, ref_h + 0.1 * ref_p, ref_p, filter_len=8)
         assert len(calls) == 3  # n_src (n_src + 1) / 2
+
+    @pytest.mark.parametrize("flen", [1, 2, 8, 512])
+    def test_gram_blocks_equal_scipy_toeplitz(self, rng, monkeypatch, flen):
+        # the joint Gram that bss_eval solves equals, byte for byte, the one
+        # assembled from scipy's Toeplitz blocks of the same lags
+        seen = []
+
+        def spy(fn):
+            def wrapper(*args):
+                seen.append((args, fn(*args)))
+                return seen[-1][1]
+            return wrapper
+
+        for name in ("_block_correlations", "_solve"):
+            monkeypatch.setattr(hpss.metrics, name, spy(getattr(hpss.metrics, name)))
+        ref_h, ref_p = orthogonal_stems(rng, n=2000)
+        ref_p += 0.3 * ref_h  # correlated references, so no block is zero
+        bss_eval(ref_h, ref_p, ref_h + 0.1 * ref_p, ref_p, filter_len=flen)
+        cc = seen[0][1]  # the lags
+        gram = seen[1][0][0]  # the first solve is the joint system
+        want = np.empty((2 * flen, 2 * flen))
+        for i in range(2):
+            for j in range(i + 1):
+                block = toeplitz(cc[i, j, flen - 1:], cc[i, j, flen - 1::-1])
+                want[i * flen:(i + 1) * flen, j * flen:(j + 1) * flen] = block
+                want[j * flen:(j + 1) * flen, i * flen:(i + 1) * flen] = block.T
+        assert gram.tobytes() == want.tobytes()
 
     def test_transform_budget(self, rng, monkeypatch):
         # 4000 samples at 32 taps: blocks of 962 samples in 1024-sample
