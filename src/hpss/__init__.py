@@ -18,7 +18,7 @@ from .phase import estimate_if
 from .pipeline import HpssConfig, load_config, parse_config_text, separate
 from .prox import SignalPair
 from .solver import HpssProblem, SolverDivergenceError, SolverParams, SolverTrace, run
-from .stft import Spectrogram, StftConfig, forward, make_config
+from .stft import StftConfig
 
 __all__ = [
     "EvalResult",
@@ -30,15 +30,12 @@ __all__ = [
     "SolverDivergenceError",
     "SolverParams",
     "SolverTrace",
-    "Spectrogram",
     "StftConfig",
     "bss_eval",
     "bss_eval_sources",
     "compute_weight",
     "estimate_if",
-    "forward",
     "load_config",
-    "make_config",
     "median_filter_hpss",
     "mf_separate",
     "parse_config_text",

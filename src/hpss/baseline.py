@@ -252,7 +252,5 @@ def compute_weight(mag: np.ndarray, kappa: float = 0.001) -> np.ndarray:
     peak = mag.max() if mag.size else 0.0
     if not np.isfinite(peak):  # a NaN or inf entry would spread to every weight
         raise ValueError(f"pre-estimate magnitudes must be finite, got a peak of {peak}")
-    if peak == 0.0:
-        return np.ones(mag.shape)
-    mag = np.divide(mag, peak, dtype=np.float64)
+    mag = np.divide(mag, peak or 1.0, dtype=np.float64)  # silence: kappa / kappa = 1
     return np.divide(kappa, np.maximum(kappa, mag, out=mag), out=mag)

@@ -25,7 +25,7 @@ from .pipeline import (
     with_values,
 )
 from .solver import SolverDivergenceError, SolverParams
-from .stft import forward, make_config, write_dump
+from .stft import StftConfig, StftPlan, write_dump
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 1
@@ -138,12 +138,13 @@ def _cmd_separate(args) -> int:
         if_source=IF_SOURCE_MIXTURE if oracle_path is None else IF_SOURCE_ORACLE,
         solver=replace(cfg.solver, record_trace=bool(args.trace)),
     )
+    config = cfg.stft()
     _check_out_dirs(("--out-h", args.out_h), ("--out-p", args.out_p), ("--trace", args.trace))
     oracle = None if oracle_path is None else read_wav(oracle_path)
 
     mixture = read_wav(args.input)
     if args.method == "mf":
-        pair = mf_separate(mixture, cfg.stft(), cfg.median)
+        pair = mf_separate(mixture, config, cfg.median)
     else:
         pair, trace = separate(mixture, cfg, oracle_h=oracle)
     write_wav(args.out_h, pair.harmonic, args.bit_depth)
@@ -192,6 +193,8 @@ def _cmd_eval(args, out) -> int:
 
 
 def _eval_rows(args):
+    if args.filter_len < 1:  # before any file is read
+        raise _ArgumentError(f"--filter-len must be >= 1, got {args.filter_len}")
     if args.manifest:
         with open(args.manifest, newline="") as fh:
             reader = csv.reader(fh)
@@ -249,11 +252,11 @@ def _cmd_bench(args, out) -> int:
 
 def _cmd_dump(args) -> int:
     _check_same_file((("the input", args.input),), (("--out", args.out),))
+    config = StftConfig(args.win, args.hop)
     _check_out_dirs(("--out", args.out))
     signal = read_wav(args.input)
-    config = make_config(args.win, args.hop)
     if args.kind == "spec":
-        data = forward(signal, config).data
+        data = StftPlan(config, signal.samples.size).forward(signal.samples)
     else:
         data = estimate_if(signal, config)
     write_dump(args.out, data, config)

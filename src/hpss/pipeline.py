@@ -19,7 +19,7 @@ from .baseline import MedianConfig, compute_weight, median_filter_hpss
 from .phase import estimate_if, if_from_spectra
 from .prox import SignalPair
 from .solver import HpssProblem, SolverParams, run
-from .stft import StftConfig, StftPlan, make_config
+from .stft import StftConfig, StftPlan
 
 REFERENCE_RMS = 2.0**-0.5
 
@@ -45,7 +45,7 @@ class HpssConfig:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
     def stft(self) -> StftConfig:
-        return make_config(self.win_len, self.hop)
+        return StftConfig(self.win_len, self.hop)
 
 
 def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
@@ -143,8 +143,8 @@ def parse_config_text(text: str, base: HpssConfig = HpssConfig()) -> HpssConfig:
     """Parse the flat key-value configuration format.
 
     One ``key = value`` pair per line, keys from ``CONFIG_KEYS``; '#'
-    starts a comment; every key is optional and missing keys keep the
-    defaults of ``base``.
+    starts a comment; every key is optional, may appear once, and missing
+    keys keep the defaults of ``base``.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -156,6 +156,8 @@ def parse_config_text(text: str, base: HpssConfig = HpssConfig()) -> HpssConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         try:
             values[key] = CONFIG_KEYS[key][2](val)
         except ValueError as exc:

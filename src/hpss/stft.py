@@ -76,9 +76,8 @@ class StftConfig:
         return -(-n_samples // self.hop)
 
 
-def make_config(win_len: int, hop: int) -> StftConfig:
-    """Standard configuration: canonical tight Hann analysis window."""
-    return StftConfig(win_len, hop)
+# kept for perfbench/workloads.py, its one remaining caller
+make_config = StftConfig
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hpss import Signal, make_config
+from hpss import Signal, StftConfig
 
 
 @pytest.fixture
@@ -12,12 +12,12 @@ def rng():
 @pytest.fixture
 def small_config():
     # desk-scale geometry used across the unit tests
-    return make_config(64, 16)
+    return StftConfig(64, 16)
 
 
 @pytest.fixture
 def bench_config():
-    return make_config(1024, 256)
+    return StftConfig(1024, 256)
 
 
 def sine_signal(freq_bin: float, n: int, win_len: int, rate: int = 16000,

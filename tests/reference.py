@@ -19,14 +19,9 @@ import struct
 
 import numpy as np
 
-from hpss import (
-    HpssProblem,
-    Spectrogram,
-    StftConfig,
-    forward,
-)
+from hpss import HpssProblem, StftConfig
 from hpss.audio_io import as_samples
-from hpss.stft import StftPlan
+from hpss.stft import Spectrogram, StftPlan, forward
 
 
 def model_layout(data) -> np.ndarray:

@@ -16,14 +16,13 @@ from hpss import (
     SolverParams,
     bss_eval,
     bss_eval_sources,
+    StftConfig,
     estimate_if,
-    forward,
-    make_config,
     run,
     separate,
 )
 from hpss.bench import run_bench
-from hpss.stft import StftPlan
+from hpss.stft import StftPlan, forward
 from hpss.synth import criterion_mixture, sine_tone
 
 from reference import (
@@ -48,7 +47,7 @@ def report(criterion: str, ok: bool, details: str):
 
 
 def test_criterion_01_tight_frame_identity():
-    config = make_config(4096, 1024)
+    config = StftConfig(4096, 1024)
     rng = np.random.default_rng(1)
     start = time.perf_counter()
     worst = 0.0
@@ -67,7 +66,7 @@ def test_criterion_01_tight_frame_identity():
 
 
 def test_criterion_02_adjoint_identities():
-    config = make_config(64, 16)
+    config = StftConfig(64, 16)
     rng = np.random.default_rng(2)
     n = 900
     n_frames = config.n_frames(n)
@@ -174,7 +173,7 @@ def test_criterion_03_prox_oracles():
 
 
 def test_criterion_04_if_estimator():
-    config = make_config(4096, 1024)
+    config = StftConfig(4096, 1024)
     n = 3 * 44100
     on = sine_tone(100.0 * 44100 / 4096, n, 44100, 0.4)
     v_on = estimate_if(on, config)
@@ -194,7 +193,7 @@ def test_criterion_04_if_estimator():
 
 
 def test_criterion_05_ipc_smoothness():
-    config = make_config(4096, 1024)
+    config = StftConfig(4096, 1024)
     n = 3 * 44100
     s = sine_tone(100.0 * 44100 / 4096, n, 44100, 0.3)
     spec = ipc_forward(s, estimate_if(s, config), config)
@@ -210,7 +209,7 @@ def test_criterion_05_ipc_smoothness():
 def test_criterion_06_constraint_invariant():
     # the reference iterates both parts, so its sum is not structural; run
     # iterates x_h alone (x_p = x - x_h) and must follow the reference's x_h
-    config = make_config(64, 16)
+    config = StftConfig(64, 16)
     gap = drift = 0.0
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
@@ -247,7 +246,7 @@ def test_criterion_06_constraint_invariant():
 
 
 def _desk_problem():
-    config = make_config(64, 16)
+    config = StftConfig(64, 16)
     rng = np.random.default_rng(0)
     n = 1000
     t = np.arange(n)

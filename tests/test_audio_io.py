@@ -13,10 +13,9 @@ from hpss import (
     HpssProblem,
     Signal,
     SolverParams,
+    StftConfig,
     bss_eval,
     estimate_if,
-    forward,
-    make_config,
     mf_separate,
     read_wav,
     run,
@@ -24,6 +23,7 @@ from hpss import (
     write_wav,
 )
 from hpss.pipeline import IF_SOURCE_ORACLE
+from hpss.stft import forward
 
 from reference import reference_wav_bytes
 
@@ -64,7 +64,7 @@ def test_non_finite_samples_rejected_at_the_boundary(entry, where, value):
     finite = np.random.default_rng(0).normal(size=1000)
     bad = finite.copy()
     bad[where] = value
-    config = make_config(64, 16)
+    config = StftConfig(64, 16)
     cfg = HpssConfig(win_len=64, hop=16, solver=SolverParams(n_iters=2))
     oracle = replace(cfg, if_source=IF_SOURCE_ORACLE)
     call = {
@@ -95,7 +95,7 @@ def test_empty_samples_rejected_at_the_boundary(entry, kind):
     finite = np.random.default_rng(0).normal(size=100)
     bad, message = {"empty": (np.zeros(0), "^expected a non-empty 1-D sample array$"),
                     "complex": (finite + 1j, "^samples must be real$")}[kind]
-    config = make_config(64, 16)
+    config = StftConfig(64, 16)
     cfg = HpssConfig(win_len=64, hop=16, solver=SolverParams(n_iters=2))
     shape = (config.n_frames(finite.size), config.n_bins)
     call = {

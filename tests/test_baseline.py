@@ -10,9 +10,8 @@ from hpss import (
     HpssConfig,
     MedianConfig,
     Signal,
+    StftConfig,
     compute_weight,
-    forward,
-    make_config,
     median_filter_hpss,
     mf_separate,
 )
@@ -27,6 +26,7 @@ from hpss.baseline import (
     _pruned_passes,
     _sort_network,
 )
+from hpss.stft import forward
 from hpss.synth import bench_corpus, criterion_mixture
 
 from conftest import sine_signal
@@ -381,7 +381,7 @@ class TestMfSeparate:
         from hpss.synth import bench_track
 
         x = bench_track(np.random.default_rng(0), 44100, 10.0).mixture
-        config = make_config(4096, 1024)
+        config = StftConfig(4096, 1024)
         unit = config.n_bins * config.n_frames(x.samples.size) * 16
         tracemalloc.start()
         try:
@@ -396,7 +396,7 @@ class TestMfSeparate:
 @pytest.fixture(scope="module")
 def corpus_mf_reference():
     x = bench_corpus(0, n_tracks=1)[0].mixture.samples
-    config = make_config(1024, 256)
+    config = StftConfig(1024, 256)
     return x, config, mf_separate(x, config).harmonic.samples
 
 
@@ -455,8 +455,12 @@ class TestComputeWeight:
         )
 
     def test_degenerate_all_zero(self):
-        weight = compute_weight(np.zeros((4, 4)))
-        np.testing.assert_array_equal(weight, 1.0)
+        # silence, a non-positive array whose peak is 0, and an empty array
+        # all divide by 1 and come out kappa / kappa = 1
+        for mag in (np.zeros((4, 4)), -np.arange(12.0).reshape(3, 4), np.zeros((0, 4))):
+            weight = compute_weight(mag)
+            assert weight.shape == mag.shape and weight.dtype == np.float64
+            np.testing.assert_array_equal(weight, 1.0)
 
     def test_kappa_validation(self):
         with pytest.raises(ValueError):

@@ -14,9 +14,8 @@ from hpss import (
     HpssConfig,
     Signal,
     SolverParams,
+    StftConfig,
     estimate_if,
-    forward,
-    make_config,
     read_wav,
     separate,
     write_wav,
@@ -24,7 +23,7 @@ from hpss import (
 from hpss.cli import (
     EXIT_BAD_ARGS, EXIT_DIVERGED, EXIT_IO, EXIT_OK, _build_parser, _separate_config, main,
 )
-from hpss.stft import read_dump
+from hpss.stft import StftPlan, read_dump
 from hpss.synth import bench_track
 
 
@@ -575,9 +574,9 @@ class TestDumpSpec:
         data, (k, t, win_len, hop) = read_dump(out)
         assert (k, win_len, hop) == (129, 256, 64)
         assert data.shape == (t, k)  # K x T on disk, frame-major in memory
-        np.testing.assert_array_equal(
-            data, forward(read_wav(wav_dir / "mix.wav"), make_config(256, 64)).data
-        )
+        samples = read_wav(wav_dir / "mix.wav").samples
+        expected = StftPlan(StftConfig(256, 64), samples.size).forward(samples)
+        np.testing.assert_array_equal(data, expected)
 
     def test_if_dump(self, wav_dir, tmp_path):
         out = tmp_path / "if.bin"
@@ -590,7 +589,7 @@ class TestDumpSpec:
         assert data.shape[1] == meta[0] == 129
         assert not np.iscomplexobj(data)
         np.testing.assert_array_equal(
-            data, estimate_if(read_wav(wav_dir / "mix.wav"), make_config(256, 64))
+            data, estimate_if(read_wav(wav_dir / "mix.wav"), StftConfig(256, 64))
         )
 
     @pytest.mark.parametrize("kind", ["spec", "if"])
@@ -599,7 +598,7 @@ class TestDumpSpec:
     ):
         # checked before the input is read, so no transform runs
         calls = []
-        for name in ("read_wav", "forward", "estimate_if"):
+        for name in ("read_wav", "StftPlan", "estimate_if"):
             monkeypatch.setattr(hpss.cli, name, lambda *a, name=name: calls.append(name))
         missing = tmp_path / "missing" / "d.bin"
         code, _ = run_cli(["dump-spec", str(wav_dir / "mix.wav"), "--out", str(missing),
@@ -747,3 +746,47 @@ class TestArgErrors:
     def test_separate_requires_outputs(self, wav_dir):
         code, _ = run_cli(["separate", str(wav_dir / "mix.wav")])
         assert code == EXIT_BAD_ARGS
+
+    @staticmethod
+    def check_rejected_unread(argv, tmp_path, capsys, monkeypatch, message):
+        # exit 1 with one error line, and no file read: a missing input would be exit 2
+        reads = []
+        monkeypatch.setattr(hpss.cli, "read_wav", reads.append)
+        code, out = run_cli(argv)
+        assert code == EXIT_BAD_ARGS and out == ""
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert reads == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--hop", "0"], "hop must lie in [1, win_len]"),
+        (["--win", "3"], "win_len must be an even integer >= 2"),
+        (["--win", "4096", "--hop", "3000"], "hop must divide win_len"),
+        (["--method", "mf", "--hop", "0"], "hop must lie in [1, win_len]"),
+        (["--if-source", "oracle:{tmp}/ref_h.wav", "--win", "3"],
+         "win_len must be an even integer >= 2"),
+    ], ids=["hop-0", "win-3", "hop-3000", "mf", "oracle"])
+    def test_separate_bad_geometry_before_any_read(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        argv = ["separate", f"{tmp_path}/missing.wav", "--out-h", f"{tmp_path}/h.wav",
+                "--out-p", f"{tmp_path}/p.wav", *(f.format(tmp=tmp_path) for f in flags)]
+        self.check_rejected_unread(argv, tmp_path, capsys, monkeypatch, message)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["spec", "if"])
+    def test_dump_spec_bad_geometry_before_any_read(self, tmp_path, capsys, monkeypatch, kind):
+        argv = ["dump-spec", f"{tmp_path}/missing.wav", "--out", f"{tmp_path}/d.bin",
+                "--win", "3", "--kind", kind]
+        self.check_rejected_unread(argv, tmp_path, capsys, monkeypatch,
+                                   "win_len must be an even integer >= 2")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["files", "manifest"])
+    def test_eval_filter_len_before_any_read(self, tmp_path, capsys, monkeypatch, mode):
+        if mode == "files":
+            inputs = [a for flag in ("--ref-h", "--ref-p", "--est-h", "--est-p")
+                      for a in (flag, f"{tmp_path}/{flag[2:]}.wav")]
+        else:
+            inputs = ["--manifest", f"{tmp_path}/missing.csv"]
+        self.check_rejected_unread(["eval", *inputs, "--filter-len", "0"], tmp_path, capsys,
+                                   monkeypatch, "--filter-len must be >= 1, got 0")

@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hpss import estimate_if, forward, make_config
+from hpss import StftConfig, estimate_if
 from hpss.phase import _IF_EPS, if_from_spectra
-from hpss.stft import StftPlan, read_dump, write_dump
+from hpss.stft import StftPlan, forward, read_dump, write_dump
 
 from conftest import sine_signal
 from reference import (
@@ -22,14 +22,14 @@ from reference import (
 
 class TestEstimateIf:
     def test_on_bin_sinusoid(self):
-        cfg = make_config(4096, 1024)
+        cfg = StftConfig(4096, 1024)
         s = sine_signal(100.0, 3 * 44100, 4096, rate=44100)
         v = estimate_if(s, cfg)
         interior = slice(8, v.shape[0] - 8)
         assert np.max(np.abs(v[interior, 100] - 100.0)) <= 0.01
 
     def test_off_bin_sinusoid(self):
-        cfg = make_config(4096, 1024)
+        cfg = StftConfig(4096, 1024)
         s = sine_signal(100.37, 3 * 44100, 4096, rate=44100)
         v = estimate_if(s, cfg)
         interior = slice(8, v.shape[0] - 8)
@@ -120,7 +120,7 @@ class TestIfFromSpectra:
         # estimate_if's and the substitute-and-select form's, byte for byte
         from hpss.synth import criterion_mixture
 
-        config = make_config(4096, 1024) if kind == "criterion-8" else make_config(64, 16)
+        config = StftConfig(4096, 1024) if kind == "criterion-8" else StftConfig(64, 16)
         x = {
             "silence": lambda: np.zeros(500),
             "length-1": lambda: np.array([0.3]),
@@ -230,7 +230,7 @@ class TestIpcOperators:
     def test_smoothness_on_sinusoid(self):
         # with its own estimated correction, the phase-corrected transform
         # of a steady tone is time-constant at the peak bin
-        cfg = make_config(4096, 1024)
+        cfg = StftConfig(4096, 1024)
         s = sine_signal(100.0, 3 * 44100, 4096, rate=44100)
         spec = ipc_forward(s, estimate_if(s, cfg), cfg)
         peak = spec.data[8:-8, 100]

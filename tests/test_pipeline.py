@@ -14,14 +14,13 @@ from hpss import (
     SolverParams,
     compute_weight,
     estimate_if,
-    forward,
     median_filter_hpss,
     mf_separate,
     run,
     separate,
 )
 from hpss.pipeline import CONFIG_KEYS, IF_SOURCE_ORACLE, parse_config_text, with_values
-from hpss.stft import Spectrogram, StftPlan
+from hpss.stft import Spectrogram, StftPlan, forward
 from hpss.synth import bench_track
 
 SMALL = HpssConfig(win_len=256, hop=64, solver=SolverParams(n_iters=25))
@@ -308,6 +307,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="bad value"):
             parse_config_text("iters = banana")
 
+    def test_parse_rejects_duplicate_key(self):
+        # a repeated key is an error, not a silent override of the first value
+        with pytest.raises(ValueError, match="^config line 3: duplicate key 'iters'$"):
+            parse_config_text("iters = 3\n# comment\niters = 5\n")
+
     def test_parse_rejects_missing_equals(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("just some words")
@@ -431,10 +435,14 @@ def test_public_names():
     assert sorted(hpss.__all__) == [
         "EvalResult", "HpssConfig", "HpssProblem", "MedianConfig", "Signal",
         "SignalPair", "SolverDivergenceError", "SolverParams", "SolverTrace",
-        "Spectrogram", "StftConfig", "bss_eval", "bss_eval_sources",
-        "compute_weight", "estimate_if", "forward", "load_config", "make_config",
-        "median_filter_hpss", "mf_separate", "parse_config_text", "read_wav", "run",
-        "separate", "write_wav",
+        "StftConfig", "bss_eval", "bss_eval_sources", "compute_weight",
+        "estimate_if", "load_config", "median_filter_hpss", "mf_separate",
+        "parse_config_text", "read_wav", "run", "separate", "write_wav",
     ]
     assert not hasattr(hpss, "build_correction")  # the solver builds its steps
+    # transforms go through StftConfig and StftPlan; the older wrappers stay in
+    # hpss.stft for callers outside the package
+    for name in ("Spectrogram", "forward", "make_config"):
+        assert not hasattr(hpss, name) and hasattr(hpss.stft, name), name
+    assert hpss.stft.make_config is hpss.StftConfig
     assert all(hasattr(hpss, name) for name in hpss.__all__)

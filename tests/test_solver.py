@@ -9,13 +9,12 @@ from hpss import (
     HpssProblem,
     SolverDivergenceError,
     SolverParams,
+    StftConfig,
     estimate_if,
-    forward,
-    make_config,
     run,
 )
 from hpss.solver import _corrected_diff, _corrected_diff_adjoint, _energy_overflows
-from hpss.stft import StftPlan
+from hpss.stft import StftPlan, forward
 
 from conftest import sine_signal
 from reference import (
@@ -183,7 +182,7 @@ class TestOpnorm:
     def test_dense_oracle(self, rng):
         # both branch norms from dense normal matrices on a 16/4 instance, for
         # random weights and corrections: the certificate dominates each
-        config = make_config(16, 4)
+        config = StftConfig(16, 4)
         n = 96
         shape = (config.n_frames(n), config.n_bins)
         eye = np.eye(n)
@@ -260,7 +259,7 @@ class TestCorrectedDiff:
 
     @pytest.mark.parametrize("n_frames", [1, 2, 7, 300])
     def test_matches_e_form(self, rng, n_frames):
-        config = make_config(16, 4)  # K = 9; v up to L/2 turns a step twice round
+        config = StftConfig(16, 4)  # K = 9; v up to L/2 turns a step twice round
         shape = (n_frames, config.n_bins)
         v = rng.uniform(0, 8, size=shape)
         steps, e = phase_steps(v, config), correction_matrix(v, config)  # K x T, the model's
@@ -405,7 +404,7 @@ class TestRun:
 
     def test_extreme_sparsity_collapses_percussive(self):
         # the percussive branch vanishes as the sparsity weight grows
-        config = make_config(64, 16)
+        config = StftConfig(64, 16)
         n = 512
         x = sine_signal(8.0, n, 64).samples
         x *= RHO0 / np.sqrt(np.mean(x**2))
@@ -429,7 +428,7 @@ class TestRun:
         # channel at the default iteration budget
         from hpss import mf_separate
 
-        config = make_config(4096, 1024)
+        config = StftConfig(4096, 1024)
         n = 2 * 44100
         x = sine_signal(100.0, n, 4096, rate=44100).samples
         x *= RHO0 / np.sqrt(np.mean(x**2))
@@ -507,7 +506,7 @@ class TestRun:
         # an exact stationary construction: steady on-bin tone, constant
         # frequency map, duals at their closed-form stationary values; one
         # iteration must not move it
-        config = make_config(64, 16)
+        config = StftConfig(64, 16)
         n = 512
         x = sine_signal(8.0, n, 64).samples
         shape = (config.n_frames(n), config.n_bins)
@@ -589,7 +588,7 @@ class TestEquivalence:
     def test_matches_two_variable_iteration_across_frame_blocks(self, rng):
         # T = 37 frames in blocks of B = 15 (T >= 2B + 1, T mod B != 0): the
         # carried frame of P and the look-ahead of P^* cross two block boundaries
-        config = make_config(4096, 512)
+        config = StftConfig(4096, 512)
         n = 512 * 37 - 100
         x = rng.normal(size=n)
         base = make_problem(x, config, rng)
@@ -623,7 +622,7 @@ class TestEquivalence:
         # c = alpha / (1 + mu2) scales each block of W P(F u) in the loop, so the
         # equivalence must hold away from the default alpha and mu2 too
         rng = np.random.default_rng(seed)
-        config = make_config(64, 16)
+        config = StftConfig(64, 16)
         x = rng.normal(size=300)
         weight = rng.uniform(0.001, 1.0, size=(config.n_frames(x.size), config.n_bins))
         bound = max(1.0, 4.0 * weight.max() ** 2)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpss import Signal, Spectrogram, forward, make_config
-from hpss.stft import StftConfig, StftPlan, read_dump, write_dump
+from hpss import Signal, StftConfig
+from hpss.stft import Spectrogram, StftPlan, forward, read_dump, write_dump
 
 from conftest import sine_signal
 from reference import bin_weights, spec_inner, spec_norm
@@ -102,15 +102,15 @@ class TestWindows:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_config(63, 16)  # odd length
+            StftConfig(63, 16)  # odd length
         with pytest.raises(ValueError):
-            make_config(64, 24)  # hop does not divide
-        cfg = make_config(64, 16)
+            StftConfig(64, 24)  # hop does not divide
+        cfg = StftConfig(64, 16)
         assert cfg.n_bins == 33
         assert cfg.n_frames(1000) == 63
 
     def test_bin_weights(self):
-        cfg = make_config(8, 4)
+        cfg = StftConfig(8, 4)
         np.testing.assert_allclose(bin_weights(cfg) * 8, [1, 2, 2, 2, 1])
 
     @pytest.mark.parametrize(
@@ -131,17 +131,17 @@ class TestConfig:
         assert cfg.deriv_window.tobytes() == deriv.tobytes()
 
     def test_equal_and_hash_by_geometry(self):
-        a, b = make_config(64, 16), make_config(64, 16)
+        a, b = StftConfig(64, 16), StftConfig(64, 16)
         assert a == b and hash(a) == hash(b)
-        assert a != make_config(64, 32)
-        assert len({a, b, make_config(64, 32)}) == 2
+        assert a != StftConfig(64, 32)
+        assert len({a, b, StftConfig(64, 32)}) == 2
         assert repr(a) == "StftConfig(win_len=64, hop=16)"
 
 
 class TestForward:
     def test_impulse_flat_spectrum(self):
         # impulse at the center of frame 0: flat magnitude for any window
-        cfg = make_config(16, 4)
+        cfg = StftConfig(16, 4)
         x = np.zeros(16)
         x[0] = 1.0
         spec = forward(x, cfg)
@@ -156,7 +156,7 @@ class TestForward:
         assert np.all(np.argmax(interior, axis=1) == 100)
 
     def test_matches_naive_dft(self, rng):
-        cfg = make_config(16, 4)
+        cfg = StftConfig(16, 4)
         x = rng.normal(size=50)
         fast = forward(x, cfg).data
         slow = naive_stft(x, cfg)
@@ -179,7 +179,7 @@ class TestForward:
 
 class TestAdjoint:
     def test_perfect_reconstruction(self, rng):
-        cfg = make_config(64, 16)
+        cfg = StftConfig(64, 16)
         for n in (17, 64, 777, 5000):
             x = rng.normal(size=n)
             plan = StftPlan(cfg, n)
@@ -280,7 +280,7 @@ class TestFrameMajorKernel:
         # tail outgrows a period, so the fold takes several steps. A forward after
         # an adjoint re-zeroes the padding the adjoint wrote
         win_len, hop = geometry
-        config = make_config(win_len, hop)
+        config = StftConfig(win_len, hop)
         n = hop * min(frames, 3 * win_len // hop) - cut % hop
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=n), rng.normal(size=n)
@@ -316,7 +316,7 @@ class TestFrameBlocks:
     @pytest.mark.parametrize("win_len, hop", GEOMETRIES)
     @pytest.mark.parametrize("frames", ["B-1", "B", "B+1", "2B+1"])
     def test_bit_identical_to_reference(self, rng, win_len, hop, frames):
-        config = make_config(win_len, hop)
+        config = StftConfig(win_len, hop)
         b = block_rows(config)
         n_frames = {"B-1": b - 1, "B": b, "B+1": b + 1, "2B+1": 2 * b + 1}[frames]
         n = hop * n_frames - 3  # a short last frame
@@ -328,9 +328,9 @@ class TestFrameBlocks:
 
     def test_block_from_bin_count(self):
         # 2**15 coefficients per block, capped at the frame count
-        assert block_rows(make_config(4096, 1024)) == 15
-        assert block_rows(make_config(1024, 256)) == 63
-        assert StftPlan(make_config(1024, 256), 256 * 10).block == 10
+        assert block_rows(StftConfig(4096, 1024)) == 15
+        assert block_rows(StftConfig(1024, 256)) == 63
+        assert StftPlan(StftConfig(1024, 256), 256 * 10).block == 10
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -341,7 +341,7 @@ class TestFrameBlocks:
     def test_plan_reuse_across_lengths(self, geometry, blocks, seed):
         # any length up to 3.5 blocks, twice through one plan
         win_len, hop = geometry
-        config = make_config(win_len, hop)
+        config = StftConfig(win_len, hop)
         n = max(1, int(blocks * block_rows(config) * hop))
         rng = np.random.default_rng(seed)
         plan = StftPlan(config, n)
@@ -362,7 +362,7 @@ class TestDump:
 
     def test_golden_bytes(self, tmp_path):
         # z and v are the K x T matrices on disk; the API takes and returns T x K
-        cfg = make_config(8, 2)
+        cfg = StftConfig(8, 2)
         z = np.array([[1.5 - 2j, 0.25j], [-3.0, 1e-300 + 7j]])
         v = np.array([[0.0, 1.0, 2.5], [4.0, -0.5, 3.25]])
         header = struct.pack("<QQQQ", 2, 2, 8, 2)
