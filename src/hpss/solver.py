@@ -21,6 +21,11 @@ of its own. Each transform is one sweep over the plan's frame blocks, and
 the steps on spectrogram-sized arrays run block by block inside it, on
 blocks in cache: P^*(W y_h) - y_p just before its inverse FFT, the dual
 steps and the trace's sums just after the forward FFT, all on T x K arrays.
+The plan's frame lanes run these block steps in parallel, each lane summing
+its own part of the trace; a lane's first frame of W P(F u) needs the
+previous lane's last frame of F(u), so its smooth-dual step waits for the
+join. The loop calls no BLAS routine: its sums of squares are einsums, since
+a BLAS call leaves an OpenBLAS thread spinning on the core a lane needs.
 The loop reads the weight in place and holds y_h unscaled, applying
 c = alpha / (1 + mu2) to each block of W P(F u) after the trace reads it. It
 keeps F(x), the steps g, the two duals, block scratch and the signals.
@@ -159,8 +164,8 @@ def run(problem: HpssProblem, x_h0):
 
     A mixture handed to ``run`` directly with energy near the float64 limit
     (|x| of about 1e150 or more) is reported as diverged: divergence is a
-    non-finite sample of x_h or an energy ``x_h @ x_h`` beyond the float64
-    range. ``separate`` normalizes its input, so it never is.
+    non-finite sample of x_h or an energy (sum of squares) of x_h beyond the
+    float64 range. ``separate`` normalizes its input, so it never is.
     """
     p = problem.params
     x_h = as_samples(x_h0)
@@ -212,15 +217,24 @@ def _corrected_diff_adjoint(y, g, w, t0, t1, out, scratch):
 
 
 def _energy_overflows(x: np.ndarray) -> bool:
-    """True iff ``x`` holds a non-finite sample or ``x @ x`` exceeds the float64
-    range; an overflowing or NaN product is the answer, not a warning."""
+    """True iff ``x`` holds a non-finite sample or its energy exceeds the float64
+    range; an overflowing or NaN sum is the answer, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return not math.isfinite(x @ x)
+        return not math.isfinite(_energy(x))
+
+
+def _energy(data: np.ndarray) -> float:
+    """Sum of squared magnitudes of a C-contiguous array, by einsum: a BLAS dot
+    here would leave an OpenBLAS thread spinning on the core another frame
+    lane needs."""
+    flat = data.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", flat, flat))
 
 
 def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     """The loop on frame-major (T x K) arrays, one sweep over the plan's frame
-    blocks per transform; fills the trace rows, returns x_h."""
+    blocks per transform, the plan's lanes in parallel; fills the trace rows,
+    returns x_h."""
     p = problem.params
     plan = StftPlan(problem.config, x_h.size)
     # the relaxed smooth-dual step is y_h <- (1 - alpha + c) y_h + c W P(F u)
@@ -234,48 +248,70 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     np.multiply(problem.v[:-1], phase, out=g[1:].imag)
     np.exp(g, out=g)
     y_h, y_p = np.zeros_like(fx), np.zeros_like(fx)
-    # block scratch with one frame of look-ahead, and the carried frame of P
-    a, scratch = (np.empty((plan.block + 1, fx.shape[1]), dtype=fx.dtype) for _ in range(2))
-    carry = np.empty(fx.shape[1], dtype=fx.dtype)
+    # per lane: block scratch with one frame of look-ahead, which the forward
+    # sweep leaves free for the carried frame of P and the lane's first frame of
+    # F(u), and the lane's (smooth, sparse) trace sums
+    n_lanes, n_bins = len(plan.lanes), fx.shape[1]
+    a, scratch = (np.empty((n_lanes, plan.lane_block + 1, n_bins), dtype=fx.dtype)
+                  for _ in range(2))
+    carry, head = a[:, -1], scratch[:, -1]
+    sums = np.zeros((n_lanes, 2))
 
-    def primal_residual(t0, t1):  # frames t0..t1-1 of P^*(W y_h) - y_p
-        block = _corrected_diff_adjoint(y_h, g, w, t0, t1, a, scratch)
+    def primal_residual(lane, t0, t1):  # frames t0..t1-1 of P^*(W y_h) - y_p
+        block = _corrected_diff_adjoint(y_h, g, w, t0, t1, a[lane], scratch[lane])
         block -= y_p[t0:t1]
         return block
+
+    def smooth_step(lane, frames, lu):  # y_h's relaxed Moreau step from W P(F u)
+        if rows is not None:
+            sums[lane, 0] += _energy(lu)
+        lu *= c
+        yh = y_h[frames]
+        yh *= 1.0 - p.alpha + c
+        yh += lu
+
+    def dual_steps(lane, t0, t1, fu):
+        frames = slice(t0, t1)
+        # percussive dual: frames of y_p + F(x) - F(u) projected onto the lam-ball
+        d = np.subtract(fx[frames], fu, out=a[lane, : t1 - t0])
+        if rows is not None:
+            sums[lane, 1] += float(np.sum(_frame_norms(d)))
+        d += y_p[frames]
+        d *= (p.alpha * p.lam / np.maximum(_frame_norms(d), p.lam))[:, None]
+        yp = y_p[frames]
+        yp *= 1.0 - p.alpha
+        yp += d
+
+        # smooth dual: z_h = y_h + W P(F u), Moreau step z_h / (1 + mu2); a lane's
+        # first frame waits for the previous lane's last one, so it is kept
+        first = t0 == plan.lanes[lane][0]
+        if first and lane:
+            head[lane] = fu[0]
+        lu = _corrected_diff(fu, g[frames], w[frames], carry[lane], first, fu, scratch[lane])
+        if first and lane:
+            frames, lu = slice(t0 + 1, t1), lu[1:]
+        smooth_step(lane, frames, lu)
 
     for it in range(p.n_iters):
         # primal: u = x_h - mu1 F^*(P^*(W y_h) - y_p), in the adjoint's output
         u = plan.adjoint_blocks(primal_residual)
         u *= -p.mu1
         u += x_h
-        smooth = sparse = 0.0  # the trace row scores u from the blocks of F(u)
-        for t0, t1, fu in plan.forward_blocks(u):
-            frames = slice(t0, t1)
-            # percussive dual: frames of y_p + F(x) - F(u) projected onto the lam-ball
-            d = np.subtract(fx[frames], fu, out=a[: t1 - t0])
-            if rows is not None:
-                sparse += float(np.sum(_frame_norms(d)))
-            d += y_p[frames]
-            d *= (p.alpha * p.lam / np.maximum(_frame_norms(d), p.lam))[:, None]
-            yp = y_p[frames]
-            yp *= 1.0 - p.alpha
-            yp += d
-
-            # smooth dual: z_h = y_h + W P(F u), Moreau step z_h / (1 + mu2)
-            lu = _corrected_diff(fu, g[frames], w[frames], carry, t0 == 0, fu, scratch)
-            if rows is not None:
-                smooth += float(np.vdot(lu, lu).real)
-            lu *= c
-            yh = y_h[frames]
-            yh *= 1.0 - p.alpha + c
-            yh += lu
+        sums[...] = 0.0  # the trace row scores u from the blocks of F(u)
+        plan.forward_blocks(u, dual_steps)
+        for lane, (t0, _) in enumerate(plan.lanes[1:], 1):
+            frames = slice(t0, t0 + 1)
+            lu = _corrected_diff(head[lane : lane + 1], g[frames], w[frames],
+                                 carry[lane - 1], False, head[lane : lane + 1], scratch[lane])
+            smooth_step(lane, frames, lu)
 
         # alpha (u + x_h) / 2 + (1 - alpha) x_h = x_h + step, in place in u
         step = u
         step -= x_h
         step *= 0.5 * p.alpha
         if rows is not None:  # x_p moves by -step
-            rows[it] = 0.5 * smooth, p.lam * sparse, np.sqrt(2.0) * np.linalg.norm(step)
+            smooth, sparse = sums.sum(axis=0)
+            rows[it] = 0.5 * smooth, p.lam * sparse, np.sqrt(2.0 * _energy(step))
         step += x_h
         if _energy_overflows(step):
             raise SolverDivergenceError(it + 1)

@@ -11,7 +11,10 @@ Coefficients are T x K, a row per frame; only dump files hold them K x T.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,20 +108,60 @@ class Spectrogram:
         return self.data.shape
 
 
+def _lane_count(n_frames: int, block: int) -> int:
+    """Frame lanes of a plan: one per core this process may run on, each of at
+    least two frame blocks (about 2**16 coefficients). A sweep of a few blocks
+    takes well under a millisecond, and a second lane gains nothing there:
+    waking it costs about as much, and it loses outright when its core is
+    shared, as with an OpenBLAS worker that spins after a BLAS call."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_frames // (2 * block)))
+
+
+_pool = None
+_pool_pid = None
+_pool_lock = threading.Lock()
+
+
+def _lane_pool() -> ThreadPoolExecutor:
+    """The pool that runs lanes 1.. of every plan: made on first use, and again
+    in a forked child, which inherits the pool but not its threads. A thread
+    starts only when a sweep finds none idle, so a plan of n lanes starts
+    n - 1 at most."""
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool_pid != os.getpid():
+            _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="hpss-lane")
+            _pool_pid = os.getpid()
+        return _pool
+
+
 class StftPlan:
     """Frame-major (T x K) forward/adjoint pair for signals of one length.
 
-    Both directions stream the frames in blocks of ``block`` rows, sized by
-    the bin count so a block holds about 2**15 coefficients. Both work on one
-    signal buffer: framing reads a strided view of it after the signal's
-    period is repeated over the frame tail, and the adjoint overlap-adds each
-    block's L/hop frame parts into it with one reshape-add each, then folds
-    the tail back onto the period. Beside that buffer the plan holds one
-    block x L real and one block x K complex scratch, so repeated transforms
-    of same-length signals allocate nothing but the outputs they are not
-    given. ``forward_blocks`` and ``adjoint_blocks`` are the sweeps, and a
-    plan runs one sweep at a time; ``forward`` and ``adjoint`` run them over
-    whole arrays.
+    The frames split into ``lanes``: contiguous ranges (t0, t1), one per core
+    this process may run on and each of at least two blocks of ``block``
+    rows, so a plan on one core, or of fewer than four blocks, has a single
+    lane and starts no thread. Lane 0 runs on the calling thread and the
+    others on a shared pool, each streaming its frames in blocks of
+    ``lane_block = ceil(block / lanes)`` rows, with ``block`` sized by the
+    bin count so that one block holds about 2**15 coefficients. Both
+    directions work on one signal buffer: framing reads a strided view of it
+    after the signal's period is repeated over the frame tail, and the
+    adjoint overlap-adds each block's L/hop frame parts into it with one
+    reshape-add each, then folds the tail back onto the period. Beside that
+    buffer the plan holds the lanes' shares of one block of real and one of
+    complex scratch, so repeated transforms of same-length signals allocate
+    nothing but the outputs they are not given. In the adjoint, which leaves
+    it idle, a lane's complex scratch keeps the lane's last L/hop - 1
+    windowed frames, whose parts reach the next lane (it grows to hold them
+    when they outnumber a lane block). ``forward_blocks`` and
+    ``adjoint_blocks`` are the sweeps, and a plan runs one sweep at a time;
+    ``forward`` and ``adjoint`` run them over whole arrays. Lanes change no
+    bit of either.
     """
 
     def __init__(self, config: StftConfig, n_samples: int):
@@ -128,13 +171,25 @@ class StftPlan:
         self.n_frames = config.n_frames(n_samples)
         self.n_pad = hop * self.n_frames
         self.block = max(1, min(self.n_frames, _BLOCK_COEFFS // config.n_bins))
+        n_lanes = _lane_count(self.n_frames, self.block)
+        self.lane_block = -(-self.block // n_lanes)
+        bounds = [k * self.n_frames // n_lanes for k in range(n_lanes + 1)]
+        self.lanes = list(zip(bounds[:-1], bounds[1:]))
         # x[k] sits at (k + L/2) mod n_pad of the padded frame-0-at-zero signal
         self._shift = (win_len // 2) % self.n_pad
         self._head = min(n_samples, self.n_pad - self._shift)
         self._pad = np.zeros(self.n_pad + win_len - hop)
         self._frames = np.lib.stride_tricks.sliding_window_view(self._pad, win_len)[::hop]
-        self._real = np.empty((self.block, win_len))
-        self._coeffs = np.empty((self.block, config.n_bins), dtype=np.complex128)
+        self._real = np.empty((n_lanes, self.lane_block, win_len))
+        # a lane's complex scratch doubles as its spill rows in the adjoint
+        spill_rows = [min(win_len // hop - 1, t1 - t0) for t0, t1 in self.lanes[:-1]]
+        coeff_words = 2 * self.lane_block * config.n_bins
+        words = max([coeff_words] + [rows * win_len for rows in spill_rows])
+        scratch = np.empty((n_lanes, words))
+        self._coeffs = scratch[:, :coeff_words].view(np.complex128).reshape(
+            n_lanes, self.lane_block, config.n_bins)
+        self._spill = [scratch[lane, : rows * win_len].reshape(rows, win_len)
+                       for lane, rows in enumerate(spill_rows)]
 
     def _extend(self) -> None:
         """Repeat pad[:n_pad] periodically over the frame tail."""
@@ -151,16 +206,45 @@ class StftPlan:
             period = pad[start : start + self.n_pad]
             pad[: period.size] += period
 
-    def _blocks(self):
-        """(t0, t1) of each frame block, first to last."""
-        return [(t0, min(t0 + self.block, self.n_frames))
-                for t0 in range(0, self.n_frames, self.block)]
+    def _blocks(self, lane: int):
+        """(t0, t1) of each frame block of ``lane``, first to last."""
+        start, stop = self.lanes[lane]
+        return [(t0, min(t0 + self.lane_block, stop))
+                for t0 in range(start, stop, self.lane_block)]
 
-    def forward_blocks(self, x: np.ndarray, window=None, out=None):
-        """Yield ``(t0, t1, coeffs)``, first block to last: frames t0..t1-1 of the
-        transform of the length-n signal ``x`` as a (t1 - t0) x K array. The
-        blocks are rows of ``out`` when it is given; otherwise they share one
-        scratch, which the next block overwrites."""
+    def _run_lanes(self, sweep) -> None:
+        """Run ``sweep(lane)`` for every lane: lane 0 on this thread, the others
+        on the pool, except that this thread also runs, in order, the lanes no
+        worker has started by the time its own lane is done (a worker woken on
+        a core that another thread holds can start milliseconds late). An
+        exception of any lane is raised once every lane has stopped."""
+        n_lanes = len(self.lanes)
+        if n_lanes == 1:
+            sweep(0)
+            return
+        pool = _lane_pool()
+        futures = [pool.submit(sweep, lane) for lane in range(1, n_lanes)]
+        try:
+            sweep(0)
+            for lane, future in enumerate(futures, 1):
+                if future.cancel():
+                    sweep(lane)
+        finally:
+            futures = [future for future in futures if not future.cancelled()]
+            wait(futures)
+        error = next(filter(None, (future.exception() for future in futures)), None)
+        if error is not None:
+            try:
+                raise error
+            finally:  # the traceback holds this frame: hold no reference back
+                futures = error = None
+
+    def forward_blocks(self, x: np.ndarray, block=None, window=None, out=None) -> None:
+        """Transform the length-n signal ``x`` frame block by frame block, calling
+        ``block(lane, t0, t1, coeffs)`` with frames t0..t1-1 as a (t1 - t0) x K
+        array, first to last within each lane and the lanes in parallel. The
+        blocks are rows of ``out`` when it is given; otherwise each lane's
+        blocks share its scratch, which its next block overwrites."""
         g = self.config.window if window is None else window
         s, m, n = self._shift, self._head, self.n_samples
         pad = self._pad
@@ -169,36 +253,68 @@ class StftPlan:
         pad[n - m : s] = 0.0  # the zero padding, which an adjoint may have written
         pad[s + m : self.n_pad] = 0.0
         self._extend()
-        for t0, t1 in self._blocks():
-            real = self._real[: t1 - t0]
-            np.multiply(self._frames[t0:t1], g, out=real)
-            coeffs = self._coeffs[: t1 - t0] if out is None else out[t0:t1]
-            yield t0, t1, np.fft.rfft(real, n=self.config.win_len, axis=1, out=coeffs)
+
+        def sweep(lane):
+            for t0, t1 in self._blocks(lane):
+                real = self._real[lane, : t1 - t0]
+                np.multiply(self._frames[t0:t1], g, out=real)
+                coeffs = self._coeffs[lane, : t1 - t0] if out is None else out[t0:t1]
+                np.fft.rfft(real, n=self.config.win_len, axis=1, out=coeffs)
+                if block is not None:
+                    block(lane, t0, t1, coeffs)
+
+        self._run_lanes(sweep)
 
     def forward(self, x: np.ndarray, window=None) -> np.ndarray:
         """T x K one-sided coefficients of the length-n signal ``x``."""
         out = np.empty((self.n_frames, self.config.n_bins), dtype=np.complex128)
-        for _ in self.forward_blocks(x, window, out):
-            pass
+        self.forward_blocks(x, window=window, out=out)
         return out
 
     def adjoint_blocks(self, coeffs) -> np.ndarray:
-        """Length-n signal from the T x K coefficients that ``coeffs(t0, t1)``
-        returns for frames t0..t1-1, as a (t1 - t0) x K array of any strides.
+        """Length-n signal from the T x K coefficients that ``coeffs(lane, t0,
+        t1)`` returns for frames t0..t1-1 of ``lane``, as a (t1 - t0) x K array
+        of any strides.
 
-        The blocks are asked for from the last to the first, each read before
-        the next is asked for, so every sample adds its frames in decreasing
-        order, as a whole-array overlap-add does.
+        Each lane asks for its blocks from the last to the first, each read
+        before the next is asked for, and overlap-adds the frame parts that
+        land in its own hop segments; its parts that land in later lanes'
+        segments wait in ``_spill`` and are added after every lane has
+        stopped, in ascending part order. So every sample adds its frames in
+        decreasing order, as a whole-array overlap-add does.
         """
         win_len, hop = self.config.win_len, self.config.hop
+        parts = win_len // hop
         pad = self._pad
         pad[self.n_pad :] = 0.0
-        for t0, t1 in reversed(self._blocks()):
-            u = self._inverse(coeffs(t0, t1))
-            pad[t0 * hop : t1 * hop].reshape(t1 - t0, hop)[...] = u[:, :hop]
-            for j in range(1, win_len // hop):
-                pad[(t0 + j) * hop : (t1 + j) * hop].reshape(t1 - t0, hop)[...] += u[
-                    :, j * hop : (j + 1) * hop
+        last = len(self.lanes) - 1
+
+        def sweep(lane):
+            # the last lane owns the frame tail; another holds frames base..stop-1
+            # in its spill rows
+            stop = self.lanes[lane][1] if lane < last else self.n_frames + parts
+            spill = self._spill[lane] if lane < last else None
+            base = stop - len(spill) if lane < last else stop
+            for t0, t1 in reversed(self._blocks(lane)):
+                u = self._inverse(lane, coeffs(lane, t0, t1))
+                pad[t0 * hop : t1 * hop].reshape(t1 - t0, hop)[...] = u[:, :hop]
+                for j in range(1, parts):
+                    t2 = min(t1, stop - j)  # frames whose part j lands before stop
+                    if t2 > t0:
+                        pad[(t0 + j) * hop : (t2 + j) * hop].reshape(t2 - t0, hop)[...] += u[
+                            : t2 - t0, j * hop : (j + 1) * hop
+                        ]
+                if t1 > base:
+                    first = max(t0, base)
+                    spill[first - base : t1 - base] = u[first - t0 :]
+
+        self._run_lanes(sweep)
+        for j in range(1, parts):
+            for (_, stop), spill in zip(self.lanes, self._spill):
+                base = stop - len(spill)
+                t0 = max(base, stop - j)  # frames whose part j lands at stop or later
+                pad[(t0 + j) * hop : (stop + j) * hop].reshape(stop - t0, hop)[...] += spill[
+                    t0 - base :, j * hop : (j + 1) * hop
                 ]
         self._fold()
         s, m, n = self._shift, self._head, self.n_samples
@@ -207,15 +323,16 @@ class StftPlan:
         out[m:] = pad[: n - m]
         return out
 
-    def _inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Windowed inverse FFT of a block of frames, in the real scratch."""
-        u = np.fft.irfft(coeffs, n=self.config.win_len, axis=1, out=self._real[: len(coeffs)])
+    def _inverse(self, lane: int, coeffs: np.ndarray) -> np.ndarray:
+        """Windowed inverse FFT of a block of frames, in the lane's real scratch."""
+        real = self._real[lane, : len(coeffs)]
+        u = np.fft.irfft(coeffs, n=self.config.win_len, axis=1, out=real)
         u *= self.config.window
         return u
 
     def adjoint(self, data: np.ndarray) -> np.ndarray:
         """Length-n signal from T x K coefficients (any strides)."""
-        return self.adjoint_blocks(lambda t0, t1: data[t0:t1])
+        return self.adjoint_blocks(lambda lane, t0, t1: data[t0:t1])
 
 
 def forward(x, config: StftConfig) -> Spectrogram:
@@ -250,6 +367,7 @@ def read_dump(path):
     body = np.frombuffer(raw, dtype="<f8", offset=40)
     if body.size != k * t * (1 + is_complex):
         raise ValueError(f"{path}: truncated dump payload")
-    body = np.ascontiguousarray(body.reshape(k, t, 1 + is_complex).swapaxes(0, 1))
-    data = body[..., 0] + 1j * body[..., 1] if is_complex else body[..., 0].copy()
+    if is_complex:  # a view keeps each part's bits, the sign of a zero included
+        body = body.view("<c16")
+    data = body.reshape(k, t).T.copy()  # C-contiguous and writeable
     return data, (int(k), int(t), int(win_len), int(hop))

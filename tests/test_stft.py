@@ -350,7 +350,162 @@ class TestFrameBlocks:
             assert_plan_bytes(plan, rng.normal(size=n), data)
 
 
+class TestLanes:
+    """Frame lanes run in parallel and change no bit of either transform."""
+
+    GEOMETRIES = [(4096, 1024), (1024, 256), (4096, 64)]
+
+    @staticmethod
+    def frame_counts(config):
+        # one 2-lane and one 3-lane block +-1 frame, and an odd count of
+        # several blocks per lane
+        b = block_rows(config)
+        return sorted({-(-b // 2) - 1, -(-b // 2) + 1, -(-b // 3) - 1, -(-b // 3) + 1,
+                       2 * b + 3})
+
+    @pytest.mark.parametrize("win_len, hop", GEOMETRIES)
+    def test_bytes_equal_across_lane_counts(self, rng, force_lanes, short_switch, win_len, hop):
+        config = StftConfig(win_len, hop)
+        for n_frames in self.frame_counts(config):
+            n = hop * n_frames - 3  # a short last frame
+            x = rng.normal(size=n)
+            data = rng.normal(size=(n_frames, config.n_bins)) * (1 - 2j)
+            got = {}
+            for lanes in (1, 2, 3):
+                force_lanes(lanes)
+                plan = StftPlan(config, n)
+                assert len(plan.lanes) == min(lanes, n_frames)
+                got[lanes] = [plan.forward(x, w).tobytes()
+                              for w in (config.window, config.deriv_window)]
+                got[lanes].append(plan.adjoint(data).tobytes())
+            assert got[2] == got[1] and got[3] == got[1], n_frames
+
+    def test_lane_count_rule(self, monkeypatch):
+        # one lane per usable core, each of at least two frame blocks of B = 15 rows
+        import os
+
+        config = StftConfig(4096, 1024)
+
+        def lanes(n_frames):
+            plan = StftPlan(config, 1024 * n_frames)
+            starts = [t0 for t0, _ in plan.lanes]
+            stops = [t1 for _, t1 in plan.lanes]
+            assert starts[0] == 0 and stops[-1] == n_frames and starts[1:] == stops[:-1]
+            assert plan.lane_block == -(-plan.block // len(plan.lanes))
+            return len(plan.lanes)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert [lanes(t) for t in (1, 59, 60, 89, 90, 119, 120, 200)] == [1, 1, 2, 2, 3, 3, 4, 4]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        assert lanes(200) == 1
+        # without affinity masks the core count stands in
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert lanes(200) == 3
+
+    def test_lane_zero_runs_on_the_calling_thread(self, monkeypatch, force_lanes, rng):
+        # the caller also runs every lane no worker has started when its own is
+        # done, and a single lane never touches the pool
+        import threading
+        from concurrent.futures import Future
+
+        import hpss.stft
+
+        class Stalled:
+            """A pool whose workers never start a lane."""
+
+            submitted = 0
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                return Future()
+
+        config = StftConfig(1024, 256)
+        n = 256 * 40
+        x = rng.normal(size=n)
+        data = rng.normal(size=(40, config.n_bins)) * (1 + 1j)
+        plan = StftPlan(config, n)
+        want = plan.forward(x).tobytes(), plan.adjoint(data).tobytes()
+        caller = threading.get_ident()
+        for lanes in (1, 2, 3):
+            force_lanes(lanes)
+            pool = Stalled()
+            monkeypatch.setattr(hpss.stft, "_lane_pool", lambda: pool)
+            plan = StftPlan(config, n)
+            threads = {}
+            plan.forward_blocks(
+                x, lambda lane, t0, t1, coeffs: threads.setdefault(lane, threading.get_ident()))
+            assert threads == dict.fromkeys(range(lanes), caller)
+            assert pool.submitted == lanes - 1
+            assert (plan.forward(x).tobytes(), plan.adjoint(data).tobytes()) == want
+
+    def test_workers_run_the_other_lanes(self, force_lanes, rng):
+        # lane 0 takes long enough for a worker to start lane 1 off this thread
+        import threading
+        import time
+
+        config = StftConfig(1024, 256)
+        n = 256 * 40
+        force_lanes(2)
+        threads = {}
+
+        def block(lane, t0, t1, coeffs):
+            threads.setdefault(lane, threading.get_ident())
+            if lane == 0:
+                time.sleep(0.05)
+
+        StftPlan(config, n).forward_blocks(rng.normal(size=n), block)
+        assert threads[0] == threading.get_ident() != threads[1]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_lane_exception_after_every_lane_stopped(self, force_lanes, rng, failing):
+        # a lane's exception reaches the caller once the other lane has run all
+        # its blocks, and the plan then transforms as a fresh one does
+        import time
+
+        config = StftConfig(1024, 256)
+        n = 256 * 100 - 5
+        force_lanes(2)
+        plan = StftPlan(config, n)
+        x = rng.normal(size=n)
+        data = rng.normal(size=(plan.n_frames, config.n_bins)) * (1 + 1j)
+        other = 1 - failing
+        want = [(t0, t1) for t0, t1 in plan._blocks(other)]
+
+        for sweep in ("forward", "adjoint"):
+            seen = []
+
+            def visit(lane, t0, t1):
+                if lane == failing:
+                    raise RuntimeError(f"lane {lane}")
+                time.sleep(0.01)
+                seen.append((t0, t1))
+                return data[t0:t1]
+
+            with pytest.raises(RuntimeError, match=f"^lane {failing}$"):
+                if sweep == "forward":
+                    plan.forward_blocks(x, lambda lane, t0, t1, coeffs: visit(lane, t0, t1))
+                else:
+                    plan.adjoint_blocks(visit)
+            assert sorted(seen) == want, sweep
+            fresh = StftPlan(config, n)
+            assert plan.forward(x).tobytes() == fresh.forward(x).tobytes()
+            assert plan.adjoint(data).tobytes() == fresh.adjoint(data).tobytes()
+
+
 class TestDump:
+    def test_round_trip_keeps_every_bit(self, tmp_path, small_config):
+        # signed zeros in either part, subnormals and non-finite values come
+        # back bit for bit, as do real dumps
+        parts = [0.0, -0.0, 1.5, -2.0, 5e-324, -np.inf, np.nan]
+        z = np.array([complex(a, b) for a in parts for b in parts]).reshape(7, 7)
+        for data in (z, z.real.copy(), z[:1]):
+            path = tmp_path / "d.bin"
+            write_dump(path, data, small_config)
+            got, _ = read_dump(path)
+            assert got.dtype == data.dtype and got.flags.c_contiguous and got.flags.writeable
+            assert got.tobytes() == data.tobytes()
+
     def test_round_trip(self, tmp_path, small_config, rng):
         spec = forward(rng.normal(size=500), small_config)
         path = tmp_path / "spec.bin"
