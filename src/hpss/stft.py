@@ -108,17 +108,23 @@ class Spectrogram:
         return self.data.shape
 
 
+# the most frame lanes a plan uses: two were measured (2 cores), and more
+# lanes have smaller blocks, which an earlier prototype saw run slower
+_MAX_LANES = 2
+
+
 def _lane_count(n_frames: int, block: int) -> int:
-    """Frame lanes of a plan: one per core this process may run on, each of at
-    least two frame blocks (about 2**16 coefficients). A sweep of a few blocks
-    takes well under a millisecond, and a second lane gains nothing there:
-    waking it costs about as much, and it loses outright when its core is
-    shared, as with an OpenBLAS worker that spins after a BLAS call."""
+    """Frame lanes of a plan: one per core this process may run on, at most
+    ``_MAX_LANES``, each of at least two frame blocks (about 2**16
+    coefficients). A sweep of a few blocks takes well under a millisecond, and
+    a second lane gains nothing there: waking it costs about as much, and it
+    loses outright when its core is shared, as with an OpenBLAS worker that
+    spins after a BLAS call."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         cores = os.cpu_count() or 1
-    return max(1, min(cores, n_frames // (2 * block)))
+    return max(1, min(_MAX_LANES, cores, n_frames // (2 * block)))
 
 
 _pool = None
@@ -127,14 +133,13 @@ _pool_lock = threading.Lock()
 
 
 def _lane_pool() -> ThreadPoolExecutor:
-    """The pool that runs lanes 1.. of every plan: made on first use, and again
-    in a forked child, which inherits the pool but not its threads. A thread
-    starts only when a sweep finds none idle, so a plan of n lanes starts
-    n - 1 at most."""
+    """The pool that runs lanes 1.. of every plan, ``_MAX_LANES - 1`` threads
+    started on demand: made on first use, and again in a forked child, which
+    inherits the pool but not its threads."""
     global _pool, _pool_pid
     with _pool_lock:
         if _pool_pid != os.getpid():
-            _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="hpss-lane")
+            _pool = ThreadPoolExecutor(_MAX_LANES - 1, thread_name_prefix="hpss-lane")
             _pool_pid = os.getpid()
         return _pool
 
@@ -143,9 +148,9 @@ class StftPlan:
     """Frame-major (T x K) forward/adjoint pair for signals of one length.
 
     The frames split into ``lanes``: contiguous ranges (t0, t1), one per core
-    this process may run on and each of at least two blocks of ``block``
-    rows, so a plan on one core, or of fewer than four blocks, has a single
-    lane and starts no thread. Lane 0 runs on the calling thread and the
+    this process may run on, at most two, and each of at least two blocks of
+    ``block`` rows, so a plan on one core, or of fewer than four blocks, has a
+    single lane and starts no thread. Lane 0 runs on the calling thread and the
     others on a shared pool, each streaming its frames in blocks of
     ``lane_block = ceil(block / lanes)`` rows, with ``block`` sized by the
     bin count so that one block holds about 2**15 coefficients. Both
@@ -154,11 +159,10 @@ class StftPlan:
     adjoint overlap-adds each block's L/hop frame parts into it with one
     reshape-add each, then folds the tail back onto the period. Beside that
     buffer the plan holds the lanes' shares of one block of real and one of
-    complex scratch, so repeated transforms of same-length signals allocate
-    nothing but the outputs they are not given. In the adjoint, which leaves
-    it idle, a lane's complex scratch keeps the lane's last L/hop - 1
-    windowed frames, whose parts reach the next lane (it grows to hold them
-    when they outnumber a lane block). ``forward_blocks`` and
+    complex scratch, and each lane but the last a spill array for its last
+    L/hop - 1 windowed frames, whose parts reach the next lane in the
+    adjoint; so repeated transforms of same-length signals allocate nothing
+    but the outputs they are not given. ``forward_blocks`` and
     ``adjoint_blocks`` are the sweeps, and a plan runs one sweep at a time;
     ``forward`` and ``adjoint`` run them over whole arrays. Lanes change no
     bit of either.
@@ -181,15 +185,9 @@ class StftPlan:
         self._pad = np.zeros(self.n_pad + win_len - hop)
         self._frames = np.lib.stride_tricks.sliding_window_view(self._pad, win_len)[::hop]
         self._real = np.empty((n_lanes, self.lane_block, win_len))
-        # a lane's complex scratch doubles as its spill rows in the adjoint
-        spill_rows = [min(win_len // hop - 1, t1 - t0) for t0, t1 in self.lanes[:-1]]
-        coeff_words = 2 * self.lane_block * config.n_bins
-        words = max([coeff_words] + [rows * win_len for rows in spill_rows])
-        scratch = np.empty((n_lanes, words))
-        self._coeffs = scratch[:, :coeff_words].view(np.complex128).reshape(
-            n_lanes, self.lane_block, config.n_bins)
-        self._spill = [scratch[lane, : rows * win_len].reshape(rows, win_len)
-                       for lane, rows in enumerate(spill_rows)]
+        self._coeffs = np.empty((n_lanes, self.lane_block, config.n_bins), dtype=np.complex128)
+        self._spill = [np.empty((min(win_len // hop - 1, t1 - t0), win_len))
+                       for t0, t1 in self.lanes[:-1]]
 
     def _extend(self) -> None:
         """Repeat pad[:n_pad] periodically over the frame tail."""

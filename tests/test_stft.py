@@ -381,7 +381,8 @@ class TestLanes:
             assert got[2] == got[1] and got[3] == got[1], n_frames
 
     def test_lane_count_rule(self, monkeypatch):
-        # one lane per usable core, each of at least two frame blocks of B = 15 rows
+        # one lane per usable core, at most two, each of at least two frame
+        # blocks of B = 15 rows, so a lane block never falls below ceil(B / 2)
         import os
 
         config = StftConfig(4096, 1024)
@@ -394,14 +395,19 @@ class TestLanes:
             assert plan.lane_block == -(-plan.block // len(plan.lanes))
             return len(plan.lanes)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        assert [lanes(t) for t in (1, 59, 60, 89, 90, 119, 120, 200)] == [1, 1, 2, 2, 3, 3, 4, 4]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert [lanes(t) for t in (1, 29, 59, 60, 200)] == [1, 1, 1, 2, 2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+        assert [lanes(t) for t in (59, 60, 90, 1292)] == [1, 2, 2, 2]
+        assert StftPlan(config, 1024 * 1292).lane_block == 8
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
         assert lanes(200) == 1
         # without affinity masks the core count stands in
         monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert lanes(200) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert lanes(200) == 3
+        assert lanes(200) == 2
 
     def test_lane_zero_runs_on_the_calling_thread(self, monkeypatch, force_lanes, rng):
         # the caller also runs every lane no worker has started when its own is
@@ -440,19 +446,22 @@ class TestLanes:
             assert (plan.forward(x).tobytes(), plan.adjoint(data).tobytes()) == want
 
     def test_workers_run_the_other_lanes(self, force_lanes, rng):
-        # lane 0 takes long enough for a worker to start lane 1 off this thread
+        # lane 0 waits until lane 1 has started, which only a worker can do
+        # while this thread waits
         import threading
-        import time
 
         config = StftConfig(1024, 256)
         n = 256 * 40
         force_lanes(2)
         threads = {}
+        started = threading.Event()
 
         def block(lane, t0, t1, coeffs):
             threads.setdefault(lane, threading.get_ident())
-            if lane == 0:
-                time.sleep(0.05)
+            if lane == 1:
+                started.set()
+            else:
+                assert started.wait(timeout=10.0)
 
         StftPlan(config, n).forward_blocks(rng.normal(size=n), block)
         assert threads[0] == threading.get_ident() != threads[1]
