@@ -73,6 +73,14 @@ def _caller_stacklevel() -> int:
     return level
 
 
+def _check_integers(obj, *names) -> None:
+    """Reject each named field of ``obj`` that is a bool or not an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _iter_chunks(data: bytes):
     pos = 12
     while pos + 8 <= len(data):

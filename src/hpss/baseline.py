@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import Signal, as_samples
+from .audio_io import Signal, _check_integers, as_samples
 from .prox import SignalPair
 from .stft import StftConfig, StftPlan
 
@@ -25,6 +25,7 @@ class MedianConfig:
     perc_kernel: int = 17
 
     def __post_init__(self):
+        _check_integers(self, "harm_kernel", "perc_kernel")
         for k in (self.harm_kernel, self.perc_kernel):
             if k < 3 or k % 2 == 0:
                 raise ValueError("median kernels must be odd and >= 3")

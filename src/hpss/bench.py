@@ -43,9 +43,9 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
         raise ValueError(f"filter_len must be >= 1, got {filter_len}")
     if filter_len > n_samples:
         raise ValueError(f"filter_len {filter_len} exceeds the track length {n_samples}")
-    if cfg is None:
-        cfg = HpssConfig(win_len=1024, hop=256)
+    cfg = HpssConfig(win_len=1024, hop=256) if cfg is None else cfg
     cfg = replace(cfg, solver=replace(cfg.solver, record_trace=bool(out_dir)))
+    config = cfg.stft()  # a bad STFT geometry fails before the corpus or out_dir is made
     tracks = bench_corpus(seed=seed, n_tracks=n_tracks,
                           sample_rate=sample_rate, duration=duration)
     if out_dir:
@@ -55,7 +55,7 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
     results = {m: [] for m in METHODS}
     for track in tracks:
         outputs = {
-            "mf": (mf_separate(track.mixture, cfg.stft(), cfg.median), None),
+            "mf": (mf_separate(track.mixture, config, cfg.median), None),
             "prop-mix": separate(track.mixture, cfg),
             "prop-ora": separate(track.mixture, replace(cfg, if_source=IF_SOURCE_ORACLE),
                                  oracle_h=track.harmonic),

@@ -21,11 +21,11 @@ of its own. Each transform is one sweep over the plan's frame blocks, and
 the steps on spectrogram-sized arrays run block by block inside it, on
 blocks in cache: P^*(W y_h) - y_p just before its inverse FFT, the dual
 steps and the trace's sums just after the forward FFT, all on T x K arrays.
-The plan's frame lanes run these block steps in parallel, each lane summing
-its own part of the trace; a lane's first frame of W P(F u) needs the
-previous lane's last frame of F(u), so its smooth-dual step waits for the
-join. The loop calls no BLAS routine: its sums of squares are einsums, since
-a BLAS call leaves an OpenBLAS thread spinning on the core a lane needs.
+Each forward block arrives with the frame of F(u) before it, so the block's
+W P(F u) and dual steps need no other block, and the plan's frame lanes run
+them in parallel, each lane summing its own part of the trace. The loop
+calls no BLAS routine: its sums of squares are einsums, since a BLAS call
+leaves an OpenBLAS thread spinning on the core a lane needs.
 The loop reads the weight in place and holds y_h unscaled, applying
 c = alpha / (1 + mu2) to each block of W P(F u) after the trace reads it. It
 keeps F(x), the steps g, the two duals, block scratch and the signals.
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import _caller_stacklevel, as_samples
+from .audio_io import _caller_stacklevel, _check_integers, as_samples
 from .stft import StftConfig, StftPlan
 
 
@@ -70,6 +70,7 @@ class SolverParams:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.alpha < 2.0):
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+        _check_integers(self, "n_iters")
         if self.n_iters < 0:
             raise ValueError("n_iters must be non-negative")
 
@@ -178,24 +179,11 @@ def run(problem: HpssProblem, x_h0):
     return x_h, SolverTrace(*np.ascontiguousarray(rows.T))
 
 
-def _corrected_diff(data, g, w, carry, first, out, scratch):
-    """out = w P(X) on one block of frames of X held in ``data``, with ``g`` and
-    ``w`` sliced to the block: P(X)[t] = X[t] - g[t] X[t-1], P(X)[0] = 0.
-
-    ``carry`` holds the frame before the block (unread for the ``first``
-    block) and is left holding the block's last frame, so consecutive blocks
-    chain. ``out`` may be ``data``; ``scratch`` has at least as many rows.
-    """
-    n = len(data)
-    np.multiply(g[1:], data[:-1], out=scratch[1:n])
-    if not first:
-        np.multiply(g[0], carry, out=scratch[0])
-    carry[...] = data[-1]
-    np.subtract(data[1:], scratch[1:n], out=out[1:])
-    if first:
-        out[0] = 0.0
-    else:
-        np.subtract(data[0], scratch[0], out=out[0])
+def _corrected_diff(data, g, w, out):
+    """out = w P(X) on frames t0..t1-1 from ``data``, frames t0-1..t1-1 of X,
+    with ``g``, ``w`` and ``out`` sliced to t0..t1-1; the caller sets P(X)[0] = 0."""
+    np.multiply(g, data[:-1], out=out)
+    np.subtract(data[1:], out, out=out)
     out *= w
     return out
 
@@ -203,12 +191,12 @@ def _corrected_diff(data, g, w, carry, first, out, scratch):
 def _corrected_diff_adjoint(y, g, w, t0, t1, out, scratch):
     """out[:t1 - t0] = P^*(w Y) on frames t0..t1-1 of the T x K arrays, where
     P^* multiplies by s[t] = conj(g[t+1]): reads frame t1 of Y and w, one frame
-    of look-ahead. ``out`` and ``scratch`` have at least t1 - t0 + 1 rows."""
+    of look-ahead. ``out`` has at least t1 - t0 + 1 rows, ``scratch`` t1 - t0."""
     t2 = min(t1 + 1, len(y))
     m = t2 - t0
     z = out[:m]
     np.multiply(y[t0:t2], w[t0:t2], out=z)
-    s = np.conjugate(g[t0 + 1 : t2], out=scratch[1:m])  # ~1/3 the cost of z / g
+    s = np.conjugate(g[t0 + 1 : t2], out=scratch[: m - 1])  # ~1/3 the cost of z / g
     s *= z[1:]
     if t0 == 0:
         z[0] = 0.0
@@ -248,13 +236,10 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     np.multiply(problem.v[:-1], phase, out=g[1:].imag)
     np.exp(g, out=g)
     y_h, y_p = np.zeros_like(fx), np.zeros_like(fx)
-    # per lane: block scratch with one frame of look-ahead, which the forward
-    # sweep leaves free for the carried frame of P and the lane's first frame of
-    # F(u), and the lane's (smooth, sparse) trace sums
+    # per lane: block scratch (``a`` with a frame of look-ahead) and trace sums
     n_lanes, n_bins = len(plan.lanes), fx.shape[1]
-    a, scratch = (np.empty((n_lanes, plan.lane_block + 1, n_bins), dtype=fx.dtype)
-                  for _ in range(2))
-    carry, head = a[:, -1], scratch[:, -1]
+    a = np.empty((n_lanes, plan.lane_block + 1, n_bins), dtype=fx.dtype)
+    scratch = np.empty((n_lanes, plan.lane_block, n_bins), dtype=fx.dtype)
     sums = np.zeros((n_lanes, 2))
 
     def primal_residual(lane, t0, t1):  # frames t0..t1-1 of P^*(W y_h) - y_p
@@ -262,18 +247,10 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
         block -= y_p[t0:t1]
         return block
 
-    def smooth_step(lane, frames, lu):  # y_h's relaxed Moreau step from W P(F u)
-        if rows is not None:
-            sums[lane, 0] += _energy(lu)
-        lu *= c
-        yh = y_h[frames]
-        yh *= 1.0 - p.alpha + c
-        yh += lu
-
-    def dual_steps(lane, t0, t1, fu):
+    def dual_steps(lane, t0, t1, fu):  # fu holds frames t0-1..t1-1 of F(u)
         frames = slice(t0, t1)
         # percussive dual: frames of y_p + F(x) - F(u) projected onto the lam-ball
-        d = np.subtract(fx[frames], fu, out=a[lane, : t1 - t0])
+        d = np.subtract(fx[frames], fu[1:], out=a[lane, : t1 - t0])
         if rows is not None:
             sums[lane, 1] += float(np.sum(_frame_norms(d)))
         d += y_p[frames]
@@ -282,15 +259,16 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
         yp *= 1.0 - p.alpha
         yp += d
 
-        # smooth dual: z_h = y_h + W P(F u), Moreau step z_h / (1 + mu2); a lane's
-        # first frame waits for the previous lane's last one, so it is kept
-        first = t0 == plan.lanes[lane][0]
-        if first and lane:
-            head[lane] = fu[0]
-        lu = _corrected_diff(fu, g[frames], w[frames], carry[lane], first, fu, scratch[lane])
-        if first and lane:
-            frames, lu = slice(t0 + 1, t1), lu[1:]
-        smooth_step(lane, frames, lu)
+        # smooth dual: z_h = y_h + W P(F u), Moreau step z_h / (1 + mu2)
+        lu = _corrected_diff(fu, g[frames], w[frames], d)
+        if t0 == 0:
+            lu[0] = 0.0  # P(X)[0] = 0
+        if rows is not None:
+            sums[lane, 0] += _energy(lu)
+        lu *= c
+        yh = y_h[frames]
+        yh *= 1.0 - p.alpha + c
+        yh += lu
 
     for it in range(p.n_iters):
         # primal: u = x_h - mu1 F^*(P^*(W y_h) - y_p), in the adjoint's output
@@ -299,11 +277,6 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
         u += x_h
         sums[...] = 0.0  # the trace row scores u from the blocks of F(u)
         plan.forward_blocks(u, dual_steps)
-        for lane, (t0, _) in enumerate(plan.lanes[1:], 1):
-            frames = slice(t0, t0 + 1)
-            lu = _corrected_diff(head[lane : lane + 1], g[frames], w[frames],
-                                 carry[lane - 1], False, head[lane : lane + 1], scratch[lane])
-            smooth_step(lane, frames, lu)
 
         # alpha (u + x_h) / 2 + (1 - alpha) x_h = x_h + step, in place in u
         step = u

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import as_samples
+from .audio_io import _check_integers, as_samples
 
 # dump magic by payload kind: complex (re/im interleaved) or real
 _DUMP_MAGIC = {True: b"HPSSSPC1", False: b"HPSSIFM1"}
@@ -49,6 +49,7 @@ class StftConfig:
     deriv_window: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_integers(self, "win_len", "hop")
         if self.win_len < 2 or self.win_len % 2 != 0:
             raise ValueError("win_len must be an even integer >= 2")
         if not (1 <= self.hop <= self.win_len):
@@ -158,14 +159,16 @@ class StftPlan:
     after the signal's period is repeated over the frame tail, and the
     adjoint overlap-adds each block's L/hop frame parts into it with one
     reshape-add each, then folds the tail back onto the period. Beside that
-    buffer the plan holds the lanes' shares of one block of real and one of
-    complex scratch, and each lane but the last a spill array for its last
-    L/hop - 1 windowed frames, whose parts reach the next lane in the
-    adjoint; so repeated transforms of same-length signals allocate nothing
-    but the outputs they are not given. ``forward_blocks`` and
-    ``adjoint_blocks`` are the sweeps, and a plan runs one sweep at a time;
-    ``forward`` and ``adjoint`` run them over whole arrays. Lanes change no
-    bit of either.
+    buffer the plan holds each lane's block scratch, real and complex (the
+    latter a row longer, for the frame before a block), and each lane but
+    the last a spill array for its last L/hop - 1 windowed frames, whose
+    parts reach the next lane in the adjoint; so repeated transforms of
+    same-length signals allocate nothing but the outputs they are not given.
+    ``forward_blocks`` and ``adjoint_blocks`` are the sweeps, and a plan runs
+    one sweep at a time; ``forward`` and ``adjoint`` run them over whole
+    arrays. Lanes change no bit of either. A forward block reaches its
+    callback with the frame before it, which costs each lane after the first
+    one extra frame per sweep (1 of 216 on the criterion-8 problem).
     """
 
     def __init__(self, config: StftConfig, n_samples: int):
@@ -185,7 +188,7 @@ class StftPlan:
         self._pad = np.zeros(self.n_pad + win_len - hop)
         self._frames = np.lib.stride_tricks.sliding_window_view(self._pad, win_len)[::hop]
         self._real = np.empty((n_lanes, self.lane_block, win_len))
-        self._coeffs = np.empty((n_lanes, self.lane_block, config.n_bins), dtype=np.complex128)
+        self._coeffs = np.empty((n_lanes, self.lane_block + 1, config.n_bins), dtype=complex)
         self._spill = [np.empty((min(win_len // hop - 1, t1 - t0), win_len))
                        for t0, t1 in self.lanes[:-1]]
 
@@ -238,11 +241,12 @@ class StftPlan:
                 futures = error = None
 
     def forward_blocks(self, x: np.ndarray, block=None, window=None, out=None) -> None:
-        """Transform the length-n signal ``x`` frame block by frame block, calling
-        ``block(lane, t0, t1, coeffs)`` with frames t0..t1-1 as a (t1 - t0) x K
-        array, first to last within each lane and the lanes in parallel. The
-        blocks are rows of ``out`` when it is given; otherwise each lane's
-        blocks share its scratch, which its next block overwrites."""
+        """Transform the length-n signal ``x`` block by block into the rows of
+        ``out``, or else call ``block(lane, t0, t1, coeffs)`` with frames
+        t0-1..t1-1 as a read-only (t1 - t0 + 1) x K array, zeros for frame -1:
+        first to last within each lane, the lanes in parallel. A lane's blocks
+        share its scratch, each block's last row moving to row 0 for the next,
+        and a later lane's first block transforms frame t0-1 too."""
         g = self.config.window if window is None else window
         s, m, n = self._shift, self._head, self.n_samples
         pad = self._pad
@@ -252,14 +256,27 @@ class StftPlan:
         pad[s + m : self.n_pad] = 0.0
         self._extend()
 
+        def transform(lane, t0, t1, coeffs):  # frames t0..t1-1 into coeffs
+            real = self._real[lane, : t1 - t0]
+            np.multiply(self._frames[t0:t1], g, out=real)
+            np.fft.rfft(real, n=self.config.win_len, axis=1, out=coeffs)
+
         def sweep(lane):
+            scratch = self._coeffs[lane]
+            view = scratch.view()
+            view.flags.writeable = False
             for t0, t1 in self._blocks(lane):
-                real = self._real[lane, : t1 - t0]
-                np.multiply(self._frames[t0:t1], g, out=real)
-                coeffs = self._coeffs[lane, : t1 - t0] if out is None else out[t0:t1]
-                np.fft.rfft(real, n=self.config.win_len, axis=1, out=coeffs)
-                if block is not None:
-                    block(lane, t0, t1, coeffs)
+                if out is not None:
+                    transform(lane, t0, t1, out[t0:t1])
+                    continue
+                if t0 == 0:
+                    scratch[0] = 0.0
+                elif t0 == self.lanes[lane][0]:  # a later lane's first block
+                    transform(lane, t0 - 1, t0, scratch[:1])
+                else:  # the last row of the lane's previous (full) block
+                    scratch[0] = scratch[self.lane_block]
+                transform(lane, t0, t1, scratch[1 : t1 - t0 + 1])
+                block(lane, t0, t1, view[: t1 - t0 + 1])
 
         self._run_lanes(sweep)
 

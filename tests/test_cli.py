@@ -535,6 +535,16 @@ class TestBench:
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
 
+    def test_bad_geometry_fails_before_the_out_dir_is_made(self, tmp_path, monkeypatch,
+                                                            capsys):
+        monkeypatch.setattr(hpss.bench, "bench_corpus", None)  # never reached
+        out_dir = tmp_path / "d"
+        code, out = run_cli(["bench", "--win", "3", "--out-dir", str(out_dir)])
+        assert code == EXIT_BAD_ARGS and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: win_len must be") and len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_filter_len_checked_before_any_separation(self, monkeypatch):
         calls = []
 

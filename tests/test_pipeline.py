@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import hpss.pipeline
 from hpss import (
     HpssConfig,
+    MedianConfig,
     Signal,
     SolverParams,
+    StftConfig,
     compute_weight,
     estimate_if,
     median_filter_hpss,
@@ -321,6 +323,25 @@ class TestConfigParsing:
             HpssConfig(if_source="nope")
         with pytest.raises(ValueError):
             HpssConfig(kappa=-1.0)
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda v: StftConfig(v, 64), "win_len"),
+            (lambda v: StftConfig(256, v), "hop"),
+            (lambda v: SolverParams(n_iters=v), "n_iters"),
+            (lambda v: MedianConfig(v, 17), "harm_kernel"),
+            (lambda v: MedianConfig(17, v), "perc_kernel"),
+        ],
+        ids=["win_len", "hop", "n_iters", "harm_kernel", "perc_kernel"],
+    )
+    def test_integer_fields_take_only_integers(self, make, name):
+        # an integral float, a fraction, a bool, a string: each fails at
+        # construction and names its field; numpy integers pass
+        for value in (17.0, 2.5, True, np.bool_(True), "17"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                make(value)
+        make(np.int64(256) if name == "win_len" else np.int32(17 if "kernel" in name else 64))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
     def test_non_finite_kappa_rejected(self, value):

@@ -278,13 +278,13 @@ class TestCorrectedDiff:
             starts = range(0, n_frames, block)
             scratch = np.empty((block + 1, shape[1]), dtype=complex)
             fwd, adj = np.empty_like(g), np.empty_like(g)
-            carry = np.empty(shape[1], dtype=complex)
-            for t0 in starts:  # carrying the frame before each block
+            for t0 in starts:  # each block with the frame before it, zeros before frame 0
                 t1 = min(t0 + block, n_frames)
-                frames = x[t0:t1].copy()
-                _corrected_diff(frames, g[t0:t1], c * w[t0:t1], carry, t0 == 0,
-                                frames, scratch)
-                fwd[t0:t1] = frames
+                frames = np.zeros((t1 - t0 + 1, shape[1]), dtype=complex)
+                frames[t0 == 0 :] = x[max(t0 - 1, 0) : t1]
+                _corrected_diff(frames, g[t0:t1], c * w[t0:t1], fwd[t0:t1])
+                if t0 == 0:
+                    fwd[0] = 0.0
             out = np.empty_like(scratch)
             for t0 in reversed(starts):  # reading one frame ahead of each block
                 t1 = min(t0 + block, n_frames)
@@ -643,19 +643,21 @@ class TestEquivalence:
             np.testing.assert_allclose(col, ref, rtol=1e-10, atol=floor)
 
     @pytest.mark.parametrize(
-        "n_iters, mu1",
+        "n_iters, mu1, lanes",
         [
-            pytest.param(0, 1.0, id="0"),
-            pytest.param(7, 1.0, id="7"),
-            pytest.param(7, 2.0, id="7-mu1=2"),  # above the certificate: same count
+            pytest.param(0, 1.0, 1, id="0"),
+            pytest.param(7, 1.0, 1, id="7"),
+            pytest.param(7, 2.0, 1, id="7-mu1=2"),  # above the certificate: same count
+            pytest.param(7, 1.0, 2, id="7-2-lanes"),
         ],
     )
     @pytest.mark.filterwarnings("ignore:step-size product")
     def test_two_transforms_per_iteration(
-        self, small_config, rng, monkeypatch, n_iters, mu1
+        self, small_config, rng, monkeypatch, force_lanes, n_iters, mu1, lanes
     ):
         import hpss.stft
 
+        force_lanes(lanes)
         x = desk_mixture()
         params = SolverParams(mu1=mu1, n_iters=n_iters)
         prob = make_problem(x, small_config, rng, params=params)
@@ -678,11 +680,12 @@ class TestEquivalence:
             counted("spectrogram", post_init, False),
         )
         run(prob, np.zeros(x.size))
-        # with the trace on too, F(x) is the only transform outside the loop
+        # with the trace on too, F(x) is the only transform outside the loop; each
+        # lane after the first also transforms the frame before its first block
         extra = 1 if n_iters else 0
         n_frames = small_config.n_frames(x.size)
         expected = {
-            "forward": (n_iters + extra) * n_frames,
+            "forward": n_iters * (n_frames + lanes - 1) + extra * n_frames,
             "adjoint": n_iters * n_frames,
             "spectrogram": 0,
         }

@@ -380,6 +380,29 @@ class TestLanes:
                 got[lanes].append(plan.adjoint(data).tobytes())
             assert got[2] == got[1] and got[3] == got[1], n_frames
 
+    @pytest.mark.parametrize("win_len, hop", GEOMETRIES)
+    def test_blocks_arrive_with_the_frame_before(self, rng, force_lanes, short_switch,
+                                                 win_len, hop):
+        # a callback's read-only rows hold frames t0-1..t1-1 of the whole-array
+        # transform, zeros before frame 0, however the frames split into lanes
+        config = StftConfig(win_len, hop)
+        for n_frames in self.frame_counts(config):
+            n = hop * n_frames - 3
+            x = rng.normal(size=n)
+            want = StftPlan(config, n).forward(x)
+            before = np.vstack((np.zeros((1, config.n_bins)), want))  # row t is frame t-1
+            for lanes in (1, 2, 3):
+                force_lanes(lanes)
+                seen = []
+
+                def block(lane, t0, t1, coeffs):
+                    assert not coeffs.flags.writeable
+                    seen.append((t0, t1))
+                    assert coeffs.tobytes() == before[t0 : t1 + 1].tobytes(), (t0, t1)
+
+                StftPlan(config, n).forward_blocks(x, block)
+                assert sorted(seen)[0][0] == 0 and sum(t1 - t0 for t0, t1 in seen) == n_frames
+
     def test_lane_count_rule(self, monkeypatch):
         # one lane per usable core, at most two, each of at least two frame
         # blocks of B = 15 rows, so a lane block never falls below ceil(B / 2)
