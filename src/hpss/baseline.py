@@ -201,6 +201,17 @@ def _median_shrink(mag: np.ndarray, kernel: int, axis: int) -> np.ndarray:
     return out
 
 
+def _magnitude_peak(mag: np.ndarray, what: str):
+    """The largest entry of a non-empty real magnitude array. A NaN or inf
+    entry would spread to every output through the peak, and a negative one
+    is no magnitude: either raises ``ValueError``."""
+    peak, low = mag.max(), mag.min()
+    if not (np.isfinite(peak) and low >= 0.0):  # NaN fails both
+        raise ValueError(f"{what} must be finite and non-negative, got entries in "
+                         f"[{low}, {peak}]")
+    return peak
+
+
 def median_filter_hpss(mag: np.ndarray, mc: MedianConfig = MedianConfig()) -> np.ndarray:
     """Soft harmonic mask of the T x K mixture magnitudes |X|, a real T x K array.
 
@@ -209,15 +220,16 @@ def median_filter_hpss(mag: np.ndarray, mc: MedianConfig = MedianConfig()) -> np
     max|X| in the two medians' own buffers, with the 0/0 case mapped to 0.5.
     The soft-masked harmonic spectrogram is mask * X.
     """
+    mag = np.asarray(mag)
     if np.iscomplexobj(mag):
         raise ValueError("median_filter_hpss takes the magnitudes |X|, not complex coefficients")
     if mag.size == 0:
         raise ValueError("empty spectrogram")
-    num = _median_shrink(mag, mc.harm_kernel, axis=0)
-    den = _median_shrink(mag, mc.perc_kernel, axis=1)
     # no median exceeds the peak, so the scaled squares neither overflow nor
     # depend on the input's gain; silence keeps scale 1
-    scale = mag.max() or 1.0
+    scale = _magnitude_peak(mag, "magnitudes |X|") or 1.0
+    num = _median_shrink(mag, mc.harm_kernel, axis=0)
+    den = _median_shrink(mag, mc.perc_kernel, axis=1)
     for a in (num, den):
         a /= scale
         np.square(a, out=a)
@@ -248,10 +260,9 @@ def compute_weight(mag: np.ndarray, kappa: float = 0.001) -> np.ndarray:
     """
     if not 0.0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    mag = np.asarray(mag)
     if np.iscomplexobj(mag):
         raise ValueError("compute_weight takes harmonic magnitudes, not complex coefficients")
-    peak = mag.max() if mag.size else 0.0
-    if not np.isfinite(peak):  # a NaN or inf entry would spread to every weight
-        raise ValueError(f"pre-estimate magnitudes must be finite, got a peak of {peak}")
+    peak = _magnitude_peak(mag, "pre-estimate magnitudes") if mag.size else 0.0
     mag = np.divide(mag, peak or 1.0, dtype=np.float64)  # silence: kappa / kappa = 1
     return np.divide(kappa, np.maximum(kappa, mag, out=mag), out=mag)

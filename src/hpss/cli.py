@@ -120,10 +120,11 @@ def _separate_config(args) -> HpssConfig:
 
 def _cmd_separate(args) -> int:
     oracle_path = None
-    if args.if_source.startswith("oracle:"):
+    source, _, path = args.if_source.partition(":")
+    if source == "oracle" and path:
         if args.method == "mf":
             raise _ArgumentError("an oracle --if-source needs --method prop; mf uses no IF")
-        oracle_path = args.if_source.split(":", 1)[1]
+        oracle_path = path
     elif args.if_source != "mix":
         raise _ArgumentError(f"bad --if-source value: {args.if_source!r}")
     if args.trace and args.method == "mf":
@@ -195,7 +196,12 @@ def _cmd_eval(args, out) -> int:
 def _eval_rows(args):
     if args.filter_len < 1:  # before any file is read
         raise _ArgumentError(f"--filter-len must be >= 1, got {args.filter_len}")
+    stems = {"--ref-h": args.ref_h, "--ref-p": args.ref_p,  # in bss_eval's order
+             "--est-h": args.est_h, "--est-p": args.est_p}
     if args.manifest:
+        given = [flag for flag, path in stems.items() if path is not None]
+        if given:  # the manifest's rows name every stem, so a stem flag would go unread
+            raise _ArgumentError(f"--manifest cannot be combined with {', '.join(given)}")
         with open(args.manifest, newline="") as fh:
             reader = csv.reader(fh)
             entries = [(reader.line_num, [cell.strip() for cell in row])
@@ -218,10 +224,9 @@ def _eval_rows(args):
         yield EvalResult.mean(results).row("mean", "file")
         return
 
-    required = (args.ref_h, args.ref_p, args.est_h, args.est_p)
-    if any(path is None for path in required):
-        raise _ArgumentError("eval needs --ref-h/--ref-p/--est-h/--est-p or --manifest")
-    yield _eval_files(*required, args.filter_len).row("-", "file")
+    if None in stems.values():
+        raise _ArgumentError(f"eval needs {'/'.join(stems)} or --manifest")
+    yield _eval_files(*stems.values(), args.filter_len).row("-", "file")
 
 
 def _eval_files(ref_h, ref_p, est_h, est_p, filter_len):

@@ -28,7 +28,8 @@ calls no BLAS routine: its sums of squares are einsums, since a BLAS call
 leaves an OpenBLAS thread spinning on the core a lane needs.
 The loop reads the weight in place and holds y_h unscaled, applying
 c = alpha / (1 + mu2) to each block of W P(F u) after the trace reads it. It
-keeps F(x), the steps g, the two duals, block scratch and the signals.
+keeps F(x), the steps g, the two duals, the signals and, per lane, the
+block rows that both sweeps fill and one block of scratch.
 """
 
 from __future__ import annotations
@@ -236,11 +237,11 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     np.multiply(problem.v[:-1], phase, out=g[1:].imag)
     np.exp(g, out=g)
     y_h, y_p = np.zeros_like(fx), np.zeros_like(fx)
-    # per lane: block scratch (``a`` with a frame of look-ahead) and trace sums
-    n_lanes, n_bins = len(plan.lanes), fx.shape[1]
-    a = np.empty((n_lanes, plan.lane_block + 1, n_bins), dtype=fx.dtype)
-    scratch = np.empty((n_lanes, plan.lane_block, n_bins), dtype=fx.dtype)
-    sums = np.zeros((n_lanes, 2))
+    # per lane: rows ``a`` (F(u) with the frame before a block, or the adjoint's
+    # block with a frame of look-ahead), scratch (conj(g), or d and W P(F u)), sums
+    a = plan.block_rows()
+    scratch = np.empty_like(a[:, 1:])
+    sums = np.zeros((len(a), 2))
 
     def primal_residual(lane, t0, t1):  # frames t0..t1-1 of P^*(W y_h) - y_p
         block = _corrected_diff_adjoint(y_h, g, w, t0, t1, a[lane], scratch[lane])
@@ -250,7 +251,7 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     def dual_steps(lane, t0, t1, fu):  # fu holds frames t0-1..t1-1 of F(u)
         frames = slice(t0, t1)
         # percussive dual: frames of y_p + F(x) - F(u) projected onto the lam-ball
-        d = np.subtract(fx[frames], fu[1:], out=a[lane, : t1 - t0])
+        d = np.subtract(fx[frames], fu[1:], out=scratch[lane, : t1 - t0])
         if rows is not None:
             sums[lane, 1] += float(np.sum(_frame_norms(d)))
         d += y_p[frames]
@@ -276,7 +277,7 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
         u *= -p.mu1
         u += x_h
         sums[...] = 0.0  # the trace row scores u from the blocks of F(u)
-        plan.forward_blocks(u, dual_steps)
+        plan.forward_blocks(u, dual_steps, a)
 
         # alpha (u + x_h) / 2 + (1 - alpha) x_h = x_h + step, in place in u
         step = u

@@ -159,16 +159,17 @@ class StftPlan:
     after the signal's period is repeated over the frame tail, and the
     adjoint overlap-adds each block's L/hop frame parts into it with one
     reshape-add each, then folds the tail back onto the period. Beside that
-    buffer the plan holds each lane's block scratch, real and complex (the
-    latter a row longer, for the frame before a block), and each lane but
-    the last a spill array for its last L/hop - 1 windowed frames, whose
-    parts reach the next lane in the adjoint; so repeated transforms of
-    same-length signals allocate nothing but the outputs they are not given.
-    ``forward_blocks`` and ``adjoint_blocks`` are the sweeps, and a plan runs
-    one sweep at a time; ``forward`` and ``adjoint`` run them over whole
-    arrays. Lanes change no bit of either. A forward block reaches its
-    callback with the frame before it, which costs each lane after the first
-    one extra frame per sweep (1 of 216 on the criterion-8 problem).
+    buffer the plan holds only sample-domain scratch: each lane's real block
+    of windowed frames, and each lane but the last a spill array for its
+    last L/hop - 1 windowed frames, whose parts reach the next lane in the
+    adjoint. Coefficients live in arrays the caller owns: ``forward`` and
+    ``adjoint`` read and write whole T x K arrays, and the streaming sweeps
+    ``forward_blocks`` and ``adjoint_blocks`` hand blocks to and take them
+    from callbacks, ``forward_blocks`` in the ``block_rows()`` array its
+    caller passes. A plan runs one sweep at a time, and lanes change no bit
+    of any of them. A forward block reaches its callback with the frame
+    before it, which costs each lane after the first one extra frame per
+    sweep (1 of 216 on the criterion-8 problem).
     """
 
     def __init__(self, config: StftConfig, n_samples: int):
@@ -188,7 +189,6 @@ class StftPlan:
         self._pad = np.zeros(self.n_pad + win_len - hop)
         self._frames = np.lib.stride_tricks.sliding_window_view(self._pad, win_len)[::hop]
         self._real = np.empty((n_lanes, self.lane_block, win_len))
-        self._coeffs = np.empty((n_lanes, self.lane_block + 1, config.n_bins), dtype=complex)
         self._spill = [np.empty((min(win_len // hop - 1, t1 - t0), win_len))
                        for t0, t1 in self.lanes[:-1]]
 
@@ -240,14 +240,15 @@ class StftPlan:
             finally:  # the traceback holds this frame: hold no reference back
                 futures = error = None
 
-    def forward_blocks(self, x: np.ndarray, block=None, window=None, out=None) -> None:
-        """Transform the length-n signal ``x`` block by block into the rows of
-        ``out``, or else call ``block(lane, t0, t1, coeffs)`` with frames
-        t0-1..t1-1 as a read-only (t1 - t0 + 1) x K array, zeros for frame -1:
-        first to last within each lane, the lanes in parallel. A lane's blocks
-        share its scratch, each block's last row moving to row 0 for the next,
-        and a later lane's first block transforms frame t0-1 too."""
-        g = self.config.window if window is None else window
+    def block_rows(self) -> np.ndarray:
+        """Fresh coefficient rows for ``forward_blocks``: a complex (lanes,
+        lane_block + 1, K) array, a block and the frame before it per lane."""
+        shape = (len(self.lanes), self.lane_block + 1, self.config.n_bins)
+        return np.empty(shape, dtype=np.complex128)
+
+    def _load(self, x: np.ndarray) -> None:
+        """Place the length-n signal ``x`` and its zero padding in the signal
+        buffer, then repeat its period over the frame tail."""
         s, m, n = self._shift, self._head, self.n_samples
         pad = self._pad
         pad[s : s + m] = x[:m]
@@ -256,34 +257,50 @@ class StftPlan:
         pad[s + m : self.n_pad] = 0.0
         self._extend()
 
-        def transform(lane, t0, t1, coeffs):  # frames t0..t1-1 into coeffs
-            real = self._real[lane, : t1 - t0]
-            np.multiply(self._frames[t0:t1], g, out=real)
-            np.fft.rfft(real, n=self.config.win_len, axis=1, out=coeffs)
+    def _transform(self, lane: int, t0: int, t1: int, window, out) -> None:
+        """Frames t0..t1-1, windowed in the lane's real scratch, into ``out``."""
+        real = self._real[lane, : t1 - t0]
+        np.multiply(self._frames[t0:t1], window, out=real)
+        np.fft.rfft(real, n=self.config.win_len, axis=1, out=out)
+
+    def forward_blocks(self, x: np.ndarray, block, rows: np.ndarray) -> None:
+        """Transform the length-n signal ``x`` block by block and call
+        ``block(lane, t0, t1, coeffs)`` with frames t0-1..t1-1 as a read-only
+        (t1 - t0 + 1) x K view of ``rows[lane]``, zeros for frame -1: first to
+        last within each lane, the lanes in parallel. ``rows`` is a
+        ``block_rows()`` array, which the caller owns; each block's last row
+        moves to row 0 for the next, and a later lane's first block
+        transforms frame t0-1 too."""
+        self._load(x)
+        window = self.config.window
 
         def sweep(lane):
-            scratch = self._coeffs[lane]
-            view = scratch.view()
+            own = rows[lane]
+            view = own.view()
             view.flags.writeable = False
             for t0, t1 in self._blocks(lane):
-                if out is not None:
-                    transform(lane, t0, t1, out[t0:t1])
-                    continue
                 if t0 == 0:
-                    scratch[0] = 0.0
+                    own[0] = 0.0
                 elif t0 == self.lanes[lane][0]:  # a later lane's first block
-                    transform(lane, t0 - 1, t0, scratch[:1])
+                    self._transform(lane, t0 - 1, t0, window, own[:1])
                 else:  # the last row of the lane's previous (full) block
-                    scratch[0] = scratch[self.lane_block]
-                transform(lane, t0, t1, scratch[1 : t1 - t0 + 1])
+                    own[0] = own[self.lane_block]
+                self._transform(lane, t0, t1, window, own[1 : t1 - t0 + 1])
                 block(lane, t0, t1, view[: t1 - t0 + 1])
 
         self._run_lanes(sweep)
 
     def forward(self, x: np.ndarray, window=None) -> np.ndarray:
         """T x K one-sided coefficients of the length-n signal ``x``."""
+        window = self.config.window if window is None else window
         out = np.empty((self.n_frames, self.config.n_bins), dtype=np.complex128)
-        self.forward_blocks(x, window=window, out=out)
+        self._load(x)
+
+        def sweep(lane):
+            for t0, t1 in self._blocks(lane):
+                self._transform(lane, t0, t1, window, out[t0:t1])
+
+        self._run_lanes(sweep)
         return out
 
     def adjoint_blocks(self, coeffs) -> np.ndarray:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -390,7 +391,7 @@ class TestMfSeparate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - entry) / unit <= 3.24  # measured 3.23
+        assert (peak - entry) / unit <= 2.97  # measured 2.95 (2 lanes)
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +418,24 @@ def test_mf_gain_equivariance_extreme_gains(corpus_mf_reference, exponent):
 def test_non_finite_parameters_rejected_by_name(value):
     with pytest.raises(ValueError, match="^kappa must be positive and finite"):
         compute_weight(np.ones((2, 2)), kappa=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0], ids=str)
+@pytest.mark.parametrize("func, what", [(median_filter_hpss, "magnitudes |X|"),
+                                        (compute_weight, "pre-estimate magnitudes")],
+                         ids=["median_filter_hpss", "compute_weight"])
+def test_bad_magnitudes_rejected(func, what, value):
+    # a NaN or inf would reach every output through the peak, and a negative
+    # entry is no magnitude (compute_weight would give it full smoothing);
+    # nested lists are checked as the array they make
+    mag = np.ones((20, 20))
+    mag[7, 11] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arg in (mag, mag.tolist()):
+            with pytest.raises(ValueError,
+                               match=rf"^{re.escape(what)} must be finite and non-negative"):
+                func(arg)
 
 
 def test_complex_input_rejected():
@@ -455,9 +474,9 @@ class TestComputeWeight:
         )
 
     def test_degenerate_all_zero(self):
-        # silence, a non-positive array whose peak is 0, and an empty array
-        # all divide by 1 and come out kappa / kappa = 1
-        for mag in (np.zeros((4, 4)), -np.arange(12.0).reshape(3, 4), np.zeros((0, 4))):
+        # silence, of positive or negative zeros, and an empty array all
+        # divide by 1 and come out kappa / kappa = 1
+        for mag in (np.zeros((4, 4)), -np.zeros((3, 4)), np.zeros((0, 4))):
             weight = compute_weight(mag)
             assert weight.shape == mag.shape and weight.dtype == np.float64
             np.testing.assert_array_equal(weight, 1.0)

@@ -791,6 +791,22 @@ class TestArgErrors:
                                    "win_len must be an even integer >= 2")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--ref-h", "--ref-p", "--est-h", "--est-p"])
+    def test_eval_manifest_with_a_stem_flag_before_any_read(self, tmp_path, capsys, monkeypatch,
+                                                            flag):
+        # the manifest names every stem, so a stem flag beside it would go unread;
+        # a manifest that does not exist shows it is never opened
+        argv = ["eval", "--manifest", f"{tmp_path}/missing.csv", flag, f"{tmp_path}/none.wav"]
+        self.check_rejected_unread(argv, tmp_path, capsys, monkeypatch,
+                                   f"--manifest cannot be combined with {flag}")
+
+    def test_empty_oracle_path_before_any_read(self, tmp_path, capsys, monkeypatch):
+        argv = ["separate", f"{tmp_path}/missing.wav", "--out-h", f"{tmp_path}/h.wav",
+                "--out-p", f"{tmp_path}/p.wav", "--if-source", "oracle:"]
+        self.check_rejected_unread(argv, tmp_path, capsys, monkeypatch,
+                                   "bad --if-source value: 'oracle:'")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("mode", ["files", "manifest"])
     def test_eval_filter_len_before_any_read(self, tmp_path, capsys, monkeypatch, mode):
         if mode == "files":

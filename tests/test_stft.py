@@ -393,14 +393,16 @@ class TestLanes:
             before = np.vstack((np.zeros((1, config.n_bins)), want))  # row t is frame t-1
             for lanes in (1, 2, 3):
                 force_lanes(lanes)
+                plan = StftPlan(config, n)
+                rows = plan.block_rows()
                 seen = []
 
                 def block(lane, t0, t1, coeffs):
-                    assert not coeffs.flags.writeable
+                    assert not coeffs.flags.writeable and np.shares_memory(coeffs, rows)
                     seen.append((t0, t1))
                     assert coeffs.tobytes() == before[t0 : t1 + 1].tobytes(), (t0, t1)
 
-                StftPlan(config, n).forward_blocks(x, block)
+                plan.forward_blocks(x, block, rows)
                 assert sorted(seen)[0][0] == 0 and sum(t1 - t0 for t0, t1 in seen) == n_frames
 
     def test_lane_count_rule(self, monkeypatch):
@@ -431,6 +433,24 @@ class TestLanes:
         assert lanes(200) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert lanes(200) == 2
+
+    def test_plan_holds_only_sample_domain_scratch(self, force_lanes):
+        # a plan allocates its signal buffer, its real block scratch and its
+        # spill arrays, and no coefficient rows: those belong to the caller
+        import tracemalloc
+
+        config = StftConfig(4096, 1024)
+        force_lanes(2)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            plan = StftPlan(config, 1024 * 216)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(plan.lanes) == 2 and len(plan._spill) == 1
+        buffers = plan._pad.nbytes + plan._real.nbytes + plan._spill[0].nbytes
+        assert peak - entry <= buffers + 8192  # and a few KB of Python objects
 
     def test_lane_zero_runs_on_the_calling_thread(self, monkeypatch, force_lanes, rng):
         # the caller also runs every lane no worker has started when its own is
@@ -463,7 +483,8 @@ class TestLanes:
             plan = StftPlan(config, n)
             threads = {}
             plan.forward_blocks(
-                x, lambda lane, t0, t1, coeffs: threads.setdefault(lane, threading.get_ident()))
+                x, lambda lane, t0, t1, coeffs: threads.setdefault(lane, threading.get_ident()),
+                plan.block_rows())
             assert threads == dict.fromkeys(range(lanes), caller)
             assert pool.submitted == lanes - 1
             assert (plan.forward(x).tobytes(), plan.adjoint(data).tobytes()) == want
@@ -486,7 +507,8 @@ class TestLanes:
             else:
                 assert started.wait(timeout=10.0)
 
-        StftPlan(config, n).forward_blocks(rng.normal(size=n), block)
+        plan = StftPlan(config, n)
+        plan.forward_blocks(rng.normal(size=n), block, plan.block_rows())
         assert threads[0] == threading.get_ident() != threads[1]
 
     @pytest.mark.parametrize("failing", [0, 1])
@@ -516,7 +538,8 @@ class TestLanes:
 
             with pytest.raises(RuntimeError, match=f"^lane {failing}$"):
                 if sweep == "forward":
-                    plan.forward_blocks(x, lambda lane, t0, t1, coeffs: visit(lane, t0, t1))
+                    plan.forward_blocks(x, lambda lane, t0, t1, coeffs: visit(lane, t0, t1),
+                                        plan.block_rows())
                 else:
                     plan.adjoint_blocks(visit)
             assert sorted(seen) == want, sweep
