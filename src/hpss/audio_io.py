@@ -81,6 +81,14 @@ def _check_integers(obj, *names) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_reals(obj, *names) -> None:
+    """Reject each named field of ``obj`` that is a bool or not a real number."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _iter_chunks(data: bytes):
     pos = 12
     while pos + 8 <= len(data):

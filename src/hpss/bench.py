@@ -45,7 +45,7 @@ def run_bench(out_dir=None, seed: int = 0, n_tracks: int = 10,
         raise ValueError(f"filter_len {filter_len} exceeds the track length {n_samples}")
     cfg = HpssConfig(win_len=1024, hop=256) if cfg is None else cfg
     cfg = replace(cfg, solver=replace(cfg.solver, record_trace=bool(out_dir)))
-    config = cfg.stft()  # a bad STFT geometry fails before the corpus or out_dir is made
+    config = cfg.stft()
     tracks = bench_corpus(seed=seed, n_tracks=n_tracks,
                           sample_rate=sample_rate, duration=duration)
     if out_dir:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .audio_io import Signal, as_samples
+from .audio_io import Signal, _check_reals, as_samples
 from .baseline import MedianConfig, compute_weight, median_filter_hpss
 from .phase import estimate_if, if_from_spectra
 from .prox import SignalPair
@@ -41,8 +41,10 @@ class HpssConfig:
     def __post_init__(self):
         if self.if_source not in (IF_SOURCE_MIXTURE, IF_SOURCE_ORACLE):
             raise ValueError(f"unknown if_source: {self.if_source!r}")
+        _check_reals(self, "kappa")
         if not 0.0 < self.kappa < np.inf:  # NaN fails every comparison
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        self.stft()  # a bad geometry fails here, not at the first transform
 
     def stft(self) -> StftConfig:
         return StftConfig(self.win_len, self.hop)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import _caller_stacklevel, _check_integers, as_samples
+from .audio_io import _caller_stacklevel, _check_integers, _check_reals, as_samples
 from .stft import StftConfig, StftPlan
 
 
@@ -65,13 +65,16 @@ class SolverParams:
     record_trace: bool = True
 
     def __post_init__(self):
+        _check_reals(self, "lam", "mu1", "mu2", "alpha")
+        _check_integers(self, "n_iters")
+        if not isinstance(self.record_trace, (bool, np.bool_)):
+            raise ValueError(f"record_trace must be a bool, got {self.record_trace!r}")
         for name in ("lam", "mu1", "mu2"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:  # NaN fails every comparison
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.alpha < 2.0):
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        _check_integers(self, "n_iters")
         if self.n_iters < 0:
             raise ValueError("n_iters must be non-negative")
 

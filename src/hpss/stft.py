@@ -160,16 +160,17 @@ class StftPlan:
     adjoint overlap-adds each block's L/hop frame parts into it with one
     reshape-add each, then folds the tail back onto the period. Beside that
     buffer the plan holds only sample-domain scratch: each lane's real block
-    of windowed frames, and each lane but the last a spill array for its
-    last L/hop - 1 windowed frames, whose parts reach the next lane in the
-    adjoint. Coefficients live in arrays the caller owns: ``forward`` and
-    ``adjoint`` read and write whole T x K arrays, and the streaming sweeps
-    ``forward_blocks`` and ``adjoint_blocks`` hand blocks to and take them
-    from callbacks, ``forward_blocks`` in the ``block_rows()`` array its
-    caller passes. A plan runs one sweep at a time, and lanes change no bit
-    of any of them. A forward block reaches its callback with the frame
-    before it, which costs each lane after the first one extra frame per
-    sweep (1 of 216 on the criterion-8 problem).
+    of windowed frames. Coefficients live in arrays the caller owns:
+    ``forward`` and ``adjoint`` read and write whole T x K arrays, and the
+    streaming sweeps ``forward_blocks`` and ``adjoint_blocks`` hand blocks to
+    and take them from callbacks, ``forward_blocks`` in the ``block_rows()``
+    array its caller passes. A plan runs one sweep at a time, and lanes
+    change no bit of any of them. Each lane writes only its own frames or hop
+    segments, so every lane after the first transforms frames before it: a
+    forward block reaches its callback with the frame before it (one extra
+    frame per sweep), and the adjoint reads a halo of the L/hop - 1 frames
+    whose parts land in the lane's segments (3 of 216 on the criterion-8
+    problem, 63 at 4096/64).
     """
 
     def __init__(self, config: StftConfig, n_samples: int):
@@ -189,8 +190,6 @@ class StftPlan:
         self._pad = np.zeros(self.n_pad + win_len - hop)
         self._frames = np.lib.stride_tricks.sliding_window_view(self._pad, win_len)[::hop]
         self._real = np.empty((n_lanes, self.lane_block, win_len))
-        self._spill = [np.empty((min(win_len // hop - 1, t1 - t0), win_len))
-                       for t0, t1 in self.lanes[:-1]]
 
     def _extend(self) -> None:
         """Repeat pad[:n_pad] periodically over the frame tail."""
@@ -305,15 +304,16 @@ class StftPlan:
 
     def adjoint_blocks(self, coeffs) -> np.ndarray:
         """Length-n signal from the T x K coefficients that ``coeffs(lane, t0,
-        t1)`` returns for frames t0..t1-1 of ``lane``, as a (t1 - t0) x K array
-        of any strides.
+        t1)`` returns for frames t0..t1-1, as a (t1 - t0) x K array of any
+        strides, each read before the next is asked for.
 
-        Each lane asks for its blocks from the last to the first, each read
-        before the next is asked for, and overlap-adds the frame parts that
-        land in its own hop segments; its parts that land in later lanes'
-        segments wait in ``_spill`` and are added after every lane has
-        stopped, in ascending part order. So every sample adds its frames in
-        decreasing order, as a whole-array overlap-add does.
+        Each lane overlap-adds into its own hop segments only, the last lane
+        into the frame tail too. It asks for its own blocks from the last to
+        the first, then for its halo, the L/hop - 1 frames before it (fewer
+        near frame 0), whose later parts land in its segments: in blocks of
+        at most ``lane_block`` rows, last first, frames that may belong to an
+        earlier lane. So every sample adds its frames in decreasing order, as
+        a whole-array overlap-add does, at any lane count.
         """
         win_len, hop = self.config.win_len, self.config.hop
         parts = win_len // hop
@@ -322,32 +322,25 @@ class StftPlan:
         last = len(self.lanes) - 1
 
         def sweep(lane):
-            # the last lane owns the frame tail; another holds frames base..stop-1
-            # in its spill rows
-            stop = self.lanes[lane][1] if lane < last else self.n_frames + parts
-            spill = self._spill[lane] if lane < last else None
-            base = stop - len(spill) if lane < last else stop
-            for t0, t1 in reversed(self._blocks(lane)):
+            start, stop = self.lanes[lane]
+            if lane == last:
+                stop = self.n_frames + parts  # the frame tail
+            halo = [(t0, min(t0 + self.lane_block, start))
+                    for t0 in range(max(0, start - parts + 1), start, self.lane_block)]
+            for t0, t1 in reversed(halo + self._blocks(lane)):
                 u = self._inverse(lane, coeffs(lane, t0, t1))
-                pad[t0 * hop : t1 * hop].reshape(t1 - t0, hop)[...] = u[:, :hop]
-                for j in range(1, parts):
-                    t2 = min(t1, stop - j)  # frames whose part j lands before stop
-                    if t2 > t0:
-                        pad[(t0 + j) * hop : (t2 + j) * hop].reshape(t2 - t0, hop)[...] += u[
-                            : t2 - t0, j * hop : (j + 1) * hop
-                        ]
-                if t1 > base:
-                    first = max(t0, base)
-                    spill[first - base : t1 - base] = u[first - t0 :]
+                for j in range(parts):
+                    # frames lo..hi-1 put their part j in segments start..stop-1
+                    lo, hi = max(t0, start - j), min(t1, stop - j)
+                    if hi > lo:
+                        seg = pad[(lo + j) * hop : (hi + j) * hop].reshape(hi - lo, hop)
+                        part = u[lo - t0 : hi - t0, j * hop : (j + 1) * hop]
+                        if j:
+                            seg += part
+                        else:
+                            seg[...] = part
 
         self._run_lanes(sweep)
-        for j in range(1, parts):
-            for (_, stop), spill in zip(self.lanes, self._spill):
-                base = stop - len(spill)
-                t0 = max(base, stop - j)  # frames whose part j lands at stop or later
-                pad[(t0 + j) * hop : (stop + j) * hop].reshape(stop - t0, hop)[...] += spill[
-                    t0 - base :, j * hop : (j + 1) * hop
-                ]
         self._fold()
         s, m, n = self._shift, self._head, self.n_samples
         out = np.empty(n)

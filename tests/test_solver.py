@@ -681,12 +681,14 @@ class TestEquivalence:
         )
         run(prob, np.zeros(x.size))
         # with the trace on too, F(x) is the only transform outside the loop; each
-        # lane after the first also transforms the frame before its first block
+        # lane after the first also transforms the frame before its first block,
+        # and in the adjoint its halo, the L/hop - 1 frames before it
         extra = 1 if n_iters else 0
         n_frames = small_config.n_frames(x.size)
+        halo = small_config.win_len // small_config.hop - 1
         expected = {
             "forward": n_iters * (n_frames + lanes - 1) + extra * n_frames,
-            "adjoint": n_iters * n_frames,
+            "adjoint": n_iters * (n_frames + (lanes - 1) * halo),
             "spectrogram": 0,
         }
         assert {name: sum(n) for name, n in calls.items()} == expected
@@ -719,7 +721,7 @@ class TestEquivalence:
         # the loop's working set, counted in T x K complex128 arrays: the traced
         # peak of run above its entry, trace off, on the criterion-8 problem
         problem, x_h0 = criterion_problem(monkeypatch)
-        assert run_peak_units(problem, x_h0, record_trace=False) <= 5.07  # measured 5.04 (2 lanes)
+        assert run_peak_units(problem, x_h0, record_trace=False) <= 5.06  # measured 5.02 (2 lanes)
 
     def test_peak_memory_budget_with_trace(self, monkeypatch):
         # the trace is summed from the sweep's own blocks: it adds no T x K array

@@ -405,6 +405,34 @@ class TestLanes:
                 plan.forward_blocks(x, block, rows)
                 assert sorted(seen)[0][0] == 0 and sum(t1 - t0 for t0, t1 in seen) == n_frames
 
+    def test_adjoint_lanes_read_their_halo_last(self, force_lanes):
+        # at 4096/64 a halo is 63 frames: here it spans two lanes and several
+        # lane blocks; each lane asks for its own blocks, then for the frames
+        # before it, both last to first in blocks of at most lane_block rows
+        config = StftConfig(4096, 64)
+        force_lanes(3)
+        plan = StftPlan(config, 64 * 90)
+        parts = config.win_len // config.hop
+        assert plan.lanes == [(0, 30), (30, 60), (60, 90)] and plan.lane_block == 5
+        data = np.ones((plan.n_frames, config.n_bins))
+        asked = {lane: [] for lane in range(3)}
+
+        def coeffs(lane, t0, t1):
+            asked[lane].append((t0, t1))
+            return data[t0:t1]
+
+        plan.adjoint_blocks(coeffs)
+        for lane, (start, stop) in enumerate(plan.lanes):
+            halo_start = max(0, start - parts + 1)
+            n_own = len(plan._blocks(lane))
+            own, halo = asked[lane][:n_own], asked[lane][n_own:]
+            assert own == plan._blocks(lane)[::-1], lane
+            for part, first, end in ((own, start, stop), (halo, halo_start, start)):
+                assert all(0 < t1 - t0 <= plan.lane_block for t0, t1 in part)
+                assert [t for t0, t1 in part[::-1] for t in range(t0, t1)] == list(
+                    range(first, end)), lane
+        assert asked[2][-1] == (0, 5)  # lane 2's halo reaches into lane 0
+
     def test_lane_count_rule(self, monkeypatch):
         # one lane per usable core, at most two, each of at least two frame
         # blocks of B = 15 rows, so a lane block never falls below ceil(B / 2)
@@ -435,8 +463,8 @@ class TestLanes:
         assert lanes(200) == 2
 
     def test_plan_holds_only_sample_domain_scratch(self, force_lanes):
-        # a plan allocates its signal buffer, its real block scratch and its
-        # spill arrays, and no coefficient rows: those belong to the caller
+        # a plan allocates its signal buffer and its real block scratch, and no
+        # coefficient rows: those belong to the caller
         import tracemalloc
 
         config = StftConfig(4096, 1024)
@@ -448,8 +476,8 @@ class TestLanes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(plan.lanes) == 2 and len(plan._spill) == 1
-        buffers = plan._pad.nbytes + plan._real.nbytes + plan._spill[0].nbytes
+        assert len(plan.lanes) == 2
+        buffers = plan._pad.nbytes + plan._real.nbytes
         assert peak - entry <= buffers + 8192  # and a few KB of Python objects
 
     def test_lane_zero_runs_on_the_calling_thread(self, monkeypatch, force_lanes, rng):
@@ -514,7 +542,8 @@ class TestLanes:
     @pytest.mark.parametrize("failing", [0, 1])
     def test_lane_exception_after_every_lane_stopped(self, force_lanes, rng, failing):
         # a lane's exception reaches the caller once the other lane has run all
-        # its blocks, and the plan then transforms as a fresh one does
+        # its blocks (in the adjoint, those of its halo too), and the plan then
+        # transforms as a fresh one does
         import time
 
         config = StftConfig(1024, 256)
@@ -524,7 +553,10 @@ class TestLanes:
         x = rng.normal(size=n)
         data = rng.normal(size=(plan.n_frames, config.n_bins)) * (1 + 1j)
         other = 1 - failing
-        want = [(t0, t1) for t0, t1 in plan._blocks(other)]
+        want = {"forward": plan._blocks(other), "adjoint": plan._blocks(other)}
+        if other == 1:  # lane 1's adjoint halo: the L/hop - 1 = 3 frames before it
+            start = plan.lanes[1][0]
+            want["adjoint"] = sorted(want["adjoint"] + [(start - 3, start)])
 
         for sweep in ("forward", "adjoint"):
             seen = []
@@ -542,7 +574,7 @@ class TestLanes:
                                         plan.block_rows())
                 else:
                     plan.adjoint_blocks(visit)
-            assert sorted(seen) == want, sweep
+            assert sorted(seen) == want[sweep], sweep
             fresh = StftPlan(config, n)
             assert plan.forward(x).tobytes() == fresh.forward(x).tobytes()
             assert plan.adjoint(data).tobytes() == fresh.adjoint(data).tobytes()
