@@ -18,7 +18,7 @@ from .audio_io import Signal, _check_reals, as_samples
 from .baseline import MedianConfig, compute_weight, median_filter_hpss
 from .phase import estimate_if, if_from_spectra
 from .prox import SignalPair
-from .solver import HpssProblem, SolverParams, run
+from .solver import HpssProblem, SolverParams, SolverTrace, run, steps_from_if
 from .stft import StftConfig, StftPlan
 
 REFERENCE_RMS = 2.0**-0.5
@@ -56,11 +56,13 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     Pipeline: STFT of the mixture, instantaneous-frequency estimation
     (from the mixture or, when configured, from a supplied clean
     harmonic reference), median-filter initialization and pre-estimate,
-    smoothness weight, then the primal-dual solver, which builds the
-    per-frame phase-correction steps from the IF map. The returned pair
-    sums to the input bit-exactly. ``oracle_h`` is required iff
-    ``cfg.if_source`` is the oracle source; either mismatch raises
-    ``ValueError``.
+    smoothness weight, then the primal-dual solver on the spectrum that
+    set-up computed and the per-frame phase steps built from the IF map.
+    At 0 iterations no steps are built and ``run`` is not called: the
+    harmonic part is the median-filter initialization, and the trace is
+    empty. The returned pair sums to the input bit-exactly. ``oracle_h``
+    is required iff ``cfg.if_source`` is the oracle source; either
+    mismatch raises ``ValueError``.
     """
     samples = as_samples(x)
     rate = x.sample_rate if isinstance(x, Signal) else 1
@@ -97,19 +99,29 @@ def separate(x, cfg: HpssConfig = HpssConfig(), oracle_h=None):
     if oracle is not None:  # at the mixture's scaling
         v = estimate_if(np.ldexp(oracle, -exp) * gain, config)
     plan = StftPlan(config, xs.size)
-    spec = plan.forward(xs)
+    spec = plan.forward(xs)  # F(x), which the solver reads in every iteration
     mag = np.abs(spec)  # the IF's, the median filter's, then the weight's |X|
     if oracle is None:
         v = if_from_spectra(mag, spec, plan.forward(xs, config.deriv_window))
     mask = median_filter_hpss(mag, cfg.median)
-    spec *= mask
-    x_h0 = plan.adjoint(spec)
+    rows = plan.block_rows()
+
+    def masked(lane, t0, t1):  # frames t0..t1-1 of spec * mask, in the lane's rows
+        return np.multiply(spec[t0:t1], mask[t0:t1], out=rows[lane, : t1 - t0])
+
+    x_h0 = plan.adjoint_blocks(masked)
     mag *= mask
     weight = compute_weight(mag, cfg.kappa)
-    del plan, spec, mag, mask, oracle  # the solver's working set need not stack on these
+    # the solver's working set need not stack on these
+    del plan, masked, rows, mag, mask, oracle, xs
 
-    problem = HpssProblem(xs, config, v, weight, cfg.solver)
-    x_h, trace = run(problem, x_h0)
+    if cfg.solver.n_iters > 0:
+        steps = steps_from_if(v, config)
+        del v
+        x_h, trace = run(
+            HpssProblem(spec, steps, weight, config, samples.size, cfg.solver), x_h0)
+    else:  # what run returns at 0 iterations, without the steps' exp pass
+        x_h, trace = x_h0, SolverTrace(*np.empty((3, 0)))
     x_h = x_h / gain
     np.ldexp(x_h, exp, out=x_h)
     x_p = samples - x_h

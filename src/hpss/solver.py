@@ -12,12 +12,12 @@ P(X)[t] = X[t] - conj(s[t-1]) X[t-1] for the per-frame phase step s. With
 u = x_h - mu1 F^*(P^*(W y_h) - y_p), an iteration sets y_p from the frames of
 y_p + F(x) - F(u) projected onto the l2 ball of radius lambda, y_h from
 (y_h + W P(F u)) / (1 + mu2), and x_h from (u + x_h) / 2, each relaxed by
-alpha: one adjoint and one forward STFT, with F(x) computed once. The
-relaxed x_h is x_h + (alpha / 2)(u - x_h), formed in place in u. A trace
-row scores u, the point the forward sweep transforms: its smooth term sums
-|W P(F u)|^2 and its sparse term the frame norms of F(x) - F(u) block by
-block, so the trace holds no spectrogram-sized array and takes no transform
-of its own. Each transform is one sweep over the plan's frame blocks, and
+alpha: one adjoint and one forward STFT, beside the F(x) and the steps g
+that the problem holds. The relaxed x_h is x_h + (alpha / 2)(u - x_h),
+formed in place in u. A trace row scores u, the point the forward sweep
+transforms: its smooth term sums |W P(F u)|^2 and its sparse term the frame
+norms of F(x) - F(u) block by block, so the trace holds no
+spectrogram-sized array and takes no transform of its own. Each transform is one sweep over the plan's frame blocks, and
 the steps on spectrogram-sized arrays run block by block inside it, on
 blocks in cache: P^*(W y_h) - y_p just before its inverse FFT, the dual
 steps and the trace's sums just after the forward FFT, all on T x K arrays.
@@ -27,9 +27,10 @@ them in parallel, each lane summing its own part of the trace. The loop
 calls no BLAS routine: its sums of squares are einsums, since a BLAS call
 leaves an OpenBLAS thread spinning on the core a lane needs.
 The loop reads the weight in place and holds y_h unscaled, applying
-c = alpha / (1 + mu2) to each block of W P(F u) after the trace reads it. It
-keeps F(x), the steps g, the two duals, the signals and, per lane, the
-block rows that both sweeps fill and one block of scratch.
+c = alpha / (1 + mu2) to each block of W P(F u) after the trace reads it.
+Beside the problem's F(x), steps and weight, which it never writes, it keeps
+the two duals, the signals and, per lane, the block rows that both sweeps
+fill and one block of scratch.
 """
 
 from __future__ import annotations
@@ -114,31 +115,55 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class HpssProblem:
-    """Mixture, STFT geometry, T x K IF map ``v`` (in bin units, the phase
-    correction), T x K weight, params."""
+    """What the loop reads: the T x K spectrum F(x) of the mixture, the T x K
+    phase steps g that an IF map predicts (``from_if``), the T x K weight, the
+    STFT geometry, the mixture's length and the params.
 
-    mixture: np.ndarray
-    config: StftConfig
-    v: np.ndarray
+    The loop reads ``spectrum`` and ``steps`` in place and never writes them.
+    """
+
+    spectrum: np.ndarray
+    steps: np.ndarray
     weight: np.ndarray
+    config: StftConfig
+    n_samples: int
     params: SolverParams = field(default_factory=SolverParams)
 
     def __post_init__(self):
-        x = as_samples(self.mixture)
-        object.__setattr__(self, "mixture", x)
-        shape = (self.config.n_frames(x.size), self.config.n_bins)
-        v = np.asarray(self.v, dtype=np.float64)
-        object.__setattr__(self, "v", v)
-        if v.shape != shape:
-            raise ValueError("v (the IF map) shape does not match the mixture")
-        if not (0.0 <= v.min() and v.max() <= self.config.win_len / 2):  # NaN fails both
-            raise ValueError("v (the IF map) entries must lie in [0, L/2]")
+        shape = (self.config.n_frames(self.n_samples), self.config.n_bins)
+        for name in ("spectrum", "steps"):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} shape does not match the mixture")
         w = np.asarray(self.weight, dtype=np.float64)
         object.__setattr__(self, "weight", w)
         if w.shape != shape:
             raise ValueError("weight shape does not match the mixture")
         if not (0.0 < w.min() and w.max() <= 1.0):  # NaN fails both comparisons
             raise ValueError("weight entries must lie in (0, 1]")
+
+    @classmethod
+    def from_if(cls, mixture, config: StftConfig, v, weight,
+                params: SolverParams = SolverParams()) -> "HpssProblem":
+        """The problem of a mixture, its T x K IF map ``v`` (in bin units) and
+        a T x K weight: transforms the mixture and builds the steps from ``v``."""
+        x = as_samples(mixture)
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (config.n_frames(x.size), config.n_bins):
+            raise ValueError("v (the IF map) shape does not match the mixture")
+        if not (0.0 <= v.min() and v.max() <= config.win_len / 2):  # NaN fails both
+            raise ValueError("v (the IF map) entries must lie in [0, L/2]")
+        spectrum = StftPlan(config, x.size).forward(x)
+        return cls(spectrum, steps_from_if(v, config), weight, config, x.size, params)
+
+
+def steps_from_if(v: np.ndarray, config: StftConfig) -> np.ndarray:
+    """The loop's T x K steps g of the IF map ``v``: the map predicts the phase
+    steps s = exp(-2pi j a v / L) (Yatabe and Oikawa, 2018), g[t] = conj(s[t-1]),
+    built in place, and g[0], which the loop never reads, is 1."""
+    g = np.zeros(v.shape, dtype=np.complex128)
+    np.multiply(v[:-1], 2 * np.pi * (config.hop / config.win_len), out=g[1:].imag)
+    np.exp(g, out=g)
+    return g
 
 
 def _check_step_sizes(problem: HpssProblem) -> None:
@@ -174,7 +199,7 @@ def run(problem: HpssProblem, x_h0):
     """
     p = problem.params
     x_h = as_samples(x_h0)
-    if x_h.shape != problem.mixture.shape:
+    if x_h.shape != (problem.n_samples,):
         raise ValueError("initial x_h length does not match the mixture")
     rows = np.empty((p.n_iters if p.record_trace else 0, 3))
     if p.n_iters > 0:
@@ -231,14 +256,8 @@ def _iterate(problem: HpssProblem, x_h: np.ndarray, rows: np.ndarray | None):
     plan = StftPlan(problem.config, x_h.size)
     # the relaxed smooth-dual step is y_h <- (1 - alpha + c) y_h + c W P(F u)
     c = p.alpha / (1.0 + p.mu2)
-    w = problem.weight  # read in place, never written
-    fx = plan.forward(problem.mixture)
-    # the IF map v predicts the phase steps s = exp(-2pi j a v / L) (Yatabe and Oikawa,
-    # 2018); the loop holds g[t] = conj(s[t-1]), built in place, and never reads g[0]
-    g = np.zeros_like(fx)
-    phase = 2 * np.pi * (plan.config.hop / plan.config.win_len)
-    np.multiply(problem.v[:-1], phase, out=g[1:].imag)
-    np.exp(g, out=g)
+    # read in place, never written: F(x), the steps g[t] = conj(s[t-1]) and W
+    fx, g, w = problem.spectrum, problem.steps, problem.weight
     y_h, y_p = np.zeros_like(fx), np.zeros_like(fx)
     # per lane: rows ``a`` (F(u) with the frame before a block, or the adjoint's
     # block with a frame of look-ahead), scratch (conj(g), or d and W P(F u)), sums

@@ -114,18 +114,21 @@ class Spectrogram:
 _MAX_LANES = 2
 
 
-def _lane_count(n_frames: int, block: int) -> int:
+def _lane_count(n_frames: int, block: int, halo: int) -> int:
     """Frame lanes of a plan: one per core this process may run on, at most
     ``_MAX_LANES``, each of at least two frame blocks (about 2**16
-    coefficients). A sweep of a few blocks takes well under a millisecond, and
-    a second lane gains nothing there: waking it costs about as much, and it
-    loses outright when its core is shared, as with an OpenBLAS worker that
-    spins after a BLAS call."""
+    coefficients) plus the ``halo`` of L/hop - 1 frames that a later lane's
+    adjoint inverse-transforms beside its own: a lane no longer than its halo
+    transforms as many frames as one lane does for the whole sweep. A sweep of
+    a few blocks takes well under a millisecond, and a second lane gains
+    nothing there: waking it costs about as much, and it loses outright when
+    its core is shared, as with an OpenBLAS worker that spins after a BLAS
+    call."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         cores = os.cpu_count() or 1
-    return max(1, min(_MAX_LANES, cores, n_frames // (2 * block)))
+    return max(1, min(_MAX_LANES, cores, n_frames // (2 * block + halo)))
 
 
 _pool = None
@@ -150,9 +153,10 @@ class StftPlan:
 
     The frames split into ``lanes``: contiguous ranges (t0, t1), one per core
     this process may run on, at most two, and each of at least two blocks of
-    ``block`` rows, so a plan on one core, or of fewer than four blocks, has a
-    single lane and starts no thread. Lane 0 runs on the calling thread and the
-    others on a shared pool, each streaming its frames in blocks of
+    ``block`` rows and the adjoint's halo (below), so a plan on one core, or of
+    fewer than 2 (2 block + L/hop - 1) frames, has a single lane and starts no
+    thread. Lane 0 runs on the calling thread and the others on a shared
+    pool, each streaming its frames in blocks of
     ``lane_block = ceil(block / lanes)`` rows, with ``block`` sized by the
     bin count so that one block holds about 2**15 coefficients. Both
     directions work on one signal buffer: framing reads a strided view of it
@@ -180,7 +184,7 @@ class StftPlan:
         self.n_frames = config.n_frames(n_samples)
         self.n_pad = hop * self.n_frames
         self.block = max(1, min(self.n_frames, _BLOCK_COEFFS // config.n_bins))
-        n_lanes = _lane_count(self.n_frames, self.block)
+        n_lanes = _lane_count(self.n_frames, self.block, win_len // hop - 1)
         self.lane_block = -(-self.block // n_lanes)
         bounds = [k * self.n_frames // n_lanes for k in range(n_lanes + 1)]
         self.lanes = list(zip(bounds[:-1], bounds[1:]))

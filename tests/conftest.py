@@ -29,7 +29,7 @@ def force_lanes(monkeypatch):
     import hpss.stft
 
     def force(n):
-        monkeypatch.setattr(hpss.stft, "_lane_count", lambda n_frames, block: min(n, n_frames))
+        monkeypatch.setattr(hpss.stft, "_lane_count", lambda n_frames, block, halo: min(n, n_frames))
 
     return force
 

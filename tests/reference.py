@@ -12,16 +12,36 @@ Tests import it as ``from reference import ...``.
 
 The model computes on K x T arrays, one column per frame, as the paper writes
 them. The package's arrays are T x K; the model transposes them on entry
-(``model_layout``) and hands spectrograms back in the package's layout.
+(``model_layout``) and hands spectrograms back in the package's layout. Its
+separation problem is its own ``Problem`` record, the mixture and the IF map
+the paper states it by; ``Problem.package`` builds the package's problem.
 """
 
 import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from hpss import HpssProblem, StftConfig
+from hpss import HpssProblem, SolverParams, StftConfig
 from hpss.audio_io import as_samples
 from hpss.stft import Spectrogram, StftPlan, forward
+
+
+@dataclass(frozen=True)
+class Problem:
+    """Mixture, STFT geometry, T x K IF map ``v`` (in bin units), T x K weight
+    and params of one separation."""
+
+    mixture: np.ndarray
+    config: StftConfig
+    v: np.ndarray
+    weight: np.ndarray
+    params: SolverParams = field(default_factory=SolverParams)
+
+    def package(self) -> HpssProblem:
+        """The package's problem of the same separation, for ``run``."""
+        return HpssProblem.from_if(self.mixture, self.config, self.v, self.weight,
+                                   self.params)
 
 
 def model_layout(data) -> np.ndarray:
@@ -147,24 +167,24 @@ def l21_norm(data: np.ndarray) -> float:
     return float(np.sum(np.linalg.norm(np.asarray(data), axis=0)))
 
 
-def apply_Lh(x_h, problem: HpssProblem) -> Spectrogram:
+def apply_Lh(x_h, problem: Problem) -> Spectrogram:
     """Smoothness operator: W o D_t(F_ipc(x_h))."""
     spec = ipc_forward(as_samples(x_h), problem.v, problem.config)
     data = model_layout(problem.weight) * time_diff(model_layout(spec.data))
     return package_spec(data, spec.config, spec.n_samples)
 
 
-def apply_Lh_adj(spec: Spectrogram, problem: HpssProblem) -> np.ndarray:
+def apply_Lh_adj(spec: Spectrogram, problem: Problem) -> np.ndarray:
     """Adjoint of ``apply_Lh``: F_ipc^* ( D_t^* (W o Y) )."""
     data = time_diff_adj(model_layout(problem.weight) * model_layout(spec.data))
     return ipc_adjoint(package_spec(data, spec.config, spec.n_samples), problem.v,
                        problem.config)
 
 
-def objective(pair, problem: HpssProblem):
+def objective(pair, problem: Problem):
     """Evaluate (total, smooth_term, sparse_term) at the arrays (x_h, x_p)."""
     x_h, x_p = (as_samples(p) for p in pair)
-    x = problem.mixture
+    x = as_samples(problem.mixture)
     gap = np.linalg.norm(x - x_h - x_p)
     if gap > 1e-9 * max(np.linalg.norm(x), 1.0):
         raise ValueError("pair violates the exact-sum constraint")
@@ -185,7 +205,7 @@ def two_variable_reference(problem, init):
     iterated, so x_h + x_p = x holds only up to rounding.
     """
     p = problem.params
-    x = problem.mixture
+    x = as_samples(problem.mixture)
     config = problem.config
     x_h, x_p = split_sum_arrays(x, *init)
     y_h = model_layout(apply_Lh(np.zeros(x.size), problem).data)

@@ -26,6 +26,7 @@ from hpss.stft import StftPlan, forward
 from hpss.synth import criterion_mixture, sine_tone
 
 from reference import (
+    Problem,
     apply_Lh,
     apply_Lh_adj,
     ipc_adjoint,
@@ -74,7 +75,7 @@ def test_criterion_02_adjoint_identities():
 
     mix = rng.standard_normal(n)
     v = estimate_if(mix, config)
-    problem = HpssProblem(
+    problem = Problem(
         mixture=mix,
         config=config,
         v=v,
@@ -226,7 +227,7 @@ def test_criterion_06_constraint_invariant():
         init, _ = split_sum_arrays(x, *pair)
         # endpoints of k-iteration runs visit every iterate of the longest run
         for k in range(1, 13):
-            problem = HpssProblem(
+            problem = Problem(
                 mixture=x,
                 config=config,
                 v=v,
@@ -234,7 +235,7 @@ def test_criterion_06_constraint_invariant():
                 params=SolverParams(n_iters=k, record_trace=False),
             )
             ref_h, ref_p, _ = two_variable_reference(problem, pair)
-            x_h, _ = run(problem, init)
+            x_h, _ = run(problem.package(), init)
             gap = max(gap, np.max(np.abs(x - ref_h - ref_p)) / np.max(np.abs(x)))
             drift = max(drift, np.max(np.abs(x_h - ref_h)) / np.max(np.abs(ref_h)))
     report(
@@ -268,13 +269,7 @@ def _desk_problem():
 
 def test_criterion_07_convergence():
     x, config, v, weight, init = _desk_problem()
-    problem = HpssProblem(
-        mixture=x,
-        config=config,
-        v=v,
-        weight=weight,
-        params=SolverParams(n_iters=2000),
-    )
+    problem = HpssProblem.from_if(x, config, v, weight, SolverParams(n_iters=2000))
     _, trace = run(problem, init)
     ratio = abs(trace.total[99] / trace.total[1999] - 1.0)
     osc = (np.max(trace.total[80:100]) - np.min(trace.total[80:100])) / trace.total[99]

@@ -106,7 +106,7 @@ def test_empty_samples_rejected_at_the_boundary(entry, kind):
         "estimate_if": lambda: estimate_if(bad, config),
         "forward": lambda: forward(bad, config),
         "bss_eval": lambda: bss_eval(bad, finite, finite, finite),
-        "run": lambda: run(HpssProblem(finite, config, np.zeros(shape), np.ones(shape)), bad),
+        "run": lambda: run(HpssProblem.from_if(finite, config, np.zeros(shape), np.ones(shape)), bad),
     }[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

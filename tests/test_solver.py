@@ -18,6 +18,7 @@ from hpss.stft import StftPlan, forward
 
 from conftest import sine_signal
 from reference import (
+    Problem,
     apply_Lh,
     apply_Lh_adj,
     correction_matrix,
@@ -44,7 +45,7 @@ def make_problem(x, config, rng=None, weight=None, params=None, if_source=None):
             weight = np.ones(shape)
         else:
             weight = rng.uniform(0.001, 1.0, size=shape)
-    return HpssProblem(
+    return Problem(
         mixture=np.asarray(x, dtype=float),
         config=config,
         v=v,
@@ -85,25 +86,36 @@ class TestParams:
 
 
 class TestProblem:
-    """``HpssProblem`` checks its two T x K inputs alike: shape against the
-    mixture, then one comparison pair on the range that a NaN fails."""
+    """``HpssProblem.from_if`` checks its two T x K inputs alike: shape against
+    the mixture, then one comparison pair on the range that a NaN fails."""
+
+    def test_fields_are_what_the_loop_reads(self, small_config):
+        # no mixture and no IF map: the loop reads F(x) and the steps built from it
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(HpssProblem)] == [
+            "spectrum", "steps", "weight", "config", "n_samples", "params"]
+        x = desk_mixture()
+        problem = make_problem(x, small_config).package()
+        assert problem.n_samples == x.size
+        assert problem.spectrum.tobytes() == StftPlan(small_config, x.size).forward(x).tobytes()
 
     def test_rejects_if_map_of_other_frame_count(self, small_config):
         x = desk_mixture()
         shape = (small_config.n_frames(x.size), small_config.n_bins)
         with pytest.raises(ValueError, match=r"v \(the IF map\) shape"):
-            HpssProblem(mixture=x, config=small_config,
-                        v=np.zeros((shape[0] - 1, shape[1])), weight=np.ones(shape))
+            HpssProblem.from_if(x, small_config, np.zeros((shape[0] - 1, shape[1])),
+                                np.ones(shape))
 
     def test_if_map_validation(self, small_config):
         x = desk_mixture()
         shape = (small_config.n_frames(x.size), small_config.n_bins)
         with pytest.raises(ValueError, match=r"v \(the IF map\) shape"):
-            HpssProblem(mixture=x, config=small_config,
-                        v=np.zeros((shape[0], shape[1] + 1)), weight=np.ones(shape))
+            HpssProblem.from_if(x, small_config, np.zeros((shape[0], shape[1] + 1)),
+                                np.ones(shape))
         v = np.zeros(shape)  # both ends of [0, L/2] are in range
         v[0, -1] = small_config.win_len / 2
-        assert HpssProblem(x, small_config, v, np.ones(shape)).v.max() == 32.0
+        assert HpssProblem.from_if(x, small_config, v, np.ones(shape)).steps.shape == shape
 
     @pytest.mark.parametrize("value", [*NON_FINITE, -1.0, "L/2 + 1"], ids=str)
     def test_rejects_if_map_outside_zero_to_half_window(self, small_config, value):
@@ -112,7 +124,7 @@ class TestProblem:
         v = np.zeros(shape)
         v[3, 5] = small_config.win_len / 2 + 1 if value == "L/2 + 1" else value
         with pytest.raises(ValueError, match=r"v \(the IF map\) entries must lie in \[0, L/2\]"):
-            HpssProblem(mixture=x, config=small_config, v=v, weight=np.ones(shape))
+            HpssProblem.from_if(x, small_config, v, np.ones(shape))
 
     @pytest.mark.parametrize("value", [*NON_FINITE, 0.0, -1.0, 1.5], ids=str)
     def test_rejects_weight_outside_the_unit_interval(self, small_config, value):
@@ -123,7 +135,7 @@ class TestProblem:
         weight = np.ones(shape)
         weight[3, 5] = value
         with pytest.raises(ValueError, match=r"weight entries must lie in \(0, 1\]"):
-            HpssProblem(mixture=x, config=small_config, v=np.zeros(shape), weight=weight)
+            HpssProblem.from_if(x, small_config, np.zeros(shape), weight)
 
 
 class TestApplyLh:
@@ -138,7 +150,7 @@ class TestApplyLh:
         n = 1000
         x = np.ones(n)
         shape = (small_config.n_frames(n), small_config.n_bins)
-        prob = HpssProblem(
+        prob = Problem(
             mixture=x,
             config=small_config,
             v=np.zeros(shape),
@@ -150,7 +162,7 @@ class TestApplyLh:
 
     def test_weight_annihilates_adjoint(self, small_config, rng):
         prob = make_problem(desk_mixture(), small_config, rng)
-        tiny = HpssProblem(
+        tiny = Problem(
             mixture=prob.mixture,
             config=prob.config,
             v=prob.v,
@@ -213,12 +225,9 @@ class TestOpnorm:
 
         x = desk_mixture(n=800)
         shape = (small_config.n_frames(x.size), small_config.n_bins)
-        prob = HpssProblem(
-            mixture=x,
-            config=small_config,
-            v=np.zeros(shape),
-            weight=np.full(shape, weight),
-            params=SolverParams(mu1=1.0, mu2=product, n_iters=1, record_trace=False),
+        prob = HpssProblem.from_if(
+            x, small_config, np.zeros(shape), np.full(shape, weight),
+            SolverParams(mu1=1.0, mu2=product, n_iters=1, record_trace=False),
         )
         with warnings_mod.catch_warnings(record=True) as caught:
             warnings_mod.simplefilter("always")
@@ -237,7 +246,7 @@ class TestOpnorm:
         with warnings_mod.catch_warnings(record=True) as caught:
             warnings_mod.simplefilter("always")
             if entry == "run":
-                run(make_problem(x, small_config, params=params), np.zeros(x.size))
+                run(make_problem(x, small_config, params=params).package(), np.zeros(x.size))
             else:
                 separate(x, HpssConfig(win_len=64, hop=16, solver=params))
         found = [w for w in caught if "step-size product" in str(w.message)]
@@ -301,16 +310,12 @@ class TestRun:
     def test_zero_mixture_fixed_point(self, small_config):
         n = 500
         shape = (small_config.n_frames(n), small_config.n_bins)
-        prob = HpssProblem(
-            mixture=np.zeros(n),
-            config=small_config,
-            v=np.zeros(shape),
-            weight=np.ones(shape),
-            params=SolverParams(n_iters=20),
+        prob = HpssProblem.from_if(
+            np.zeros(n), small_config, np.zeros(shape), np.ones(shape),
+            SolverParams(n_iters=20),
         )
         x_h, trace = run(prob, np.zeros(n))
         assert np.max(np.abs(x_h)) == 0.0
-        assert np.max(np.abs(prob.mixture - x_h)) == 0.0
         np.testing.assert_array_equal(trace.total, 0.0)
 
     def test_constraint_after_every_iteration(self, small_config, rng):
@@ -323,7 +328,7 @@ class TestRun:
             pair = (rng.normal(size=x.size), rng.normal(size=x.size))  # infeasible
             init, _ = split_sum_arrays(x, *pair)
             for k in range(1, 26, 4):
-                prob = HpssProblem(
+                prob = Problem(
                     mixture=prob_base.mixture,
                     config=prob_base.config,
                     v=prob_base.v,
@@ -331,13 +336,13 @@ class TestRun:
                     params=SolverParams(n_iters=k, record_trace=False),
                 )
                 ref_h, ref_p, _ = two_variable_reference(prob, pair)
-                x_h, _ = run(prob, init)
+                x_h, _ = run(prob.package(), init)
                 assert np.max(np.abs(x - ref_h - ref_p)) <= 1e-12 * np.max(np.abs(x))
                 assert np.max(np.abs(x_h - ref_h)) <= 1e-12 * np.max(np.abs(ref_h))
 
     def test_deterministic(self, small_config, rng):
         x = desk_mixture()
-        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=30))
+        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=30)).package()
         x_h1, trace1 = run(prob, np.zeros(x.size))
         x_h2, trace2 = run(prob, np.zeros(x.size))
         np.testing.assert_array_equal(x_h1, x_h2)
@@ -346,15 +351,13 @@ class TestRun:
     @pytest.mark.parametrize("n_iters", [0, 2])
     def test_rejects_initial_x_h_of_other_length(self, small_config, rng, n_iters):
         x = desk_mixture()
-        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=n_iters))
+        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=n_iters)).package()
         with pytest.raises(ValueError, match="initial x_h length"):
             run(prob, np.zeros(x.size - 1))
 
     def test_zero_iterations_passthrough(self, small_config, rng):
         x = desk_mixture()
-        prob = make_problem(
-            x, small_config, rng, params=SolverParams(n_iters=0)
-        )
+        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=0)).package()
         x_h0 = rng.normal(size=x.size)
         x_h, trace = run(prob, x_h0)
         np.testing.assert_array_equal(x_h, x_h0)
@@ -363,13 +366,13 @@ class TestRun:
     @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("n_iters", [0, 1, 3])
     def test_inputs_untouched(self, small_config, rng, n_iters, record_trace):
-        # the loop reads the weight in place and writes signal-length terms into
-        # the plan's buffer: not a byte of what the caller handed in may change
+        # the loop reads the problem's arrays in place and writes signal-length
+        # terms into the plan's buffer: not a byte of what it is handed may change
         x = desk_mixture()
         params = SolverParams(n_iters=n_iters, record_trace=record_trace)
-        prob = make_problem(x, small_config, rng, params=params)
+        prob = make_problem(x, small_config, rng, params=params).package()
         x_h0 = rng.normal(size=x.size)
-        inputs = (prob.weight, prob.v, prob.mixture, x_h0)
+        inputs = (prob.spectrum, prob.steps, prob.weight, x_h0)
         before = [a.tobytes() for a in inputs]
         run(prob, x_h0)
         assert [a.tobytes() for a in inputs] == before
@@ -378,8 +381,11 @@ class TestRun:
     def test_steps_built_once_per_iterating_run(
         self, small_config, rng, monkeypatch, n_iters, builds
     ):
-        # the steps are the solver's only exponential: count its np.exp calls
+        # the steps are the solver module's only exponential: count its np.exp
+        # calls. separate builds them once, and only when it iterates; run
+        # builds none, and from_if builds them from the IF map, frame-major
         import hpss.solver
+        from hpss import HpssConfig, separate
 
         built = []
 
@@ -394,13 +400,17 @@ class TestRun:
 
         monkeypatch.setattr(hpss.solver, "np", CountingNumpy())
         x = desk_mixture()
-        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=n_iters))
-        run(prob, np.zeros(x.size))
+        params = SolverParams(n_iters=n_iters)
+        separate(x, HpssConfig(win_len=64, hop=16, solver=params))
         assert len(built) == builds
-        for g in built:  # frame-major, g[t] = conj(s[t-1])
-            assert g.shape == prob.v.shape
-            np.testing.assert_allclose(g[1:], np.conj(phase_steps(prob.v, small_config)[:, :-1].T),
-                                       rtol=0, atol=1e-15)
+        prob = make_problem(x, small_config, rng, params=params)
+        problem = prob.package()
+        run(problem, np.zeros(x.size))
+        assert len(built) == builds + 1
+        g = built[-1]  # g[t] = conj(s[t-1])
+        assert g.tobytes() == problem.steps.tobytes() and g.shape == prob.v.shape
+        np.testing.assert_allclose(g[1:], np.conj(phase_steps(prob.v, small_config)[:, :-1].T),
+                                   rtol=0, atol=1e-15)
 
     def test_extreme_sparsity_collapses_percussive(self):
         # the percussive branch vanishes as the sparsity weight grows
@@ -411,12 +421,9 @@ class TestRun:
         spec = forward(x, config)
         mag = np.abs(spec.data)
         weight = 0.001 / np.maximum(0.001, mag / mag.max())
-        prob = HpssProblem(
-            mixture=x,
-            config=config,
-            v=estimate_if(x, config),
-            weight=weight,
-            params=SolverParams(lam=1e6, n_iters=300, record_trace=False),
+        prob = HpssProblem.from_if(
+            x, config, estimate_if(x, config), weight,
+            SolverParams(lam=1e6, n_iters=300, record_trace=False),
         )
         x_h, _ = run(prob, np.zeros(n))
         ratio = np.sum((x - x_h) ** 2) / np.sum(x**2)
@@ -435,12 +442,8 @@ class TestRun:
         spec = forward(x, config)
         mag = np.abs(spec.data)
         weight = 0.001 / np.maximum(0.001, mag / mag.max())
-        prob = HpssProblem(
-            mixture=x,
-            config=config,
-            v=estimate_if(x, config),
-            weight=weight,
-            params=SolverParams(record_trace=False),
+        prob = HpssProblem.from_if(
+            x, config, estimate_if(x, config), weight, SolverParams(record_trace=False)
         )
         init = mf_separate(x, config)
         x_h, _ = run(prob, init.harmonic.samples)
@@ -450,12 +453,9 @@ class TestRun:
         x = desk_mixture()
         n = x.size
         shape = (small_config.n_frames(n), small_config.n_bins)
-        prob = HpssProblem(
-            mixture=x,
-            config=small_config,
-            v=estimate_if(x, small_config),
-            weight=np.ones(shape),
-            params=SolverParams(mu1=40.0, n_iters=3, record_trace=False),
+        prob = HpssProblem.from_if(
+            x, small_config, estimate_if(x, small_config), np.ones(shape),
+            SolverParams(mu1=40.0, n_iters=3, record_trace=False),
         )
         with pytest.warns(UserWarning, match="step-size"):
             x_h, _ = run(prob, np.zeros(n))
@@ -465,7 +465,7 @@ class TestRun:
         import warnings as warnings_mod
 
         x = desk_mixture()
-        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=2))
+        prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=2)).package()
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
             run(prob, np.zeros(x.size))
@@ -477,7 +477,7 @@ class TestRun:
             small_config,
             rng,
             params=SolverParams(mu1=1e160, mu2=1e160, n_iters=50, record_trace=False),
-        )
+        ).package()
         with pytest.warns(UserWarning, match="step-size"):
             with pytest.raises(SolverDivergenceError) as err:
                 run(prob, np.zeros(x.size))
@@ -513,8 +513,7 @@ class TestRun:
         mag = np.abs(forward(x, config).data)
         weight = 0.001 / np.maximum(0.001, mag / mag.max())
         params = SolverParams(n_iters=1, record_trace=False)
-        prob = HpssProblem(mixture=x, config=config, v=np.full(shape, 8.0), weight=weight,
-                           params=params)
+        prob = HpssProblem.from_if(x, config, np.full(shape, 8.0), weight, params)
         x_h, _ = run(prob, x.copy())
         inc = np.linalg.norm(x_h - x)
         assert inc <= 1e-9 * np.linalg.norm(x)
@@ -553,7 +552,7 @@ class TestTrace:
     def test_csv_export(self, tmp_path, small_config, rng):
         x = desk_mixture()
         prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=5))
-        _, trace = run(prob, np.zeros(x.size))
+        _, trace = run(prob.package(), np.zeros(x.size))
         assert len(trace) == 5
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
@@ -571,7 +570,7 @@ class TestEquivalence:
         prob = make_problem(x, small_config, rng, params=SolverParams(n_iters=50))
         init = (rng.normal(size=x.size), rng.normal(size=x.size))  # infeasible
         ref_h, _, ref_rows = two_variable_reference(prob, init)
-        got_h, trace = run(prob, split_sum_arrays(x, *init)[0])
+        got_h, trace = run(prob.package(), split_sum_arrays(x, *init)[0])
         assert np.max(np.abs(got_h - ref_h)) <= 1e-12 * np.max(np.abs(ref_h))
         columns = (trace.total, trace.smooth, trace.sparse, trace.primal_increment)
         for col, ref in zip(columns, ref_rows.T):
@@ -579,7 +578,7 @@ class TestEquivalence:
         # the last row scores the last transformed point u: invert the final
         # relaxation new_h = alpha (u + x_h) / 2 + (1 - alpha) x_h for it
         params = SolverParams(n_iters=prob.params.n_iters - 1, record_trace=False)
-        prev_h, _ = run(replace(prob, params=params), split_sum_arrays(x, *init)[0])
+        prev_h, _ = run(replace(prob, params=params).package(), split_sum_arrays(x, *init)[0])
         a = prob.params.alpha
         u = (2.0 * got_h - (2.0 - a) * prev_h) / a
         total, _, _ = objective((u, x - u), prob)
@@ -598,9 +597,9 @@ class TestEquivalence:
         x_h0 = split_sum_arrays(x, *init)[0]
         for k in range(1, 13):
             params = SolverParams(n_iters=k, record_trace=k % 2 == 0)
-            prob = HpssProblem(x, base.config, base.v, base.weight, params)
+            prob = Problem(x, base.config, base.v, base.weight, params)
             ref_h, _, ref_rows = two_variable_reference(prob, init)
-            got_h, trace = run(prob, x_h0)
+            got_h, trace = run(prob.package(), x_h0)
             assert np.max(np.abs(got_h - ref_h)) <= 1e-12 * np.max(np.abs(ref_h))
         columns = (trace.total, trace.smooth, trace.sparse, trace.primal_increment)
         for col, ref in zip(columns, ref_rows.T):
@@ -632,7 +631,7 @@ class TestEquivalence:
         init = (rng.normal(size=x.size), rng.normal(size=x.size))  # infeasible
         x_h0 = split_sum_arrays(x, *init)[0]
         ref_h, _, ref_rows = two_variable_reference(prob, init)
-        got_h, trace = run(prob, x_h0)
+        got_h, trace = run(prob.package(), x_h0)
         assert np.max(np.abs(got_h - ref_h)) <= 1e-12 * np.max(np.abs(ref_h))
         columns = (trace.total, trace.smooth, trace.sparse, trace.primal_increment)
         # an increment is a difference of two signals near x_h, so its error has an
@@ -660,7 +659,7 @@ class TestEquivalence:
         force_lanes(lanes)
         x = desk_mixture()
         params = SolverParams(mu1=mu1, n_iters=n_iters)
-        prob = make_problem(x, small_config, rng, params=params)
+        prob = make_problem(x, small_config, rng, params=params).package()
         # frames through each FFT direction, so every frame block of a sweep
         # counts; lanes call from several threads, so each call appends
         calls = {"forward": [], "adjoint": [], "spectrogram": []}
@@ -680,14 +679,14 @@ class TestEquivalence:
             counted("spectrogram", post_init, False),
         )
         run(prob, np.zeros(x.size))
-        # with the trace on too, F(x) is the only transform outside the loop; each
-        # lane after the first also transforms the frame before its first block,
-        # and in the adjoint its halo, the L/hop - 1 frames before it
-        extra = 1 if n_iters else 0
+        # with the trace on too, run transforms nothing outside the loop (F(x)
+        # comes with the problem); each lane after the first also transforms the
+        # frame before its first block, and in the adjoint its halo, the L/hop - 1
+        # frames before it
         n_frames = small_config.n_frames(x.size)
         halo = small_config.win_len // small_config.hop - 1
         expected = {
-            "forward": n_iters * (n_frames + lanes - 1) + extra * n_frames,
+            "forward": n_iters * (n_frames + lanes - 1),
             "adjoint": n_iters * (n_frames + (lanes - 1) * halo),
             "spectrogram": 0,
         }
@@ -705,7 +704,7 @@ class TestEquivalence:
             n = hop * n_frames - 3
             rng = np.random.default_rng(n_frames)
             x = rng.normal(size=n)
-            prob = make_problem(x, config, rng, params=SolverParams(n_iters=4))
+            prob = make_problem(x, config, rng, params=SolverParams(n_iters=4)).package()
             x_h0 = rng.normal(size=n)
             got = {}
             for lanes in (1, 2, 3):
@@ -719,19 +718,22 @@ class TestEquivalence:
 
     def test_peak_memory_budget(self, monkeypatch):
         # the loop's working set, counted in T x K complex128 arrays: the traced
-        # peak of run above its entry, trace off, on the criterion-8 problem
-        problem, x_h0 = criterion_problem(monkeypatch)
-        assert run_peak_units(problem, x_h0, record_trace=False) <= 5.06  # measured 5.02 (2 lanes)
+        # peak of building the problem and running it, trace off, on the
+        # criterion-8 problem; F(x) and the steps count, as the loop holds them
+        prob, x_h0 = criterion_problem(monkeypatch)
+        assert run_peak_units(prob, x_h0, record_trace=False) <= 5.06  # measured 5.00 (2 lanes), 4.98 (1)
 
     def test_peak_memory_budget_with_trace(self, monkeypatch):
         # the trace is summed from the sweep's own blocks: it adds no T x K array
-        problem, x_h0 = criterion_problem(monkeypatch)
-        off = run_peak_units(problem, x_h0, record_trace=False)
-        assert run_peak_units(problem, x_h0, record_trace=True) <= off + 0.05
+        prob, x_h0 = criterion_problem(monkeypatch)
+        off = run_peak_units(prob, x_h0, record_trace=False)
+        assert run_peak_units(prob, x_h0, record_trace=True) <= off + 0.05
 
 
 def criterion_problem(monkeypatch):
-    """The problem and initial x_h that ``separate`` hands ``run`` on criterion 8."""
+    """A model problem of the criterion-8 separation and the initial x_h that
+    ``separate`` hands ``run``: the mixture is the inverse of the problem's
+    spectrum, its IF map ``estimate_if``'s, its weight the problem's."""
     import hpss.pipeline
     from hpss import HpssConfig, separate
     from hpss.synth import criterion_mixture
@@ -743,20 +745,24 @@ def criterion_problem(monkeypatch):
         return run(problem, x_h0)
 
     monkeypatch.setattr(hpss.pipeline, "run", capture)
-    separate(criterion_mixture().mixture, HpssConfig(solver=SolverParams(n_iters=0)))
-    return captured[0]
+    separate(criterion_mixture().mixture, HpssConfig(solver=SolverParams(n_iters=1)))
+    problem, x_h0 = captured[0]
+    config = problem.config
+    x = StftPlan(config, problem.n_samples).adjoint(problem.spectrum)
+    return Problem(x, config, estimate_if(x, config), problem.weight), x_h0
 
 
-def run_peak_units(problem, x_h0, record_trace):
-    """Traced peak of a 3-iteration ``run`` above its entry, in T x K complex128 units."""
+def run_peak_units(prob, x_h0, record_trace):
+    """Traced peak of building the package's problem of ``prob`` and running it
+    for 3 iterations, above the entry, in T x K complex128 units."""
     import tracemalloc
 
-    problem = replace(problem, params=SolverParams(n_iters=3, record_trace=record_trace))
-    unit = problem.weight.size * np.dtype(np.complex128).itemsize
+    prob = replace(prob, params=SolverParams(n_iters=3, record_trace=record_trace))
+    unit = prob.weight.size * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        run(problem, x_h0)
+        run(prob.package(), x_h0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

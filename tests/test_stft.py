@@ -435,13 +435,13 @@ class TestLanes:
 
     def test_lane_count_rule(self, monkeypatch):
         # one lane per usable core, at most two, each of at least two frame
-        # blocks of B = 15 rows, so a lane block never falls below ceil(B / 2)
+        # blocks of B rows and the adjoint's halo of L/hop - 1 frames: at
+        # 4096/1024 (B = 15, halo 3) two lanes need 66 frames, so a lane block
+        # never falls below ceil(B / 2)
         import os
 
-        config = StftConfig(4096, 1024)
-
-        def lanes(n_frames):
-            plan = StftPlan(config, 1024 * n_frames)
+        def lanes(n_frames, config=StftConfig(4096, 1024)):
+            plan = StftPlan(config, config.hop * n_frames)
             starts = [t0 for t0, _ in plan.lanes]
             stops = [t1 for _, t1 in plan.lanes]
             assert starts[0] == 0 and stops[-1] == n_frames and starts[1:] == stops[:-1]
@@ -449,10 +449,18 @@ class TestLanes:
             return len(plan.lanes)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert [lanes(t) for t in (1, 29, 59, 60, 200)] == [1, 1, 1, 2, 2]
+        assert [lanes(t) for t in (1, 29, 59, 60, 65, 66, 200)] == [1, 1, 1, 1, 1, 2, 2]
+        # 4096/64 (B = 15, halo 63) needs 186 frames, 256/16 (B = 254, halo 15)
+        # 1046, 1024/256 (B = 63, halo 3) 258: a 2.5 s corpus track at 16 kHz
+        # (157 frames) keeps one lane, CI's 1.5 s track at 256/16 (1500) two
+        for (win_len, hop), counts in {(4096, 64): {60: 1, 185: 1, 186: 2, 3446: 2},
+                                       (256, 16): {1045: 1, 1046: 2, 1500: 2},
+                                       (1024, 256): {157: 1, 257: 1, 258: 2}}.items():
+            config = StftConfig(win_len, hop)
+            assert {t: lanes(t, config) for t in counts} == counts, (win_len, hop)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
-        assert [lanes(t) for t in (59, 60, 90, 1292)] == [1, 2, 2, 2]
-        assert StftPlan(config, 1024 * 1292).lane_block == 8
+        assert [lanes(t) for t in (65, 66, 90, 1292)] == [1, 2, 2, 2]
+        assert StftPlan(StftConfig(4096, 1024), 1024 * 1292).lane_block == 8
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
         assert lanes(200) == 1
         # without affinity masks the core count stands in
